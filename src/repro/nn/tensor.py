@@ -15,6 +15,8 @@ Design notes
   optional gradient.
 * Each differentiable operation returns a new tensor holding a ``_backward``
   closure that accumulates into its parents' ``grad`` buffers.
+* :meth:`Tensor.backward` frees the graph as it goes (there is no
+  ``retain_graph``): only leaf gradients and the root's seed survive it.
 * Broadcasting follows numpy semantics; :func:`_unbroadcast` reduces an
   output gradient back to a parent's shape.
 * Integer index arrays (for message passing ``gather`` / ``segment_sum``)
@@ -170,16 +172,32 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype),
                             self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
+        if self.grad is not None:
             self.grad = self.grad + grad
+        elif self._backward is not None and grad.flags.c_contiguous:
+            # Interior: read once by backward() and never written, so the
+            # array is kept even when shared (``__add__`` hands one ``g``
+            # to both parents) or read-only.
+            self.grad = grad
+        else:
+            # Leaves get a private, writable copy (optimizers and
+            # clip_grad_norm update it in place).  A strided gradient is
+            # compacted to the C layout downstream adjoints always saw,
+            # which keeps results bit-identical.
+            self.grad = grad.copy()
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, freeing the graph.
+
+        Each interior node is released as soon as its adjoint has run:
+        its ``grad``, ``_backward`` closure and ``_prev`` links are
+        dropped, so the activations the closures hold are freed during
+        the pass rather than when the caller lets go of the output.  Leaf
+        gradients and this tensor's own gradient are kept.  A second
+        ``backward()`` through a released node raises ``RuntimeError``.
 
         Parameters
         ----------
@@ -188,7 +206,6 @@ class Tensor:
         """
         topo: list[Tensor] = []
         visited: set[int] = set()
-        stack_ = [self]
         # Iterative DFS (deep graphs from K-layer GNNs + LSTMs would
         # overflow Python's recursion limit).
         post: list[tuple[Tensor, bool]] = [(self, False)]
@@ -204,14 +221,23 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in visited:
                     post.append((parent, False))
-        del stack_
 
-        if grad is None:
-            grad = np.ones_like(self.data)
-        self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # This tensor keeps its gradient, so a caller's seed is copied.
+        self._accumulate(np.ones_like(self.data) if grad is None
+                         else np.array(grad, dtype=self.data.dtype))
+        while topo:
+            # Popping drops the walk's own reference, so a released node's
+            # activation is freed here unless the caller still holds it.
+            node = topo.pop()
+            adjoint = node._backward
+            if adjoint is None:
+                continue
+            if node.grad is not None:
+                adjoint(node.grad)
+            if node is not self:
+                node.grad = None
+            node._backward = _released_backward
+            node._prev = ()
 
     @staticmethod
     def _result(data, parents, op, backward):
@@ -503,6 +529,14 @@ class Tensor:
         return Tensor._result(out_data, (self,), "getitem", backward)
 
 
+def _released_backward(g) -> None:
+    """Adjoint left on a node whose graph ``backward()`` already freed."""
+    raise RuntimeError(
+        "backward() through a graph that has already been freed: "
+        "backward() releases each node once its adjoint has run, so run "
+        "a fresh forward pass before differentiating again")
+
+
 def as_tensor(value) -> Tensor:
     """Coerce ``value`` (Tensor, ndarray, scalar, list) to a :class:`Tensor`."""
     if isinstance(value, Tensor):
@@ -510,21 +544,32 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
-def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarray:
-    """Scatter-add ``g`` back onto a zeroed copy of ``target_data``'s shape.
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is an int, a slice or a tuple of these."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items)
 
-    The adjoint of ``x[index]`` / :func:`gather`.  For 1-D integer index
-    arrays this dispatches through the registered ``scatter_add`` op
-    (:mod:`repro.nn.ops`), whose plan backend recognizes *repeated* index
-    arrays (embedding-id columns of cached batches, reused top-k
-    selections) and serves them through a cached
-    :class:`~repro.nn.segment.SegmentPlan` — bit-identical to
-    ``np.add.at`` but an order of magnitude faster on the hot paths.
-    Everything else (slices, boolean masks, multi-dimensional fancy
-    indexing) keeps the plain ``np.add.at`` scatter.  Repetition is
-    detected by *storage* identity, so an index array reused across calls
-    must not be mutated in place between them (see
-    :func:`repro.nn.segment._scatter_add_plan`).
+
+def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarray:
+    """Scatter-add ``g`` back onto zeros of ``target_data``'s shape.
+
+    The adjoint of ``x[index]`` / :func:`gather`.  The index kind picks
+    the path; all three are bit-identical to ``np.add.at`` over zeros:
+
+    * a 1-D integer array dispatches through the registered
+      ``scatter_add`` op (:mod:`repro.nn.ops`), so the active backend's
+      kernel handles repeated rows.  The ``reduceat`` backend caches plans
+      by the index array's *storage*, so an index array reused across
+      calls must not be mutated in place between them (see
+      :func:`repro.nn.segment._scatter_add_plan`);
+    * a basic index (int, slice, or a tuple of these) or a boolean mask
+      selects every element at most once, so ``full[index] += g`` is the
+      exact sum and skips ``np.add.at``'s per-element loop;
+    * anything else (multi-dimensional or mixed fancy indexing) may repeat
+      elements and keeps ``np.add.at``.
     """
     if (isinstance(index, np.ndarray) and index.ndim == 1
             and index.dtype.kind in "iu"):
@@ -532,7 +577,11 @@ def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarra
 
         return scatter_add(g, index, target_data.shape[0])
     full = np.zeros_like(target_data)
-    np.add.at(full, index, g)
+    if _is_basic_index(index) or (isinstance(index, np.ndarray)
+                                  and index.dtype == np.bool_):
+        full[index] += g
+    else:
+        np.add.at(full, index, g)
     return full
 
 
