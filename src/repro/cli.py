@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'serve-cluster' (multi-process sharded serving cluster), "
              "'lint' (static invariant analysis over src/repro) or "
              "'backend-info' (kernel backends, fallback chains and the "
-             "compiled-backend build status)",
+             "compiled-kernel build status)",
     )
     parser.add_argument(
         "--tier", choices=["smoke", "bench"], default="bench",
@@ -219,7 +219,7 @@ def _run_lint(args) -> int:
 
 def _run_backend_info(args) -> int:
     """``backend-info``: declared kernel backends with fallback chains,
-    the per-op direct-implementation table, and the compiled-backend
+    the per-op direct-implementation table, and the compiled-kernel
     JIT build status (compiler, cache, fallback reporting)."""
     from .nn.compiled import compiled_status
     from .nn.ops import OP_REGISTRY
@@ -242,7 +242,7 @@ def _run_backend_info(args) -> int:
         print(f"  {op_name:<18} {', '.join(sorted(entry.impls))}")
 
     status = compiled_status()
-    print("\ncompiled backend status:")
+    print("\ncompiled kernel status:")
     for key in sorted(status):
         print(f"  {key}: {status[key]}")
     return 0

@@ -54,14 +54,6 @@ class LintConfig:
     #: when the module is absent from the linted tree (fixtures).
     ops_module: str = "nn/ops.py"
 
-    #: the compiled-backend registration module: REP008 additionally
-    #: requires every ``register_backend(..., impls=...)`` fill in here to
-    #: declare its fallback and to reference implementations living under
-    #: ``compiled_impl_prefix``.  Skipped when the module is absent from
-    #: the linted tree (fixtures override it to a planted file).
-    compiled_registration_module: str = "nn/compiled/__init__.py"
-    compiled_impl_prefix: str = "nn/compiled/"
-
     #: hot-path files where hard-coded float64 (or dtype-less) allocations
     #: are banned (REP007): everything here must allocate in the active
     #: ExecutionPolicy dtype via repro.nn.policy.  The policy module
@@ -86,10 +78,6 @@ class LintConfig:
     #: backend-parity config (REP005)
     parity_fast_module: str = "nn/segment.py"
     parity_reference_module: str = "nn/tensor.py"
-    #: functions in the fast module allowed to call np.add.at /
-    #: np.maximum.at (the plan-miss fallback); the reference module may
-    #: use them anywhere (they ARE the legacy ops).
-    parity_scatter_functions: tuple = ("_scatter_add_plan",)
     #: test files (repo-relative) that must reference every *registered*
     #: op; the suite check is skipped when none exist (fixtures).
     parity_suite_files: tuple = (

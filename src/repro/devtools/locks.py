@@ -93,9 +93,6 @@ LOCK_HIERARCHY: tuple[LockSpec, ...] = (
     LockSpec(54, 6, "graph/datasets.py", None, "_dataset_cache_lock", "Lock",
              "process-wide synthetic dataset cache",
              guards=("_DATASET_CACHE",)),
-    LockSpec(55, 6, "nn/segment.py", None, "_scatter_plan_lock", "Lock",
-             "module-level scatter-plan LRU",
-             guards=("_scatter_plans",)),
     LockSpec(56, 6, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
              "submit/result ticket window"),
     LockSpec(57, 6, "nn/policy.py", "WorkspacePool", "_lock", "Lock",

@@ -21,23 +21,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-__all__ = ["BackendFill", "OpRegistration", "OpsModuleModel",
-           "parse_ops_module", "resolve_impl"]
-
-
-@dataclass
-class BackendFill:
-    """One ``register_backend(..., impls={...})`` call — a late fill of a
-    declared backend with implementations (the compiled backend's
-    registration shape, checked by REP008)."""
-
-    name: str
-    lineno: int
-    #: whether the call passed a ``fallback`` declaration
-    has_fallback: bool = False
-    #: op name -> (alias, attribute) implementation reference (None marks
-    #: an unreadable value)
-    impls: dict = field(default_factory=dict)
+__all__ = ["OpRegistration", "OpsModuleModel", "parse_ops_module",
+           "resolve_impl"]
 
 
 @dataclass
@@ -72,8 +57,6 @@ class OpsModuleModel:
     alias_to_module: dict = field(default_factory=dict)
     #: local name -> (project-relative module path, original name)
     from_imports: dict = field(default_factory=dict)
-    #: ``register_backend(..., impls=...)`` fills, in source order
-    backend_fills: list = field(default_factory=list)
 
 
 def _relative_base(info_rel: str, level: int, module: str | None) -> list:
@@ -94,12 +77,12 @@ def _collect_imports(tree: ast.Module, info_rel: str, model: OpsModuleModel):
         base = _relative_base(info_rel, node.level, node.module)
         for alias in node.names:
             local = alias.asname or alias.name
-            if node.module is None:
-                # ``from . import segment as _segment`` — names are modules.
-                model.alias_to_module[local] = "/".join(
-                    base + [alias.name]) + ".py"
-            else:
-                # ``from .tensor import as_tensor`` — names are members.
+            # ``from . import segment as _segment`` and ``from .compiled
+            # import kernels as _kernels`` bind modules ...
+            model.alias_to_module[local] = "/".join(
+                base + [alias.name]) + ".py"
+            if node.module is not None:
+                # ... while ``from .tensor import as_tensor`` binds a member.
                 model.from_imports[local] = ("/".join(base) + ".py",
                                              alias.name)
 
@@ -162,30 +145,14 @@ def parse_ops_module(info) -> OpsModuleModel:
                     and isinstance(node.args[0].value, str):
                 name = node.args[0].value
                 fallback = None
-                has_fallback = False
-                impls_node = None
                 if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
                     fallback = node.args[1].value
-                    has_fallback = fallback is not None
                 for keyword in node.keywords:
                     if keyword.arg == "fallback" and isinstance(
                             keyword.value, ast.Constant):
                         fallback = keyword.value.value
-                        has_fallback = fallback is not None
-                    elif keyword.arg == "impls":
-                        impls_node = keyword.value
                 model.backend_decls[name] = node.lineno
                 model.backend_fallbacks[name] = fallback
-                if impls_node is not None:
-                    fill = BackendFill(name=name, lineno=node.lineno,
-                                       has_fallback=has_fallback)
-                    if isinstance(impls_node, ast.Dict):
-                        for key, impl in zip(impls_node.keys,
-                                             impls_node.values):
-                            if isinstance(key, ast.Constant) \
-                                    and isinstance(key.value, str):
-                                fill.impls[key.value] = _impl_ref(impl)
-                    model.backend_fills.append(fill)
         elif node.func.attr == "register":
             model.registrations.append(_registration_of(node))
     return model

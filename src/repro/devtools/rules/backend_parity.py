@@ -20,7 +20,7 @@ reverse-engineering dispatch from the AST (the pre-registry heuristics —
   scattered-``if`` dispatch the registry replaced;
 * ``np.add.at`` / ``np.maximum.at`` — the slow scatters the fast backend
   exists to replace — stay banned outside the legacy reference module
-  and the declared scatter fallback functions.
+  (a fast path that needs the reference scatter calls the legacy op).
 """
 
 from __future__ import annotations
@@ -48,15 +48,6 @@ def _declared_all(tree: ast.Module) -> list:
                                 if isinstance(e, ast.Constant)
                                 and isinstance(e.value, str)]
     return []
-
-
-def _enclosing_function(tree: ast.Module, target) -> str | None:
-    """Name of the module-level function lexically containing ``target``."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if any(sub is target for sub in ast.walk(node)):
-                return node.name
-    return None
 
 
 def _ufunc_at_calls(tree: ast.Module):
@@ -158,19 +149,13 @@ def check_backend_parity(project, config):
                     f"inline backend branch comparing against {backend!r} "
                     "— dispatch through the op registry instead"))
 
-    # ufunc.at ban: reference module free-for-all, fast module only inside
-    # the declared scatter fallback functions, everywhere else banned.
+    # ufunc.at ban: the reference module only.
     for info in project.modules:
         if info.rel == config.parity_reference_module:
             continue
         for call, label in _ufunc_at_calls(info.tree):
-            if info.rel == config.parity_fast_module:
-                if _enclosing_function(info.tree, call) in (
-                        config.parity_scatter_functions or ("scatter_add",)):
-                    continue
             findings.append(Finding(
                 info.rel, call.lineno, "REP005",
-                f"{label} scatter outside the legacy reference ops and "
-                "the scatter fallback — use the plan-backed segment "
-                "kernels"))
+                f"{label} scatter outside the legacy reference ops — use "
+                "the plan-backed segment kernels, or call the legacy op"))
     return findings

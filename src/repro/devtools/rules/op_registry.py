@@ -15,15 +15,6 @@ registration silently shrinks all three.  Statically (via
 And everywhere in the linted tree, a ``use_backend("...")`` string
 literal must name a declared backend — a typo would raise at runtime
 only on the (possibly untested) path that hits it.
-
-The compiled backend registers through the other seam —
-``register_backend(..., impls={...})`` in
-``config.compiled_registration_module`` — so those fills get their own
-contract: the call must (re)declare its ``fallback`` (a partially
-implemented backend must say where unimplemented ops resolve), and every
-implementation reference must resolve into a module under
-``config.compiled_impl_prefix`` (JIT-kernel wrappers live in
-``repro.nn.compiled``, not scattered through the package).
 """
 
 from __future__ import annotations
@@ -31,7 +22,7 @@ from __future__ import annotations
 import ast
 
 from ..findings import Finding
-from ..opregs import parse_ops_module, resolve_impl
+from ..opregs import parse_ops_module
 from ..registry import rule
 
 
@@ -97,31 +88,6 @@ def check_op_registry(project, config):
                     info.rel, reg.lineno, "REP008",
                     f"op '{reg.name}' registered for undeclared backend "
                     f"'{backend}'"))
-
-    # Compiled-backend fills: every register_backend(..., impls=...) in
-    # the compiled registration module must declare its fallback and
-    # reference impls living under the compiled package.
-    comp_rel = getattr(config, "compiled_registration_module", None)
-    comp_info = project.get(comp_rel) if comp_rel else None
-    if comp_info is not None:
-        prefix = getattr(config, "compiled_impl_prefix", "") or ""
-        comp_model = parse_ops_module(comp_info)
-        for fill in comp_model.backend_fills:
-            if not fill.has_fallback:
-                findings.append(Finding(
-                    comp_info.rel, fill.lineno, "REP008",
-                    f"register_backend('{fill.name}', impls=...) without "
-                    "a fallback declaration — a partially implemented "
-                    "backend must say where unimplemented ops resolve"))
-            for op_name, ref in fill.impls.items():
-                target_rel, _ = resolve_impl(comp_model, comp_info.rel, ref)
-                if target_rel is None or not target_rel.startswith(prefix):
-                    findings.append(Finding(
-                        comp_info.rel, fill.lineno, "REP008",
-                        f"'{fill.name}' impl for op '{op_name}' resolves "
-                        f"to {target_rel or '<unresolved>'} — compiled-"
-                        "backend implementations must live under "
-                        f"{prefix or '<unset prefix>'}"))
 
     # use_backend("...") literals anywhere in the tree must be declared.
     for minfo in project.modules:

@@ -165,13 +165,13 @@ def guard_serving_stack(server=None, service=None,
     """Wrap a serving stack's registered locks with hierarchy ranks.
 
     Wraps the server lock, its router, the service lock, the model /
-    batch-cache registries, and the module-global scatter-plan lock —
+    batch-cache registries, and the module-global kernel-build lock —
     every table entry reachable from live objects without intercepting
     per-instance lazy locks (per-model, per-batch, per-loader), which
     are created after wrapping time.  Call before starting worker
     threads; ``unwrap`` (or the context manager) restores everything.
     """
-    from ..nn import segment as _segment
+    from ..nn.compiled import build as _build
 
     guard = guard or LockOrderGuard()
     if server is not None:
@@ -189,6 +189,6 @@ def guard_serving_stack(server=None, service=None,
         guard.wrap_instance(service.batch_cache,
                             _rank_of("BatchCacheRegistry", "_lock"),
                             name="BatchCacheRegistry._lock")
-    guard.wrap_module_global(_segment, "_scatter_plan_lock",
-                             _rank_of(None, "_scatter_plan_lock"))
+    guard.wrap_module_global(_build, "_build_lock",
+                             _rank_of(None, "_build_lock"))
     return guard

@@ -1,70 +1,33 @@
-"""Compiled C kernel backend: JIT-built ctypes kernels for the op registry.
+"""Compiled C kernels: the JIT-built data kernels of the ``reduceat`` backend.
 
-PR 9 declared a ``compiled`` backend slot in :data:`repro.nn.ops.OP_REGISTRY`
-with the fallback chain ``compiled -> reduceat -> legacy``; this package
-fills it.  :mod:`.csrc` holds the dtype-templated C source and ctypes
-signatures, :mod:`.build` compiles it at first use with the discovered
-system compiler and caches the shared object on disk, and
-:mod:`.kernels` wraps the symbols as registry-shaped implementations
-that are **bit-identical** to the reduceat backend (and silently
-delegate to it per call whenever the library is unavailable).
+:mod:`.csrc` holds the dtype-templated C source and ctypes signatures,
+:mod:`.build` compiles it at first use with the discovered system
+compiler and caches the shared object on disk, and :mod:`.kernels` wraps
+the symbols.  They are not a backend of their own: the plan-backed
+segment kernels in :mod:`repro.nn.segment` and the registered
+``reduceat`` impls of ``scatter_add`` / ``lstm_scan`` call them wherever
+the library loaded, and fall back per call to numpy otherwise.  Either
+way the results are bit-identical to the ``legacy`` reference.
 
-Registration happens once at the end of ``repro.nn.ops``'s import via
-:func:`register_compiled_backend`; availability is observable through
-:func:`compiled_status` (also surfaced by ``InferenceService.stats()``
-and the ``backend-info`` CLI target).
+Availability is observable through :func:`compiled_status` (also
+surfaced by ``InferenceService.stats()`` and the ``backend-info`` CLI
+target).
 """
 
 from __future__ import annotations
 
 from . import build
-from . import kernels as _kernels
 
-__all__ = ["build", "compiled_status", "register_compiled_backend"]
+__all__ = ["build", "compiled_status"]
 
 
 def compiled_status() -> dict:
-    """Availability + build state of the compiled backend.
+    """Availability + build state of the compiled kernels.
 
     ``state`` is ``"disabled"`` (REPRO_COMPILED_DISABLE set),
     ``"unavailable"`` (no compiler discovered, or the build was attempted
     and failed) or ``"available"``; the remaining keys report the
     compiler, cache location and build/cache counters from
-    :func:`.build.status`, plus the ops the registry currently holds
-    direct compiled implementations for.
+    :func:`.build.status`.
     """
-    info = build.status()
-    # late import: ops imports this package at the end of its own import.
-    from ..ops import OP_REGISTRY
-
-    info["ops"] = tuple(sorted(
-        name for name in OP_REGISTRY.ops()
-        if "compiled" in OP_REGISTRY.get(name).impls))
-    return info
-
-
-def register_compiled_backend(registry) -> None:
-    """Fill the declared ``compiled`` backend slot with the JIT kernels.
-
-    Called once at the end of ``repro.nn.ops``'s import.  When no system
-    C compiler is discoverable (or ``REPRO_COMPILED_DISABLE`` is set),
-    nothing is registered: the declared slot keeps resolving through its
-    ``reduceat`` fallback and ``OP_REGISTRY.backends()`` keeps excluding
-    ``compiled``, so no suite schedules it.  With a compiler present the
-    implementations register eagerly but build lazily — the first kernel
-    call compiles the library, and a failed build degrades to the same
-    reduceat results per call.
-    """
-    if build.find_compiler() is None:
-        return
-    registry.register_backend(
-        "compiled", fallback="reduceat",
-        impls={
-            "segment_sum": _kernels._segment_sum_compiled,
-            "segment_mean": _kernels._segment_mean_compiled,
-            "segment_max": _kernels._segment_max_compiled,
-            "segment_softmax": _kernels._segment_softmax_compiled,
-            "gather_segments": _kernels._gather_segments_compiled,
-            "scatter_add": _kernels._scatter_add_compiled,
-            "lstm_scan": _kernels._lstm_scan_compiled,
-        })
+    return build.status()

@@ -1,14 +1,14 @@
 """JIT build manager: compile-at-first-use, disk-cached ctypes kernels.
 
 The kernel library is built lazily the first time :func:`load` is called
-(i.e. the first time a compiled-backend op actually runs), with the
+(i.e. the first time a C-backed kernel actually runs), with the
 discovered system compiler, and cached on disk keyed by
 ``sha256(source, compiler id, flags)`` so later processes just
 ``dlopen`` the existing shared object.  Every failure mode — no
 compiler, compile error, unloadable object — degrades to ``load()``
-returning ``None``, which the kernel wrappers treat as "fall back to the
-plan/reduceat implementation"; nothing is ever written to the build
-cache unless a compiler was actually discovered.
+returning ``None``, which the kernel wrappers treat as "run the numpy
+kernel"; nothing is ever written to the build cache unless a compiler
+was actually discovered.
 
 Env knobs (read per call, so tests can monkeypatch the environment
 without re-importing):
@@ -124,9 +124,8 @@ def _build(compiler: str):
 def load():
     """The kernel library, building it on first call; None on any failure.
 
-    Callers fall back to the plan/reduceat implementations when this
-    returns None — silently, per call, exactly as the registry's
-    fallback chain resolves when the backend never registered.
+    Callers run their numpy kernels when this returns None — silently,
+    per call, with bit-identical results.
     """
     if _STATE.get("attempted"):
         return _STATE.get("lib")

@@ -1,20 +1,19 @@
-"""ctypes wrappers: compiled forward kernels behind the registry seam.
+"""ctypes wrappers: the C kernels behind the ``reduceat`` backend.
 
-Each public ``_*_compiled`` function is the ``compiled``-backend
-implementation registered for one op.  The contract mirrors the
-plan-backed (reduceat) implementations exactly:
+* :func:`segment_reduce` is the data kernel of the plan-backed segment
+  ops: :mod:`repro.nn.segment` calls it from ``_reduce_sum_data`` /
+  ``_reduce_max_data`` and runs its CSR matvec / vertical max when it
+  returns None.
+* :func:`_scatter_add_compiled` and :func:`_lstm_scan_compiled` are the
+  registered ``reduceat`` implementations of ``scatter_add`` and
+  ``lstm_scan``.
 
-* **Bit-identical values.**  The C kernels accumulate in the reference
-  order (see :mod:`.csrc`), so outputs — and through them the adjoints —
-  match the reduceat backend bit for bit.  The registered tolerances
-  stay ``0.0``.
-* **Silent per-call fallback.**  When the kernel library is unavailable
-  (no compiler, failed build, unsupported dtype/layout) every wrapper
-  delegates to the plan implementation for that call, so a process that
-  registered the backend optimistically still serves correct results.
-* **Same autograd shape.**  Backward closures reproduce the plan
-  implementations' adjoints, reducing gradients through the compiled
-  kernels where profitable (the fused gather+reduce).
+Every entry is **bit-identical** to the ``legacy`` reference (the C
+loops accumulate in the reference order, see :mod:`.csrc`), so the
+registered tolerances stay ``0.0``.  Each falls back per call, to the
+numpy kernel or the legacy reference, whenever the library is
+unavailable (no compiler, failed build) or the dtype/layout is one the C
+side does not cover.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import build
 from .. import rnn as _rnn
-from .. import segment as _segment
+from .. import tensor as _tensor
 from ..policy import active_dtype, active_workspace
 from ..tensor import Tensor, as_tensor, is_grad_enabled
 
@@ -84,11 +83,16 @@ def _alloc_rows(rows, cols, dtype):
     return np.empty((rows, cols), dtype=dtype)
 
 
-def _segment_reduce_data(name, data, plan, fallback):
-    """Run a ``(x, order, indptr, out, S, d)`` C kernel over the plan."""
+def segment_reduce(name, data, plan):
+    """Run the C ``segment_sum``/``segment_max`` loop over ``plan``.
+
+    Returns None when the library is unavailable, the dtype has no C
+    variant, or ``data`` does not cover the plan's rows; the caller then
+    runs its numpy kernel.
+    """
     kernel = _kernel(name, data.dtype)
     if kernel is None or data.shape[0] != plan.num_items:
-        return fallback(data, plan)
+        return None
     flat, d = _flatten_rows(data, plan.num_items)
     order, indptr = _plan_index(plan)
     out = _alloc_rows(plan.num_segments, d, data.dtype)
@@ -97,106 +101,16 @@ def _segment_reduce_data(name, data, plan, fallback):
     return out.reshape((plan.num_segments,) + data.shape[1:])
 
 
-def _segment_sum_data(data, plan):
-    return _segment_reduce_data("segment_sum", data, plan,
-                                _segment._reduce_sum_data)
-
-
-def _segment_max_data(data, plan):
-    return _segment_reduce_data("segment_max", data, plan,
-                                _segment._reduce_max_data)
-
-
-def _segment_sum_compiled(x, index, num_segments=None):
-    """Compiled per-segment sum (CSR-style walk of the plan's
-    order/indptr); adjoint gathers the segment gradient per item."""
-    x = as_tensor(x)
-    plan = _segment.as_plan(index, num_segments)
-    out_data = _segment_sum_data(x.data, plan)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[plan.segment_ids])
-
-    return Tensor._result(out_data, (x,), "segment_sum", backward)
-
-
-def _segment_mean_compiled(x, index, num_segments=None):
-    """Compiled segment mean: the compiled sum scaled by the plan's
-    cached inverse counts — the same multiply as the plan impl."""
-    x = as_tensor(x)
-    plan = _segment.as_plan(index, num_segments)
-    inv = plan.inv_counts_for(x.data.dtype).reshape(
-        (plan.num_segments,) + (1,) * (x.data.ndim - 1))
-    sums = _segment_sum_data(x.data, plan)
-    if active_workspace() is not None:
-        out_data = np.multiply(sums, inv, out=sums)
-    else:
-        out_data = sums * inv
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate((g * inv)[plan.segment_ids])
-
-    return Tensor._result(out_data, (x,), "segment_mean", backward)
-
-
-def _segment_max_compiled(x, index, num_segments=None):
-    """Compiled per-segment max; the adjoint splits gradient across
-    ties exactly like the plan implementation (tie counts reduced
-    through the compiled sum kernel)."""
-    x = as_tensor(x)
-    plan = _segment.as_plan(index, num_segments)
-    out_data = _segment_max_data(x.data, plan)
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        winners = x.data == out_data[plan.segment_ids]
-        tie_counts = np.maximum(
-            _segment_sum_data(winners.astype(x.data.dtype), plan), 1.0)
-        x._accumulate(np.where(
-            winners, g[plan.segment_ids] / tie_counts[plan.segment_ids], 0.0))
-
-    return Tensor._result(out_data, (x,), "segment_max", backward)
-
-
-def _gather_segments_compiled(x, index, num_segments=None):
-    """Fused gather+reduce: the forward is the plain row gather (numpy
-    fancy indexing is already a single C pass); the *adjoint* is where
-    the fusion pays — the incoming gradient reduces straight back
-    per segment through the compiled sum kernel."""
-    x = as_tensor(x)
-    plan = _segment.as_plan(index, num_segments)
-    out_data = x.data[plan.segment_ids]
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_segment_sum_data(
-                np.asarray(g, dtype=x.data.dtype), plan))
-
-    return Tensor._result(out_data, (x,), "gather_segments", backward)
-
-
-def _segment_softmax_compiled(scores, index, num_segments=None):
-    """Numerically-stable segment softmax composed from the compiled
-    sub-kernels — the identical composition (and therefore identical
-    bits) as the plan implementation."""
-    scores = as_tensor(scores)
-    plan = _segment.as_plan(index, num_segments)
-    seg_max = _segment_max_compiled(scores, plan).detach()
-    shifted = scores - _gather_segments_compiled(seg_max, plan)
-    exp = shifted.exp()
-    denom = _segment_sum_compiled(exp, plan)
-    return exp / (_gather_segments_compiled(denom, plan) + 1e-16)
-
-
 def _scatter_add_compiled(g, index, num_rows):
-    """Compiled row scatter-add (plain ndarray in/out, like the other
-    backends).  Falls back for layouts the C kernel does not cover:
-    non-1-D indices, broadcasting payloads, or out-of-range/negative
-    indices (which ``np.add.at`` wraps/raises but raw C would corrupt
-    memory on)."""
+    """Sum rows of ``g`` into ``num_rows`` buckets selected by ``index``.
+
+    The adjoint of a row gather: ``out[index[i]] += g[i]``, duplicate
+    indices accumulating in appearance order — the C loop performs the
+    same sequential accumulation as ``np.add.at``.  Falls back to the
+    legacy ``np.add.at`` scatter when the library is unavailable and for
+    layouts the C kernel does not cover: non-1-D indices, broadcasting
+    payloads, or out-of-range/negative indices (which ``np.add.at``
+    wraps/raises but raw C would corrupt memory on)."""
     g = np.asarray(g)
     if g.dtype.kind != "f":
         g = g.astype(active_dtype())
@@ -207,7 +121,7 @@ def _scatter_add_compiled(g, index, num_rows):
             or g.shape[0] != index.shape[0]
             or (index.shape[0] > 0
                 and (int(index.min()) < 0 or int(index.max()) >= num_rows))):
-        return _segment._scatter_add_plan(g, index, num_rows)
+        return _tensor._legacy_scatter_add(g, index, num_rows)
     if index.dtype != np.int64 or not index.flags.c_contiguous:
         index = np.ascontiguousarray(index, dtype=np.int64)
     flat, d = _flatten_rows(g, index.shape[0])
@@ -231,7 +145,8 @@ def _lstm_scan_compiled(x, w_x, w_h, bias, h0=None, c0=None,
     stridedness), with the pure-arithmetic gate finish and state update
     fused into C — compiled with ``-ffp-contract=off`` so no FMA can
     change the reference's rounding.  Grad-tracked inputs delegate to
-    the tape reference: the fused scan is an inference-path kernel."""
+    the tape reference (the fused scan is an inference-path kernel), as
+    does every call the library or the operand layout cannot serve."""
     x = as_tensor(x)
     w_x = as_tensor(w_x)
     w_h = as_tensor(w_h)

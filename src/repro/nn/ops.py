@@ -5,10 +5,12 @@ Every differentiable kernel op of the nn layer — the segment family
 (``gather``, ``scatter_add``) and the elementwise reference ops — is
 registered here exactly once, with:
 
-* its **per-backend implementations** (``reduceat`` = the plan-backed
-  kernels in :mod:`repro.nn.segment`, ``legacy`` = the ``np.add.at``
-  reference ops in :mod:`repro.nn.tensor`, and a declared-but-empty
-  ``compiled`` slot for the future C kernel backend);
+* its **per-backend implementations**: ``legacy`` = the ``np.add.at``
+  reference ops in :mod:`repro.nn.tensor`, and ``reduceat`` = the fast
+  path — the plan-backed kernels in :mod:`repro.nn.segment` plus the
+  ``scatter_add`` / ``lstm_scan`` wrappers in
+  :mod:`repro.nn.compiled.kernels`, which run the JIT-built C kernels
+  wherever they built and fall back per call to numpy otherwise;
 * its **adjoint** (a one-line statement of the backward rule — consumed
   by humans and by the REP008 lint, which refuses registrations without
   one);
@@ -26,9 +28,9 @@ The table is the single source of truth for three downstream layers:
 * **Dispatch** — the public ops (``repro.nn.segment_sum`` et al.) are
   registry dispatchers: per-call cost is one ContextVar read and one dict
   hit, the ``(op, active backend)`` resolution walks the declared
-  fallback chain (``compiled`` -> ``reduceat`` -> ``legacy``) once and is
-  cached.  ``BENCH_segment_kernels.json``'s ``dispatch_overhead`` section
-  pins the cost against a pinned-implementation loop.
+  fallback chain (``reduceat`` -> ``legacy``) once and is cached.
+  ``BENCH_segment_kernels.json``'s ``dispatch_overhead`` section pins
+  the cost against a pinned-implementation loop.
 * **Testing** — ``tests/nn/test_ops_gradients.py`` sweeps the whole
   database through gradcheck across every implemented backend and dtype;
   the tier-2 differential suite parametrizes over
@@ -41,8 +43,8 @@ The table is the single source of truth for three downstream layers:
   it.
 
 Registering a new backend is two lines (``register_backend`` + impl
-entries on the ops it accelerates); every suite and lint picks it up from
-the table with no further wiring.
+entries in the ``register`` calls of the ops it accelerates); every suite
+and lint picks it up from the table with no further wiring.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import numpy as np
 from . import rnn as _rnn
 from . import segment as _segment
 from . import tensor as _tensor
+from .compiled import kernels as _kernels
 from .tensor import as_tensor
 
 __all__ = [
@@ -132,59 +135,27 @@ class OpRegistry:
 
     Backends form a fallback chain: resolving ``(op, backend)`` walks
     ``backend -> fallback -> ...`` until an implementation is found, so a
-    partially-implemented backend (the ``compiled`` slot today) serves
-    the ops it has and inherits the rest.  Resolution happens once per
-    ``(op, backend)`` pair; dispatchers then run on a plain dict hit.
+    partially-implemented backend (``reduceat`` has no ``gather`` or
+    elementwise impls) serves the ops it has and inherits the rest.
+    Resolution happens once per ``(op, backend)`` pair; dispatchers then
+    run on a plain dict hit.
     """
 
     def __init__(self):
         self._backends: dict[str, _BackendSpec] = {}
         self._ops: dict[str, OpEntry] = {}
         self._dispatchers: dict = {}
-        self._tables: dict[str, dict] = {}
 
     # -- declaration ---------------------------------------------------
     def register_backend(self, name: str, fallback: str | None = None,
-                         description: str = "",
-                         impls: dict | None = None) -> None:
-        """Declare a backend, or fill a declared one with implementations.
-
-        With ``impls`` (op name -> implementation), a previously declared
-        backend may be filled *late* — the compiled backend registers its
-        JIT kernels this way once the ops table exists.  Filling
-        invalidates the cached dispatch tables: a dispatcher called
-        before this point has already resolved ``(op, backend)`` through
-        the fallback chain and would otherwise keep serving the stale
-        implementation forever.
-        """
-        spec = self._backends.get(name)
-        if spec is None:
-            if fallback is not None and fallback not in self._backends:
-                raise ValueError(
-                    f"backend {name!r} falls back to undeclared {fallback!r}")
-            spec = _BackendSpec(name, fallback, description)
-            self._backends[name] = spec
-        else:
-            if impls is None:
-                raise ValueError(f"backend {name!r} already registered")
-            if fallback is not None and fallback != spec.fallback:
-                raise ValueError(
-                    f"backend {name!r} declared with fallback "
-                    f"{spec.fallback!r}; cannot refill with {fallback!r}")
-            if description:
-                spec.description = description
-        for op_name, impl in (impls or {}).items():
-            entry = self._ops.get(op_name)
-            if entry is None:
-                raise ValueError(
-                    f"backend {name!r} provides an impl for unregistered "
-                    f"op {op_name!r}")
-            if name in entry.impls:
-                raise ValueError(
-                    f"op {op_name!r} already has a {name!r} implementation")
-            entry.impls[name] = impl
-        for table in self._tables.values():
-            table.clear()
+                         description: str = "") -> None:
+        """Declare a backend; ops name it in their ``register`` call."""
+        if name in self._backends:
+            raise ValueError(f"backend {name!r} already registered")
+        if fallback is not None and fallback not in self._backends:
+            raise ValueError(
+                f"backend {name!r} falls back to undeclared {fallback!r}")
+        self._backends[name] = _BackendSpec(name, fallback, description)
 
     def register(self, name: str, backends: dict, adjoint: str,
                  samples, tolerance: float = 0.0,
@@ -218,8 +189,6 @@ class OpRegistry:
                         float(tolerance), float(gradcheck_tol),
                         float(float32_tol), bool(differentiable), waiver)
         self._ops[name] = entry
-        for table in self._tables.values():
-            table.clear()
         return entry
 
     # -- introspection -------------------------------------------------
@@ -248,9 +217,9 @@ class OpRegistry:
 
     def backends(self) -> tuple:
         """Backends with at least one direct implementation (declaration
-        order) — what the parity/gradcheck suites iterate over.  Declared
-        empty slots (``compiled``) are excluded: they dispatch through
-        their fallback and would only duplicate its coverage."""
+        order) — what the parity/gradcheck suites iterate over.  A
+        declared backend with no impls would dispatch entirely through
+        its fallback and only duplicate its coverage, so it is left out."""
         implemented = set()
         for entry in self._ops.values():
             implemented.update(entry.impls)
@@ -283,7 +252,7 @@ class OpRegistry:
         if dispatch is not None:
             return dispatch
         entry = self.get(name)
-        table = self._tables.setdefault(name, {})
+        table: dict = {}
 
         def dispatch(*args, **kwargs):
             backend = _ACTIVE_BACKEND.get()
@@ -311,12 +280,8 @@ OP_REGISTRY.register_backend(
     description="np.add.at reference ops (repro.nn.tensor)")
 OP_REGISTRY.register_backend(
     "reduceat", fallback="legacy",
-    description="SegmentPlan kernels: CSR matvec / reduceat / vertical max")
-OP_REGISTRY.register_backend(
-    "compiled", fallback="reduceat",
-    description="JIT-built ctypes C kernels (repro.nn.compiled); filled "
-                "at import when a C compiler is discovered, else every "
-                "op falls back to reduceat")
+    description="fast path: JIT-built C kernels (repro.nn.compiled) where "
+                "they built, else SegmentPlan CSR matvec / vertical max")
 
 
 #: Context-local backend selection.  A ``ContextVar`` instead of a
@@ -336,11 +301,11 @@ def active_backend() -> str:
 class use_backend:
     """Context manager selecting the kernel-op backend.
 
-    ``"reduceat"`` (default) is the plan-backed fast path; ``"legacy"``
-    routes through the ``np.add.at`` reference implementations in
-    :mod:`repro.nn.tensor` for differential testing; ``"compiled"`` is a
-    declared slot that falls back to ``reduceat`` until the C backend
-    lands.  Any name must be declared in :data:`OP_REGISTRY`.
+    ``"reduceat"`` (default) is the fast path (C kernels where they
+    built, plan-backed numpy otherwise); ``"legacy"`` routes through the
+    ``np.add.at`` reference implementations in :mod:`repro.nn.tensor` for
+    differential testing.  Any name must be declared in
+    :data:`OP_REGISTRY`.
 
     The selection is context-local (``contextvars``), so it only affects
     the entering thread; one instance may be re-entered / nested.
@@ -369,16 +334,21 @@ class use_backend:
 def _segment_layouts():
     """Named ``(segment_ids, num_segments)`` edge layouts every segment
     kernel must survive: dense, empty-segments-interleaved-with-large,
-    single-segment, and the zero-length index array."""
+    single-segment, the zero-length index array, and long segments
+    (24 rows each) where a kernel that does not add rows sequentially
+    drifts from the ``np.add.at`` reference."""
     rng = np.random.default_rng(20260808)
     dense = rng.integers(0, 5, size=18).astype(np.int64)
     interleaved = np.repeat(np.arange(6), [4, 0, 7, 0, 1, 3]).astype(np.int64)
     rng.shuffle(interleaved)
+    long_segments = np.repeat(np.arange(2), 24).astype(np.int64)
+    rng.shuffle(long_segments)
     return [
         ("dense", dense, 5),
         ("interleaved_empty", interleaved, 6),
         ("single_segment", np.zeros(7, dtype=np.int64), 1),
         ("empty", np.zeros(0, dtype=np.int64), 3),
+        ("long_segments", long_segments, 2),
     ]
 
 
@@ -611,7 +581,7 @@ OP_REGISTRY.register(
 
 OP_REGISTRY.register(
     "scatter_add",
-    backends={"reduceat": _segment._scatter_add_plan,
+    backends={"reduceat": _kernels._scatter_add_compiled,
               "legacy": _tensor._legacy_scatter_add},
     adjoint="linear map: the adjoint of scatter-add is the row gather "
             "(this op IS the gather adjoint; it is not itself taped)",
@@ -718,15 +688,15 @@ OP_REGISTRY.register(
 
 OP_REGISTRY.register(
     "lstm_scan",
-    backends={"legacy": _rnn._lstm_scan_reference},
+    backends={"reduceat": _kernels._lstm_scan_compiled,
+              "legacy": _rnn._lstm_scan_reference},
     adjoint="reverse scan through the gates: the tape reference composes "
-            "per-step sigmoid/tanh/matmul adjoints",
+            "per-step sigmoid/tanh/matmul adjoints (the fused C scan "
+            "serves no_grad calls only)",
     samples=_lstm_scan_samples,
     tolerance=0.0,
     gradcheck_tol=1e-4,
     float32_tol=5e-4,
-    waiver="tape-composition reference; the compiled backend fills its "
-           "fused scan kernel at import when a C compiler is available",
 )
 
 
@@ -743,14 +713,3 @@ gather = OP_REGISTRY.dispatcher("gather")
 matmul = OP_REGISTRY.dispatcher("matmul")
 concat = OP_REGISTRY.dispatcher("concat")
 lstm_scan = OP_REGISTRY.dispatcher("lstm_scan")
-
-
-# ----------------------------------------------------------------------
-# Compiled backend: fill the declared slot when a C compiler exists.
-# The import is deliberately last — the kernels register against the
-# completed table above, and a late fill invalidates the dispatch caches
-# (see register_backend).
-# ----------------------------------------------------------------------
-from . import compiled as _compiled  # noqa: E402
-
-_compiled.register_compiled_backend(OP_REGISTRY)

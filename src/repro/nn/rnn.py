@@ -11,7 +11,7 @@ The step math lives in two places that must stay in lockstep:
 * :func:`_lstm_scan_reference` — the tape composition registered as the
   ``lstm_scan`` op's legacy/reference implementation.  Inference-time
   forwards (``no_grad``) route through the ``lstm_scan`` dispatcher, so
-  the compiled backend's fused C scan can take over when selected.
+  the fused C scan serves them wherever the kernel library built.
 * The inline loops below — used whenever gradients are being recorded.
   They build the exact same tape the reference scan would, without the
   ``stack``/``getitem`` hops, so training trajectories are bitwise
@@ -39,7 +39,7 @@ def _lstm_scan_reference(x, w_x, w_h, bias, h0=None, c0=None,
     the :class:`LSTMCell` gate math — ``gates = x[t] @ w_x + h @ w_h +
     bias`` with gates packed ``[i, f, g, o]``, then ``c = f*c + i*g``
     and ``h = o*tanh(c)``.  Gradients flow through every step via the
-    tape; the compiled backend's fused kernel must match this
+    tape; the fused C scan (the ``reduceat`` impl) must match this
     composition bit for bit (and delegates back here whenever gradients
     are being recorded).
 
@@ -97,7 +97,7 @@ class LSTMCell(Module):
             h_next = o * c_next.tanh()
             return h_next, c_next
         # Inference: a one-step scan through the dispatcher, so the
-        # compiled backend's fused kernel serves Set2Set's step loop.
+        # fused C scan serves Set2Set's step loop.
         from .ops import lstm_scan
 
         _, h_next, c_next = lstm_scan(Tensor(x.data[None]), self.w_x,

@@ -4,8 +4,8 @@ Every hot path of the reproduction — neighborhood aggregation in all conv
 candidates, ``segment_softmax`` (GAT, Set2Set), and every graph readout —
 bottoms out in segment reductions.  The legacy implementations in
 :mod:`repro.nn.tensor` use ``np.add.at`` / ``np.maximum.at``, which are an
-order of magnitude slower than ``np.add.reduceat`` / ``np.maximum.reduceat``
-over sorted rows.  This module provides the fast backend:
+order of magnitude slower than sequential loops over sorted rows.  This
+module provides the fast (``reduceat``) backend:
 
 * :class:`SegmentPlan` — a precomputed, reusable reduction plan for one
   index array: stable sort permutation, per-segment counts / start offsets
@@ -22,16 +22,16 @@ over sorted rows.  This module provides the fast backend:
 Kernel execution
 ----------------
 The plan's sorted-run structure (``indptr`` / ``starts``) is exactly the
-row-pointer layout of a CSR selection matrix, and modern numpy's
-``ufunc.at`` fast paths mean a naive ``np.add.reduceat`` sweep no longer
-beats ``np.add.at``.  The sum/mean kernels therefore execute the reduceat
-recurrence as a cached CSR matvec (``scipy.sparse``) when scipy is
-available — bit-identical to the sequential ``np.add.at`` accumulation,
-since the stable sort preserves each segment's appearance order — and fall
-back to ``np.add.reduceat`` over sorted rows otherwise.  ``segment_max``
-runs a rank-sliced "vertical" max across segments (one vectorized pass per
-within-segment rank, indices precomputed in the plan), switching to
-``np.maximum.reduceat`` when segments are long and few.
+row-pointer layout of a CSR selection matrix.  The sum/mean kernels run
+the JIT-built C ``segment_sum`` loop (:mod:`repro.nn.compiled`) over the
+plan's ``order``/``indptr`` when the kernel library is loaded and the
+dtype is float32/float64, and a cached ``scipy.sparse`` CSR matvec
+otherwise.  Both add each segment's rows sequentially in appearance
+order — the stable sort preserves it — so they are bit-identical to the
+``np.add.at`` reference.  ``segment_max`` runs the C ``segment_max``
+loop, else a rank-sliced "vertical" max across segments (one vectorized
+pass per within-segment rank, indices precomputed in the plan),
+switching to ``np.maximum.reduceat`` when segments are long and few.
 
 Plan contract
 -------------
@@ -57,41 +57,32 @@ The legacy ``np.add.at`` ops remain available as a reference backend for
 differential testing: ``with use_backend("legacy"): ...`` routes every op
 through :mod:`repro.nn.tensor`'s implementations.  Backend selection
 lives in :mod:`repro.nn.ops`: this module registers one plan-backed and
-one legacy implementation per op in the :data:`~repro.nn.ops.OP_REGISTRY`
-table, and the public names (``segment_sum`` et al., ``use_backend``,
+one legacy implementation per segment op in the
+:data:`~repro.nn.ops.OP_REGISTRY` table, and the public names
+(``segment_sum`` et al., ``scatter_add``, ``use_backend``,
 ``active_backend``) are re-exported registry dispatchers — there is no
 inline backend branching here.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
-
 import numpy as np
+from scipy import sparse as _sparse
 
 from . import tensor as _tensor
-from .policy import active_dtype, active_workspace, workspace_zeros
+from .compiled import kernels as _kernels
+from .policy import active_workspace, workspace_zeros
 from .tensor import Tensor, as_tensor
-
-try:  # scipy ships in the image; the kernels degrade gracefully without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only on scipy-free installs
-    _sparse = None
 
 #: scipy's raw CSR mat-multivec kernel (what ``csr @ dense`` calls after
 #: allocating its result).  Resolved defensively — it is a private module —
 #: so the workspace fast path can accumulate A@X straight into a leased,
 #: zeroed buffer; absent, workspace runs still work, they just let scipy
 #: allocate the matvec result.
-if _sparse is not None:
-    try:
-        from scipy.sparse import _sparsetools
-        _csr_matvecs = getattr(_sparsetools, "csr_matvecs", None)
-    except ImportError:  # pragma: no cover - layout varies across scipy
-        _csr_matvecs = None
-else:  # pragma: no cover - exercised only on scipy-free installs
+try:
+    from scipy.sparse import _sparsetools
+    _csr_matvecs = getattr(_sparsetools, "csr_matvecs", None)
+except ImportError:  # pragma: no cover - layout varies across scipy
     _csr_matvecs = None
 
 __all__ = [
@@ -121,7 +112,7 @@ class SegmentPlan:
         The original ``(num_items,)`` int64 index array.
     order:
         Stable argsort of ``segment_ids`` — rows of the same segment keep
-        their original relative order, so ``reduceat`` reduces them in the
+        their original relative order, so the sum kernels add them in the
         same sequence ``np.add.at`` would.
     counts / offsets / indptr:
         Per-segment row count, start offset in the sorted layout
@@ -129,14 +120,15 @@ class SegmentPlan:
         and the CSR row-pointer ``indptr = [0, cumsum(counts)]``.
     segments / starts:
         Non-empty segment ids and their row starts — the ``indices``
-        argument handed to ``np.*.reduceat`` (strictly increasing).
+        argument handed to ``np.maximum.reduceat`` (strictly increasing).
     inv_counts:
         ``1 / max(counts, 1)`` — the :func:`segment_mean` reciprocals,
         computed once here instead of per call (float64;
         :meth:`inv_counts_for` serves other policy dtypes).
     full:
         True when every segment is non-empty (the common case for
-        node->graph plans), enabling a copy-free ``reduceat`` result.
+        node->graph plans), enabling a copy-free ``np.maximum.reduceat``
+        result.
 
     The CSR selection matrix and the vertical-max rank slices are built
     lazily on first use and cached for the plan's lifetime; the CSR matrix
@@ -184,11 +176,8 @@ class SegmentPlan:
         appearance order, so ``csr @ x`` accumulates exactly like
         ``np.add.at``.  One matrix is cached per execution dtype (its
         ``data`` array of ones must match the operand dtype or scipy
-        upcasts the whole matvec).  Returns None when scipy is
-        unavailable.
+        upcasts the whole matvec).
         """
-        if _sparse is None:
-            return None
         key = np.dtype(dtype).str
         csr = self._csr_by_dtype.get(key)
         if csr is None:
@@ -253,56 +242,61 @@ def _ids_of(index, num_segments: int | None) -> tuple[np.ndarray, int]:
 
 
 def _reduce_sum_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
-    """Per-segment sum of ``x_data`` rows (CSR matvec, reduceat fallback).
+    """Per-segment sum of ``x_data`` rows (C loop, else CSR matvec).
 
-    Both paths accumulate each segment's rows in original appearance
-    order, exactly matching the sequential ``np.add.at`` reference.  The
-    output dtype follows ``x_data`` (the active policy's dtype on the
-    forward path).  When the active policy carries a workspace pool and
-    scipy's raw ``csr_matvecs`` kernel is importable, the matvec
-    accumulates into a leased, zeroed workspace buffer instead of letting
-    scipy allocate — same kernel, same accumulation order, no allocation
-    at steady state.
+    Both kernels add each segment's rows one at a time in original
+    appearance order, starting from zero — the same sequence of roundings
+    as the ``np.add.at`` reference, so the results are bit-identical.
+    (``np.add.reduceat`` is not: it does not always add the rows in
+    sequence — up to 2e-14 apart at 872x32 rows into 5 segments — so it
+    is no fallback here.)  The output dtype follows
+    ``x_data`` (the active policy's dtype on the forward path).  When the
+    active policy carries a workspace pool, the output is leased from it;
+    the CSR path then accumulates through scipy's raw ``csr_matvecs``
+    kernel into the leased, zeroed buffer — same kernel, same
+    accumulation order, no allocation at steady state.
     """
     dtype = x_data.dtype
     tail = x_data.shape[1:]
     if plan.starts.size == 0:
         return workspace_zeros((plan.num_segments,) + tail, dtype)
+    out = _kernels.segment_reduce("segment_sum", x_data, plan)
+    if out is not None:
+        return out
     csr = plan.csr(dtype)
-    if csr is not None:
-        pool = active_workspace()
-        if pool is not None and _csr_matvecs is not None:
-            flat = x_data.reshape(plan.num_items, -1)
-            if not flat.flags.c_contiguous:
-                flat = np.ascontiguousarray(flat)
-            n_vecs = flat.shape[1]
-            out = pool.zeros((plan.num_segments, n_vecs), dtype)
-            _csr_matvecs(plan.num_segments, plan.num_items, n_vecs,
-                         csr.indptr, csr.indices, csr.data,
-                         flat.ravel(), out.ravel())
-            return out.reshape((plan.num_segments,) + tail)
-        if x_data.ndim <= 2:
-            return csr @ x_data
-        flat = csr @ x_data.reshape(plan.num_items, -1)
-        return flat.reshape((plan.num_segments,) + tail)
-    sums = np.add.reduceat(x_data[plan.order], plan.starts, axis=0)
-    if plan.full:
-        return sums
-    out = workspace_zeros((plan.num_segments,) + tail, dtype)
-    out[plan.segments] = sums
-    return out
+    pool = active_workspace()
+    if pool is not None and _csr_matvecs is not None:
+        flat = x_data.reshape(plan.num_items, -1)
+        if not flat.flags.c_contiguous:
+            flat = np.ascontiguousarray(flat)
+        n_vecs = flat.shape[1]
+        out = pool.zeros((plan.num_segments, n_vecs), dtype)
+        _csr_matvecs(plan.num_segments, plan.num_items, n_vecs,
+                     csr.indptr, csr.indices, csr.data,
+                     flat.ravel(), out.ravel())
+        return out.reshape((plan.num_segments,) + tail)
+    if x_data.ndim <= 2:
+        return csr @ x_data
+    flat = csr @ x_data.reshape(plan.num_items, -1)
+    return flat.reshape((plan.num_segments,) + tail)
 
 
 def _reduce_max_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     """Per-segment max of ``x_data`` rows (empty segments yield zeros).
 
-    Output dtype follows ``x_data``; under a workspace policy both the
-    output and the sorted-row staging buffer are leased from the pool.
+    The C loop when the kernel library is loaded, else a vertical max or
+    ``np.maximum.reduceat`` (max is exact, so every path agrees bit for
+    bit).  Output dtype follows ``x_data``; under a workspace policy the
+    output (and the vertical max's sorted-row staging buffer) is leased
+    from the pool.
     """
     dtype = x_data.dtype
-    out = workspace_zeros((plan.num_segments,) + x_data.shape[1:], dtype)
     if plan.starts.size == 0:
+        return workspace_zeros((plan.num_segments,) + x_data.shape[1:], dtype)
+    out = _kernels.segment_reduce("segment_max", x_data, plan)
+    if out is not None:
         return out
+    out = workspace_zeros((plan.num_segments,) + x_data.shape[1:], dtype)
     max_count = int(plan.counts.max())
     if max_count <= _VERTICAL_MAX_RANK_LIMIT:
         # Vertical max: seed with each segment's rank-0 row, then fold in
@@ -329,9 +323,8 @@ def _reduce_max_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
 def _segment_sum_plan(x: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Sum rows of ``x`` per segment; ``index`` is a plan or an id array.
 
-    Forward is the plan's cached CSR matvec (sorted-row ``reduceat``
-    without scipy); the adjoint is the same pure gather ``g[segment_ids]``
-    as the legacy op.
+    Forward is the plan's C loop or cached CSR matvec; the adjoint is the
+    same pure gather ``g[segment_ids]`` as the legacy op.
     """
     x = as_tensor(x)
     plan = as_plan(index, num_segments)
@@ -386,7 +379,7 @@ def _segment_max_plan(x: Tensor, index, num_segments: int | None = None) -> Tens
     """Max-pool rows per segment (empty segments yield zeros).
 
     Gradient splits evenly between ties inside each segment, exactly like
-    the legacy op; the tie counts are themselves one ``reduceat`` sweep.
+    the legacy op; the tie counts are themselves one plan sum.
     """
     x = as_tensor(x)
     plan = as_plan(index, num_segments)
@@ -435,113 +428,6 @@ def _gather_segments_legacy(x: Tensor, index, num_segments: int | None = None) -
     """Legacy gather_segments: the plain row gather with np.add.at adjoint."""
     ids, _ = _ids_of(index, num_segments)
     return _tensor._gather(as_tensor(x), ids)
-
-
-# ----------------------------------------------------------------------
-# Repeated-index scatter plans (gather / __getitem__ adjoints)
-# ----------------------------------------------------------------------
-#: Two-touch LRU of scatter plans keyed by index-array *storage*:
-#: ``(id(root base), data pointer, strides, shape, dtype, num_segments)``.
-#: Keying by storage instead of object identity makes repeated views hit —
-#: ``batch.x[:, 0]`` builds a fresh view object per forward, but its base,
-#: pointer and strides are stable for a cached batch.  The value holds a
-#: weakref to the root base: a dead (or id-recycled) base invalidates the
-#: entry.  Entries are created on first sight with no plan (``None``) and
-#: only pay plan construction on the *second* touch, so one-shot index
-#: arrays (a fresh SortPool ordering) never pay for a plan they would use
-#: once; ``False`` marks arrays that cannot be planned (negative indices).
-_SCATTER_PLAN_CAPACITY = 256
-_scatter_plan_lock = threading.Lock()
-_scatter_plans: "OrderedDict[tuple, tuple[weakref.ref, SegmentPlan | None | bool]]" = (
-    OrderedDict())
-
-
-def _scatter_key(ids: np.ndarray, num_segments: int):
-    """Storage-identity key for ``ids`` (and its weakref-able root base)."""
-    target = ids
-    while isinstance(target.base, np.ndarray):
-        target = target.base
-    if target.base is not None:
-        # Rooted in a non-ndarray buffer (mmap, bytes): not weakref-trackable.
-        return None, None
-    return (id(target), ids.__array_interface__["data"][0], ids.strides,
-            ids.shape, ids.dtype.str, int(num_segments)), target
-
-
-def _repeated_index_plan(ids: np.ndarray, num_segments: int) -> SegmentPlan | None:
-    """The cached scatter plan for ``ids``, or None to use ``np.add.at``."""
-    key, target = _scatter_key(ids, num_segments)
-    if key is None:
-        return None
-    with _scatter_plan_lock:
-        entry = _scatter_plans.get(key)
-        if entry is not None:
-            ref, plan = entry
-            if ref() is target:
-                _scatter_plans.move_to_end(key)
-                if plan is not None:
-                    return plan if plan is not False else None
-            else:  # base died; id()s may have been recycled — rebuild
-                del _scatter_plans[key]
-                entry = None
-    if entry is None:
-        try:
-            ref = weakref.ref(target)
-        except TypeError:  # pragma: no cover - ndarrays are weakref-able
-            return None
-        with _scatter_plan_lock:
-            while len(_scatter_plans) >= _SCATTER_PLAN_CAPACITY:
-                _scatter_plans.popitem(last=False)
-            _scatter_plans.setdefault(key, (ref, None))
-        return None
-    # Second touch: the array repeats — build (and keep) its plan.
-    if ids.size and ids.min() < 0:
-        plan = False  # negative indices: numpy-valid, plan-invalid
-    else:
-        plan = SegmentPlan(ids, num_segments)
-        # Warm the kernel cache in the dtype this path will run in: the
-        # second touch proved the index repeats.
-        plan.csr(active_dtype())
-    with _scatter_plan_lock:
-        while len(_scatter_plans) >= _SCATTER_PLAN_CAPACITY:
-            _scatter_plans.popitem(last=False)
-        _scatter_plans[key] = (weakref.ref(target), plan)
-    return plan if plan is not False else None
-
-
-def _scatter_add_plan(g, index: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum rows of ``g`` into ``num_rows`` buckets selected by ``index``.
-
-    The adjoint of a row gather: ``out[index[i]] += g[i]``, duplicate
-    indices accumulating in appearance order.  Repeated index arrays
-    (embedding-id columns of cached batches, reused top-k selections) are
-    recognized by storage identity and served through a cached
-    :class:`SegmentPlan` — bit-identical to ``np.add.at`` because the
-    plan's stable sort preserves each bucket's appearance order.  First
-    sightings and negative indices take the plain ``np.add.at`` scatter.
-
-    The storage key inherits the plan layer's immutability contract:
-    *don't mutate a repeated index array in place* (``idx[:] = ...``
-    keeps the same base/pointer/strides, so the cached plan would go
-    stale and scatter into the old buckets).  Rebind a fresh array
-    instead — collated batches and embedding-id columns already satisfy
-    this, being frozen after collation.
-    """
-    # Dtype-preserving: a float operand scatters in its own dtype with no
-    # forced-upcast copy; only non-float payloads (int one-hots from
-    # integer getitem adjoints) are promoted, to the policy dtype.
-    g = np.asarray(g)
-    if g.dtype.kind != "f":
-        g = g.astype(active_dtype())
-    index = np.asarray(index, dtype=np.int64)
-    plan = None
-    if index.ndim == 1:
-        plan = _repeated_index_plan(index, num_rows)
-    if plan is not None:
-        return _reduce_sum_data(g, plan)
-    out = workspace_zeros((num_rows,) + g.shape[index.ndim:], g.dtype)
-    np.add.at(out, index, g)
-    return out
 
 
 def _segment_softmax_plan(scores: Tensor, index, num_segments: int | None = None) -> Tensor:

@@ -561,10 +561,7 @@ def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarra
 
     * a 1-D integer array dispatches through the registered
       ``scatter_add`` op (:mod:`repro.nn.ops`), so the active backend's
-      kernel handles repeated rows.  The ``reduceat`` backend caches plans
-      by the index array's *storage*, so an index array reused across
-      calls must not be mutated in place between them (see
-      :func:`repro.nn.segment._scatter_add_plan`);
+      kernel handles repeated rows;
     * a basic index (int, slice, or a tuple of these) or a boolean mask
       selects every element at most once, so ``full[index] += g`` is the
       exact sum and skips ``np.add.at``'s per-element loop;
@@ -710,8 +707,8 @@ def _legacy_scatter_add(g, index: np.ndarray, num_rows: int) -> np.ndarray:
     """Plain ``np.add.at`` scatter: ``out[index[i]] += g[i]`` over zeros.
 
     The legacy reference entry for the registered ``scatter_add`` op —
-    duplicate indices accumulate in appearance order, which the plan
-    backend's stable sort reproduces bit-identically.
+    duplicate indices accumulate in appearance order, which the C
+    scatter loop of the ``reduceat`` backend reproduces bit-identically.
     """
     g = np.asarray(g)
     if g.dtype.kind != "f":

@@ -68,7 +68,6 @@ this prose and the table in sync; edit the table first.
    ``ModelRegistry._lock`` (rank 50), ``BatchCacheRegistry._lock``
    (rank 51), ``DataLoader._cache_lock`` (rank 52), ``Batch._plan_lock``
    (rank 53), ``graph.datasets._dataset_cache_lock`` (rank 54),
-   ``nn.segment._scatter_plan_lock`` (rank 55),
    ``ServingProtocol._lock`` (rank 56), ``WorkspacePool._lock``
    (rank 57) and ``nn.compiled.build._build_lock`` (rank 58).
 

@@ -272,6 +272,12 @@ class InProcessTransport:
 # ----------------------------------------------------------------------
 # stdlib HTTP transport
 # ----------------------------------------------------------------------
+#: Largest request body the HTTP handler reads (bytes).  A single-graph
+#: request is a few KB; anything above this is refused with 413 before a
+#: byte of it is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
@@ -279,11 +285,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _core(self) -> ServingProtocol:
         return self.server.serving_protocol  # type: ignore[attr-defined]
 
-    def _reply(self, status: int, body: dict) -> None:
+    def _reply(self, status: int, body: dict, close: bool = False) -> None:
         data = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(data)
 
@@ -306,8 +315,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         op = self.path.strip("/")
+        # Checked before reading: rfile.read(-1) would block until the
+        # client hangs up, and a huge length would be read into memory.
+        # Refusals close the connection so the unread body is never
+        # parsed as the next keep-alive request.
+        header = self.headers.get("Content-Length", "0").strip()
+        if not header.isdecimal():
+            self._reply(400, {"error": "Content-Length must be a "
+                                       "non-negative integer"}, close=True)
+            return
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._reply(413, {"error": f"request body of {length} bytes "
+                                       f"exceeds the {MAX_BODY_BYTES}-byte "
+                                       "limit"}, close=True)
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("body must be a JSON object")

@@ -1,10 +1,47 @@
 """Shared fixtures: tiny deterministic datasets, encoders, and RNGs."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.gnn import GNNEncoder
 from repro.graph import Batch, MoleculeGenerator, load_dataset
+from repro.nn import use_backend
+from repro.nn.compiled import build as compiled_build
+
+#: The kernel legs the parity suites compare against ``legacy``:
+#: ``reduceat`` is the fast backend with the C kernel library forced off
+#: (its numpy kernels), ``compiled`` the same backend running the C
+#: kernels — present only where a C compiler is discoverable.
+KERNEL_LEGS = ("legacy", "reduceat") + (
+    ("compiled",) if compiled_build.find_compiler() is not None else ())
+
+
+@contextlib.contextmanager
+def kernel_library(enabled: bool):
+    """Run the body with the C kernel library as built, or forced off.
+
+    Forced off, every kernel sees ``build.load()`` return None — exactly
+    what a machine without a C compiler gives — and takes its numpy path.
+    """
+    if enabled:
+        yield
+        return
+    load = compiled_build.load
+    compiled_build.load = lambda: None
+    try:
+        yield
+    finally:
+        compiled_build.load = load
+
+
+@contextlib.contextmanager
+def kernel_leg(leg: str):
+    """Select one of :data:`KERNEL_LEGS` for the body."""
+    backend = "legacy" if leg == "legacy" else "reduceat"
+    with use_backend(backend), kernel_library(leg != "reduceat"):
+        yield
 
 
 @pytest.fixture

@@ -65,7 +65,7 @@ class TestCLI:
         assert cli.main(["lint", "--locks"]) == 0
         out = capsys.readouterr().out
         assert out.strip() == render_lock_table().strip()
-        assert "_scatter_plan_lock" in out
+        assert "_build_lock" in out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

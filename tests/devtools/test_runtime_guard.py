@@ -102,18 +102,18 @@ class TestWrapping:
         assert not hasattr(holder._lock, "rank")
 
     def test_wrap_module_global(self):
-        from repro.nn import segment
+        from repro.nn.compiled import build
 
-        raw = segment._scatter_plan_lock
+        raw = build._build_lock
         with LockOrderGuard() as guard:
-            guard.wrap_module_global(segment, "_scatter_plan_lock", 55)
-            assert segment._scatter_plan_lock.rank == 55
-        assert segment._scatter_plan_lock is raw
+            guard.wrap_module_global(build, "_build_lock", 58)
+            assert build._build_lock.rank == 58
+        assert build._build_lock is raw
 
 
 class TestGuardServingStack:
     def test_wraps_service_and_module_locks_with_table_ranks(self):
-        from repro.nn import segment
+        from repro.nn.compiled import build
         from repro.serve import InferenceService
 
         def factory():  # never called: no requests issued
@@ -124,7 +124,7 @@ class TestGuardServingStack:
             assert service._lock.rank == 30
             assert service.models._lock.rank == 50
             assert service.batch_cache._lock.rank == 51
-            assert segment._scatter_plan_lock.rank == 55
+            assert build._build_lock.rank == 58
             # The documented order works end to end...
             with service._lock:
                 with service.models._lock:

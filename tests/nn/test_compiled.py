@@ -1,27 +1,25 @@
-"""The compiled C kernel backend (``repro.nn.compiled``).
+"""The compiled C kernels (``repro.nn.compiled``) inside the fast backend.
 
-Four contracts, layered on top of the registry-driven gradcheck sweep
-(which already runs every op × backend when the compiled impls are
-registered):
+The C kernels are the data kernels of the ``reduceat`` backend, not a
+backend of their own.  Four contracts:
 
-* **late-fill dispatch** — ``register_backend(name, impls=...)`` on an
-  already-declared backend must invalidate the cached dispatch tables
-  (a dispatcher called before the fill had resolved through the
-  fallback chain and would otherwise serve the stale impl forever) and
-  reject inconsistent refills;
+* **parity, library loaded** — with the kernel library built, every
+  C-backed op (the segment family, ``scatter_add``, ``lstm_scan``) is
+  bit-identical to the same backend with the library forced off and to
+  the ``legacy`` reference, in float64 and float32, forward and
+  gradient, on every sample layout (including the long-segment one); a
+  spy on the loaded library proves the C symbols actually ran;
 * **no-compiler degradation** — with compiler discovery stubbed out,
-  every public op must stay bit-identical to the reduceat backend,
-  ``compiled_status()`` must report ``unavailable``, and *nothing* may
-  be written to the build cache;
+  every op stays bit-identical to ``legacy``, ``compiled_status()``
+  reports ``unavailable``, and *nothing* is written to the build cache;
 * **build manager** — first ``load()`` compiles exactly one shared
-  object into the cache directory, a reset + reload is a disk-cache
-  hit, and the kernels are bit-identical to the reference backends for
-  float64 and float32, forward and gradient, including the fused LSTM
-  scan and the LSTM/LSTMCell modules that route through it;
+  object into the cache directory, and a reset + reload is a disk-cache
+  hit;
 * **surfacing** — ``InferenceService.stats()`` and the CLI
   ``backend-info`` target expose the build status.
 """
 
+import collections
 import os
 
 import numpy as np
@@ -32,7 +30,6 @@ from repro.nn import (
     LSTM,
     Tensor,
     no_grad,
-    use_backend,
     use_dtype,
 )
 from repro.nn import rnn as _rnn
@@ -40,87 +37,58 @@ from repro.nn.compiled import build, compiled_status
 from repro.nn.compiled import kernels as _kernels
 from repro.nn.ops import OP_REGISTRY, OpRegistry
 from repro.serve import InferenceService
+from tests.conftest import kernel_leg
 
 HAVE_CC = build.find_compiler() is not None
 
 needs_cc = pytest.mark.skipif(not HAVE_CC,
                               reason="no C compiler discovered")
 
+#: Ops whose reduceat impl runs a C kernel when the library is loaded.
+C_BACKED_OPS = ("segment_sum", "segment_mean", "segment_max",
+                "segment_softmax", "gather_segments", "scatter_add",
+                "lstm_scan")
 
-def _fresh_registry() -> OpRegistry:
-    registry = OpRegistry()
-    registry.register_backend("legacy")
-    registry.register_backend("reduceat", fallback="legacy")
-    registry.register_backend("compiled", fallback="reduceat")
-    registry.register(
-        "double",
-        backends={"legacy": lambda x: 2 * x, "reduceat": lambda x: x * 2},
-        adjoint="2 * g", samples=lambda dtype: [])
-    return registry
+
+def _run(op_name, leg, sample):
+    """Forward (+ gradient of the sum, for differentiable ops) of one
+    sample on one kernel leg; plain arrays out, grad None otherwise."""
+    dispatch = OP_REGISTRY.dispatcher(op_name)
+    entry = OP_REGISTRY.get(op_name)
+    with kernel_leg(leg):
+        if not entry.differentiable:
+            return np.asarray(dispatch(sample.data.copy(), *sample.args)), None
+        x = Tensor(sample.data.copy(), requires_grad=True)
+        out = dispatch(x, *sample.args)
+        out.backward(np.ones_like(out.data))
+    return out.data, x.grad
+
+
+def _run_forward(op_name, leg, sample):
+    """Forward only of one sample on one kernel leg; plain array out."""
+    dispatch = OP_REGISTRY.dispatcher(op_name)
+    with kernel_leg(leg):
+        if not OP_REGISTRY.get(op_name).differentiable:
+            return np.asarray(dispatch(sample.data.copy(), *sample.args))
+        return dispatch(Tensor(sample.data.copy()), *sample.args).data
 
 
 class TestLateBackendFill:
-    def test_fill_invalidates_cached_dispatch_tables(self):
-        # Regression: pre-fix, the dispatcher's per-backend table kept
-        # the fallback resolution cached across a late fill, so the
-        # compiled impl registered after first dispatch was never used.
-        registry = _fresh_registry()
-        dispatch = registry.dispatcher("double")
-        with use_backend("compiled"):
-            assert dispatch(3) == 6  # resolved through the fallback chain
-            registry.register_backend(
-                "compiled", impls={"double": lambda x: ("compiled", 2 * x)})
-            assert dispatch(3) == ("compiled", 6)
-
-    def test_fill_resolves_for_other_backends_unchanged(self):
-        registry = _fresh_registry()
-        registry.register_backend(
-            "compiled", impls={"double": lambda x: ("compiled", 2 * x)})
-        assert registry.resolve("double", "compiled") is \
-            registry.get("double").impls["compiled"]
-        assert registry.resolve("double", "reduceat") is \
-            registry.get("double").impls["reduceat"]
+    """The kernel library is loaded inside the ``reduceat`` impls, never
+    filled into the registry after the fact: a backend is declared once,
+    and only on top of a fallback that is already declared."""
 
     def test_redeclare_without_impls_rejected(self):
-        registry = _fresh_registry()
+        registry = OpRegistry()
+        registry.register_backend("legacy")
+        registry.register_backend("reduceat", fallback="legacy")
         with pytest.raises(ValueError, match="already registered"):
-            registry.register_backend("compiled", fallback="reduceat")
-
-    def test_inconsistent_fallback_refill_rejected(self):
-        registry = _fresh_registry()
-        with pytest.raises(ValueError, match="cannot refill"):
-            registry.register_backend(
-                "compiled", fallback="legacy",
-                impls={"double": lambda x: x})
-
-    def test_fill_for_unregistered_op_rejected(self):
-        registry = _fresh_registry()
-        with pytest.raises(ValueError, match="unregistered op"):
-            registry.register_backend(
-                "compiled", impls={"phantom": lambda x: x})
-
-    def test_duplicate_impl_rejected(self):
-        registry = _fresh_registry()
-        registry.register_backend(
-            "compiled", impls={"double": lambda x: x})
-        with pytest.raises(ValueError, match="already has a 'compiled'"):
-            registry.register_backend(
-                "compiled", impls={"double": lambda x: x})
+            registry.register_backend("reduceat", fallback="legacy")
 
     def test_declaring_with_undeclared_fallback_rejected(self):
         registry = OpRegistry()
         with pytest.raises(ValueError, match="undeclared"):
-            registry.register_backend("compiled", fallback="reduceat")
-
-
-def _forward(op_name, backend, sample):
-    """One forward through the dispatcher; plain array out."""
-    dispatch = OP_REGISTRY.dispatcher(op_name)
-    entry = OP_REGISTRY.get(op_name)
-    with use_backend(backend):
-        if entry.differentiable:
-            return dispatch(Tensor(sample.data.copy()), *sample.args).data
-        return np.asarray(dispatch(sample.data.copy(), *sample.args))
+            registry.register_backend("reduceat", fallback="legacy")
 
 
 @pytest.fixture
@@ -151,16 +119,27 @@ class TestNoCompilerDegradation:
         assert compiled_status()["state"] == "unavailable"
 
     def test_every_op_matches_reduceat_bitwise(self, no_compiler):
-        for op_name in OP_REGISTRY.ops():
-            for sample in OP_REGISTRY.get(op_name).samples(np.float64):
-                out = _forward(op_name, "compiled", sample)
-                ref = _forward(op_name, "reduceat", sample)
-                assert np.array_equal(out, ref), (op_name, sample.label)
+        # The "compiled" leg leaves the library as the machine has it —
+        # here, none — so it must match the forced-off reduceat leg and
+        # the legacy reference bit for bit, in both policy dtypes.
+        for dtype_name in ("float64", "float32"):
+            dtype = np.dtype(dtype_name).type
+            for op_name in OP_REGISTRY.ops():
+                for sample in OP_REGISTRY.get(op_name).samples(dtype):
+                    with use_dtype(dtype_name):
+                        out, grad = _run(op_name, "compiled", sample)
+                        for reference in ("reduceat", "legacy"):
+                            ref, ref_grad = _run(op_name, reference, sample)
+                            key = (op_name, reference, dtype_name,
+                                   sample.label)
+                            assert np.array_equal(out, ref), key
+                            assert np.array_equal(grad, ref_grad), key
+        assert build.load() is None  # nothing was built along the way
 
     def test_zero_build_cache_writes(self, no_compiler):
         build.load()
         for sample in OP_REGISTRY.get("segment_sum").samples(np.float64):
-            _forward("segment_sum", "compiled", sample)
+            _run("segment_sum", "compiled", sample)
         assert not no_compiler.exists() or list(no_compiler.iterdir()) == []
 
 
@@ -204,23 +183,74 @@ class TestBuildManager:
         assert not fresh_cache.exists()
 
 
+class _SpyLibrary:
+    """Wraps the loaded kernel library, counting calls per C symbol."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        kernel = getattr(self._lib, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+
 @pytest.mark.compiled
 @needs_cc
 class TestCompiledKernelParity:
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
     def test_forward_bitwise_vs_reduceat_and_legacy(self, dtype_name):
+        # "compiled" = reduceat with the library loaded, "reduceat" = the
+        # same backend with it forced off (CSR matvec / vertical max /
+        # np.add.at scatter / tape scan).
         dtype = np.dtype(dtype_name).type
-        for op_name in OP_REGISTRY.ops():
-            entry = OP_REGISTRY.get(op_name)
-            if "compiled" not in entry.impls:
-                continue
-            for sample in entry.samples(dtype):
-                with use_dtype(dtype_name):
-                    out = _forward(op_name, "compiled", sample)
+        labels = set()
+        for op_name in C_BACKED_OPS:
+            for sample in OP_REGISTRY.get(op_name).samples(dtype):
+                labels.add(sample.label)
+                with use_dtype(dtype_name), no_grad():
+                    out = _run_forward(op_name, "compiled", sample)
                     for reference in ("reduceat", "legacy"):
-                        ref = _forward(op_name, reference, sample)
+                        ref = _run_forward(op_name, reference, sample)
+                        assert out.dtype == ref.dtype == dtype
                         assert np.array_equal(out, ref), \
                             (op_name, reference, sample.label)
+        assert "long_segments" in labels
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    def test_gradients_bitwise_vs_reduceat_and_legacy(self, dtype_name):
+        dtype = np.dtype(dtype_name).type
+        for op_name in C_BACKED_OPS:
+            if not OP_REGISTRY.get(op_name).differentiable:
+                continue
+            for sample in OP_REGISTRY.get(op_name).samples(dtype):
+                with use_dtype(dtype_name):
+                    out, grad = _run(op_name, "compiled", sample)
+                    for reference in ("reduceat", "legacy"):
+                        ref, ref_grad = _run(op_name, reference, sample)
+                        assert np.array_equal(out, ref), \
+                            (op_name, reference, sample.label)
+                        assert np.array_equal(grad, ref_grad), \
+                            (op_name, reference, sample.label)
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    def test_c_kernels_are_hit(self, monkeypatch, dtype_name):
+        spy = _SpyLibrary(build.load())
+        monkeypatch.setattr(build, "load", lambda: spy)
+        suffix = "f64" if dtype_name == "float64" else "f32"
+        for op_name in C_BACKED_OPS:
+            for sample in OP_REGISTRY.get(op_name).samples(
+                    np.dtype(dtype_name).type):
+                with use_dtype(dtype_name), no_grad():
+                    _run_forward(op_name, "compiled", sample)
+        for symbol in ("segment_sum", "segment_max", "scatter_add",
+                       "lstm_gates", "lstm_combine", "lstm_output"):
+            assert spy.calls[f"{symbol}_{suffix}"] > 0, (symbol, spy.calls)
 
     def test_lstm_scan_with_state_matches_reference(self):
         entry = OP_REGISTRY.get("lstm_scan")
@@ -244,29 +274,22 @@ class TestCompiledKernelParity:
         lstm = LSTM(5, 4, rng, bidirectional=bidirectional)
         steps = [Tensor(rng.normal(size=(3, 5))) for _ in range(4)]
         # Grad mode keeps the original tape composition; no_grad routes
-        # through the fused scan. They must agree bitwise per backend.
+        # through the fused scan. They must agree bitwise on every leg.
         tape = [t.data.copy() for t in lstm(steps)]
-        for backend in ("legacy", "reduceat", "compiled"):
-            with no_grad(), use_backend(backend):
+        for leg in ("legacy", "reduceat", "compiled"):
+            with no_grad(), kernel_leg(leg):
                 scanned = lstm(steps)
             for got, want in zip(scanned, tape):
-                assert np.array_equal(got.data, want), (backend, bidirectional)
+                assert np.array_equal(got.data, want), (leg, bidirectional)
 
     def test_gradients_route_through_the_reference(self):
-        # With grad enabled the compiled backend must delegate to the
+        # With grad enabled the fused scan must delegate to the
         # tape-building reference — gradients stay bitwise identical.
-        entry = OP_REGISTRY.get("lstm_scan")
-        dispatch = OP_REGISTRY.dispatcher("lstm_scan")
-        for sample in entry.samples(np.float64):
-            grads = {}
-            for backend in ("legacy", "compiled"):
-                with use_backend(backend):
-                    x = Tensor(sample.data.copy(), requires_grad=True)
-                    out = dispatch(x, *sample.args)
-                    out.backward(np.ones_like(out.data))
-                grads[backend] = (out.data.copy(), x.grad.copy())
-            assert np.array_equal(grads["compiled"][0], grads["legacy"][0])
-            assert np.array_equal(grads["compiled"][1], grads["legacy"][1])
+        for sample in OP_REGISTRY.get("lstm_scan").samples(np.float64):
+            out_c, grad_c = _run("lstm_scan", "compiled", sample)
+            out_l, grad_l = _run("lstm_scan", "legacy", sample)
+            assert np.array_equal(out_c, out_l)
+            assert np.array_equal(grad_c, grad_l)
 
 
 def _encoder_factory():
@@ -285,7 +308,7 @@ class TestSurfacing:
         assert main(["backend-info"]) == 0
         captured = capsys.readouterr().out
         assert "declared backends (fallback chains):" in captured
-        assert "compiled -> reduceat -> legacy" in captured
-        assert "compiled backend status:" in captured
+        assert "reduceat -> legacy" in captured
+        assert "compiled kernel status:" in captured
         for op_name in OP_REGISTRY.ops():
             assert op_name in captured

@@ -12,17 +12,20 @@ is the registry's consumer contract:
   gather_segments, scatter_add, gather, exp, log, sqrt, tanh, sigmoid,
   relu, abs, matmul, concat, lstm_scan.
 * **numeric-vs-analytic gradcheck** over every differentiable op ×
-  implemented backend × sample input (float64, the policy default);
+  kernel leg × sample input (float64, the policy default).  The legs
+  (``tests.conftest.KERNEL_LEGS``) are the ``legacy`` reference, the
+  ``reduceat`` backend with the C kernel library forced off, and — where
+  a C compiler exists — the same backend running the C kernels
+  (``compiled``);
 * **float32 policy leg** — the same samples under ``use_dtype`` must
   track the float64 run within each op's declared ``float32_tol``;
 * **cross-backend parity on the samples** within each op's declared
   ``tolerance`` (0.0 = bit-identical), forward and gradient;
-* **fallback chain** — the ``compiled`` backend must resolve to its own
-  implementation where it registered one and to the ``reduceat``
-  implementation everywhere else (on a machine with no C compiler the
-  slot stays empty and resolves entirely through the fallback);
+* **fallback chain** — the ``reduceat`` backend must resolve to its own
+  implementation where it registered one and to the ``legacy``
+  implementation everywhere else;
 * a small **hypothesis leg** replaying adversarial segment layouts
-  through the registry dispatchers on every backend.
+  through the registry dispatchers on every kernel leg.
 """
 
 import numpy as np
@@ -31,9 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, use_backend, use_dtype
-from repro.nn.compiled import build as _compiled_build
 from repro.nn.ops import OP_REGISTRY
-from tests.conftest import gradcheck
+from tests.conftest import KERNEL_LEGS, gradcheck, kernel_leg
 
 pytestmark = pytest.mark.gradcheck_sweep
 
@@ -45,7 +47,7 @@ EXPECTED_OPS = {
     "matmul", "concat", "lstm_scan",
 }
 
-BACKENDS = OP_REGISTRY.backends()
+BACKENDS = KERNEL_LEGS
 DIFFERENTIABLE = sorted(name for name in OP_REGISTRY.ops()
                         if OP_REGISTRY.get(name).differentiable)
 
@@ -55,14 +57,10 @@ class TestRegistryCompleteness:
         assert set(OP_REGISTRY.ops()) == EXPECTED_OPS
 
     def test_backend_sets(self):
-        # The compiled backend registers its impls at import only when a
-        # system C compiler is discoverable; either way it stays declared.
-        if _compiled_build.find_compiler() is not None:
-            assert BACKENDS == ("legacy", "reduceat", "compiled")
-        else:
-            assert BACKENDS == ("legacy", "reduceat")
-        assert OP_REGISTRY.declared_backends() == (
-            "legacy", "reduceat", "compiled")
+        # One reference and one fast path, with or without a C compiler:
+        # the C kernels live inside the reduceat impls.
+        assert OP_REGISTRY.backends() == ("legacy", "reduceat")
+        assert OP_REGISTRY.declared_backends() == ("legacy", "reduceat")
 
     def test_every_entry_is_complete(self):
         for name in OP_REGISTRY.ops():
@@ -88,7 +86,7 @@ class TestRegistryCompleteness:
 def _run_sample(op_name, backend, sample, dtype_ctx=None):
     """Forward + backward of one sample; returns (out, grad) arrays."""
     dispatch = OP_REGISTRY.dispatcher(op_name)
-    with use_backend(backend):
+    with kernel_leg(backend):
         if dtype_ctx is None:
             x = Tensor(sample.data.copy(), requires_grad=True)
             out = dispatch(x, *sample.args)
@@ -112,7 +110,7 @@ class TestGradcheckSweep:
         for sample in entry.samples(np.float64):
             if sample.data.size == 0:
                 continue  # finite differencing over zero inputs is vacuous
-            with use_backend(backend):
+            with kernel_leg(backend):
                 gradcheck(
                     lambda t, s=sample: dispatch(t, *s.args).sum(),
                     sample.data, tol=entry.gradcheck_tol)
@@ -167,10 +165,9 @@ class TestBackendParityOnSamples:
         for sample in entry.samples(np.float64):
             results = {}
             for backend in BACKENDS:
-                with use_backend(backend):
-                    # Call twice with the *same* index array object: the
-                    # second touch engages the plan backend's scatter-plan
-                    # LRU, which must stay bit-identical to np.add.at.
+                with kernel_leg(backend):
+                    # Call twice with the *same* index array object: a
+                    # repeated index must scatter the same bits again.
                     first = dispatch(sample.data, *sample.args)
                     second = dispatch(sample.data, *sample.args)
                 assert np.array_equal(first, second), (backend, sample.label)
@@ -182,26 +179,27 @@ class TestBackendParityOnSamples:
 
 
 class TestFallbackChain:
-    def test_compiled_resolves_direct_impl_or_reduceat(self):
+    def test_reduceat_resolves_direct_impl_or_legacy(self):
         for op_name in OP_REGISTRY.ops():
             entry = OP_REGISTRY.get(op_name)
-            resolved = OP_REGISTRY.resolve(op_name, "compiled")
-            if "compiled" in entry.impls:
-                assert resolved is entry.impls["compiled"], op_name
+            resolved = OP_REGISTRY.resolve(op_name, "reduceat")
+            if "reduceat" in entry.impls:
+                assert resolved is entry.impls["reduceat"], op_name
             else:
-                assert resolved \
-                    is OP_REGISTRY.resolve(op_name, "reduceat"), op_name
+                assert resolved is entry.impls["legacy"], op_name
 
-    def test_compiled_backend_runs_the_fallback(self):
-        entry = OP_REGISTRY.get("segment_sum")
-        sample = entry.samples(np.float64)[0]
-        out_fast, grad_fast = _run_sample("segment_sum", "reduceat", sample)
-        with use_backend("compiled"):
+    def test_reduceat_backend_runs_the_fallback(self):
+        # gather has no reduceat impl: the reduceat backend must run the
+        # legacy one, forward and adjoint.
+        assert "reduceat" not in OP_REGISTRY.get("gather").impls
+        sample = OP_REGISTRY.get("gather").samples(np.float64)[0]
+        out_ref, grad_ref = _run_sample("gather", "legacy", sample)
+        with use_backend("reduceat"):
             x = Tensor(sample.data.copy(), requires_grad=True)
-            out = OP_REGISTRY.dispatcher("segment_sum")(x, *sample.args)
+            out = OP_REGISTRY.dispatcher("gather")(x, *sample.args)
             out.backward(np.ones_like(out.data))
-        assert np.array_equal(out.data, out_fast)
-        assert np.array_equal(x.grad, grad_fast)
+        assert np.array_equal(out.data, out_ref)
+        assert np.array_equal(x.grad, grad_ref)
 
 
 @st.composite
@@ -229,6 +227,6 @@ class TestFuzzedLayoutsThroughRegistry:
             dispatch = OP_REGISTRY.dispatcher(op_name)
             tol = OP_REGISTRY.get(op_name).gradcheck_tol
             for backend in BACKENDS:
-                with use_backend(backend):
+                with kernel_leg(backend):
                     gradcheck(lambda x: dispatch(x, ids, n).sum(),
                               data, tol=tol)

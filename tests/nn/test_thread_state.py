@@ -11,10 +11,11 @@ the semantics the concurrent serving runtime depends on:
 * the public single-thread behaviour (nesting, exception unwind, reuse of
   one context-manager instance) is unchanged.
 
-Plus the repeated-index scatter-plan cache behind ``gather`` /
-``__getitem__`` adjoints: bit-identical to ``np.add.at``, hit on repeated
-arrays *and* repeated views of one base, bypassed for one-shot arrays,
-negative indices and the legacy backend.
+Plus the ``scatter_add`` op behind ``gather`` / ``__getitem__``
+adjoints: bit-identical to ``np.add.at`` on every kernel leg (C scatter
+loop, forced-off library, legacy), including strided index views,
+negative indices, index arrays mutated between calls, and concurrent
+callers.
 """
 
 import threading
@@ -31,7 +32,7 @@ from repro.nn import (
     scatter_add,
     use_backend,
 )
-from repro.nn import segment as segment_mod
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 
 def run_in_thread(fn):
@@ -171,63 +172,55 @@ class TestBackendStateThreadIsolation:
         assert active_backend() == "reduceat"
 
 
-class TestScatterPlanCache:
-    def setup_method(self):
-        with segment_mod._scatter_plan_lock:
-            segment_mod._scatter_plans.clear()
+class TestScatterAdd:
+    @staticmethod
+    def _add_at(g, ids, num_rows):
+        expected = np.zeros((num_rows,) + g.shape[1:])
+        np.add.at(expected, ids, g)
+        return expected
 
-    def test_scatter_add_matches_add_at_bitwise(self, rng):
+    @pytest.mark.parametrize("leg", KERNEL_LEGS)
+    def test_scatter_add_matches_add_at_bitwise(self, rng, leg):
         ids = rng.integers(0, 50, size=2000)
         g = rng.normal(size=(2000, 16))
-        expected = np.zeros((50, 16))
-        np.add.at(expected, ids, g)
-        for _ in range(3):  # first call: add.at path; later: cached plan
-            assert np.array_equal(scatter_add(g, ids, 50), expected)
+        expected = self._add_at(g, ids, 50)
+        with kernel_leg(leg):
+            for _ in range(3):  # a repeated index scatters the same bits
+                assert np.array_equal(scatter_add(g, ids, 50), expected)
 
-    def test_plan_built_on_second_touch_only(self, rng):
-        ids = rng.integers(0, 20, size=500)
-        g = rng.normal(size=(500, 4))
-        scatter_add(g, ids, 20)
-        (_, plan), = segment_mod._scatter_plans.values()
-        assert plan is None  # first sighting: no plan yet
-        scatter_add(g, ids, 20)
-        (_, plan), = segment_mod._scatter_plans.values()
-        assert plan is not None and plan.num_items == 500
-
-    def test_one_shot_arrays_never_build_plans(self, rng):
-        for _ in range(5):
-            ids = rng.integers(0, 20, size=100)  # fresh array each time
-            scatter_add(rng.normal(size=(100, 2)), ids, 20)
-        assert all(plan is None
-                   for _, plan in segment_mod._scatter_plans.values())
-
-    def test_repeated_views_of_one_base_hit_one_entry(self, rng):
+    @pytest.mark.parametrize("leg", KERNEL_LEGS)
+    def test_strided_index_view_matches_add_at(self, rng, leg):
         base = np.stack([rng.integers(0, 30, size=400)] * 2, axis=1)
         g = rng.normal(size=(400, 8))
-        expected = np.zeros((30, 8))
-        np.add.at(expected, base[:, 0], g)
-        for _ in range(3):  # a *fresh view object* per call, like batch.x[:, 0]
-            assert np.array_equal(scatter_add(g, base[:, 0], 30), expected)
-        assert len(segment_mod._scatter_plans) == 1
-        (_, plan), = segment_mod._scatter_plans.values()
-        assert plan is not None
+        expected = self._add_at(g, base[:, 0], 30)
+        with kernel_leg(leg):
+            # a *fresh view object* per call, like batch.x[:, 0]
+            for _ in range(3):
+                assert np.array_equal(scatter_add(g, base[:, 0], 30),
+                                      expected)
 
-    def test_gather_backward_uses_cache_and_matches_legacy(self, rng):
+    @pytest.mark.parametrize("leg", KERNEL_LEGS)
+    def test_index_mutated_in_place_is_honoured(self, rng, leg):
+        # Nothing is cached by index storage any more: rewriting an index
+        # array in place between calls scatters into the new buckets.
+        ids = np.arange(300) % 10
+        g = rng.normal(size=(300, 2))
+        with kernel_leg(leg):
+            assert np.array_equal(scatter_add(g, ids, 10),
+                                  self._add_at(g, ids, 10))
+            ids[:] = ids[::-1].copy()
+            assert np.array_equal(scatter_add(g, ids, 10),
+                                  self._add_at(g, ids, 10))
+
+    @pytest.mark.parametrize("leg", KERNEL_LEGS)
+    def test_gather_backward_matches_add_at(self, rng, leg):
         weight = rng.normal(size=(40, 8))
         ids = rng.integers(0, 40, size=600)
         g = rng.normal(size=(600, 8))
-
-        def grad_of(backend):
-            x = Tensor(weight, requires_grad=True)
-            with use_backend(backend):
-                gather(x, ids).backward(g)
-            return x.grad
-
-        legacy = grad_of("legacy")
-        for _ in range(3):
-            assert np.array_equal(grad_of("reduceat"), legacy)
-        assert any(plan is not None
-                   for _, plan in segment_mod._scatter_plans.values())
+        x = Tensor(weight, requires_grad=True)
+        with kernel_leg(leg):
+            gather(x, ids).backward(g)
+        assert np.array_equal(x.grad, self._add_at(g, ids, 40))
 
     def test_getitem_backward_parity_and_fallbacks(self, rng):
         data = rng.normal(size=(25, 4))
@@ -237,41 +230,15 @@ class TestScatterPlanCache:
                    slice(2, 11),
                    np.arange(25) % 3 == 0)
         grads = {}
-        for backend in ("legacy", "reduceat"):
-            with use_backend(backend):
+        for leg in KERNEL_LEGS:
+            with kernel_leg(leg):
                 for index in indices:
                     x = Tensor(data, requires_grad=True)
                     x[index].backward(np.ones_like(x.data[index]))
-                    grads.setdefault(backend, []).append(x.grad)
-        for a, b in zip(grads["legacy"], grads["reduceat"]):
-            assert np.array_equal(a, b)
-
-    def test_legacy_backend_bypasses_cache(self, rng):
-        ids = rng.integers(0, 10, size=200)
-        with use_backend("legacy"):
-            scatter_add(rng.normal(size=(200, 2)), ids, 10)
-            scatter_add(rng.normal(size=(200, 2)), ids, 10)
-        assert len(segment_mod._scatter_plans) == 0
-
-    def test_dead_base_invalidates_entry(self, rng):
-        expected = np.zeros((10, 2))
-        ids = np.arange(300) % 10
-        g = rng.normal(size=(300, 2))
-        np.add.at(expected, ids, g)
-        scatter_add(g, ids, 10), scatter_add(g, ids, 10)
-        del ids  # plan's base dies; a new array may reuse the id()
-        ids2 = (np.arange(300) % 10)[::-1].copy()
-        expected2 = np.zeros((10, 2))
-        np.add.at(expected2, ids2, g)
-        assert np.array_equal(scatter_add(g, ids2, 10), expected2)
-
-    def test_cache_capacity_is_bounded(self, rng):
-        keep = [np.arange(50) % 5 for _ in
-                range(segment_mod._SCATTER_PLAN_CAPACITY + 40)]
-        g = rng.normal(size=(50, 2))
-        for ids in keep:
-            scatter_add(g, ids, 5)
-        assert len(segment_mod._scatter_plans) <= segment_mod._SCATTER_PLAN_CAPACITY
+                    grads.setdefault(leg, []).append(x.grad)
+        for leg in KERNEL_LEGS[1:]:
+            for a, b in zip(grads["legacy"], grads[leg]):
+                assert np.array_equal(a, b), leg
 
     def test_concurrent_scatter_adds_are_consistent(self, rng):
         ids = rng.integers(0, 40, size=3000)

@@ -4,18 +4,18 @@ PR 2 promised that the legacy ``np.add.at`` ops stay available as a
 *reference backend* for the plan-backed kernels.  The unit parity tests
 (`tests/nn/test_segment.py`, `tests/gnn/test_segment_parity.py`) cover
 individual ops and modules; this suite pins the promise down end to end:
-a complete search + fine-tune + serve run under every backend the op
-registry implements (``OP_REGISTRY.backends()`` — the table in
-``repro.nn.ops`` is the source of truth, so a future ``compiled``
-backend joins this suite by registering itself) must be
+a complete search + fine-tune + serve run on every kernel leg
+(``tests.conftest.KERNEL_LEGS``: the ``reduceat`` backend with its C
+kernel library forced off, and — where a C compiler exists — running
+the C kernels as ``compiled``) must be
 **bit-identical** to the legacy reference — identical search histories,
 derived specs, training losses, validation trajectories, scores and
 served logits.
 
 Bit-identity (not just tolerance) holds because every fast kernel
 accumulates in the same order as its legacy counterpart: the plans' stable
-sort preserves each segment's appearance order, the CSR matvec reduces
-rows sequentially, and max is order-exact.  Any future kernel change that
+sort preserves each segment's appearance order, the C loops and the CSR
+matvec reduce rows sequentially, and max is order-exact.  Any future kernel change that
 reorders floating-point accumulation will trip this suite.
 
 Marked ``slow``: this is the tier-2 differential suite (run tier-1 with
@@ -29,13 +29,11 @@ from repro.core import S2PGNNFineTuner, SearchConfig
 from repro.core.api import FineTuneConfig
 from repro.core.evolution import EvolutionConfig, EvolutionarySearcher
 from repro.gnn import GNNEncoder
-from repro.nn import use_backend
-from repro.nn.ops import OP_REGISTRY
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 pytestmark = pytest.mark.slow
 
-#: Every backend with at least one direct implementation in the registry.
-BACKENDS = OP_REGISTRY.backends()
+BACKENDS = KERNEL_LEGS
 REFERENCE = "legacy"
 FAST_BACKENDS = tuple(b for b in BACKENDS if b != REFERENCE)
 
@@ -46,7 +44,7 @@ def factory():
 
 def run_pipeline(dataset, backend: str) -> dict:
     """One full search + finetune + predict run under ``backend``."""
-    with use_backend(backend):
+    with kernel_leg(backend):
         tuner = S2PGNNFineTuner(
             factory,
             search_config=SearchConfig(epochs=2, batch_size=16, seed=0),
@@ -102,7 +100,7 @@ class TestEvolutionBackendParity:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_evolution_bit_identical(self, tiny_dataset, backend):
         def run(name):
-            with use_backend(name):
+            with kernel_leg(name):
                 searcher = EvolutionarySearcher(
                     factory(), tiny_dataset,
                     config=EvolutionConfig(warmup_epochs=1, population_size=4,
@@ -128,7 +126,7 @@ class TestServiceBackendParity:
         graphs = tiny_dataset.graphs[:16]
 
         def run(name):
-            with use_backend(name):
+            with kernel_leg(name):
                 supernet = S2PGNNSupernet(factory(), DEFAULT_SPACE,
                                           num_tasks=tiny_dataset.num_tasks,
                                           seed=0)

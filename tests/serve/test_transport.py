@@ -9,6 +9,7 @@ status-code mapping, and concurrent connections.
 """
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -25,6 +26,7 @@ from repro.serve import (
     InProcessTransport,
 )
 from repro.serve.transport import (
+    MAX_BODY_BYTES,
     TransportError,
     _Handler,
     graph_from_payload,
@@ -335,6 +337,29 @@ class TestHTTPTransport:
                 assert reply["seq"] == seq and "error" in reply
                 with pytest.raises(RuntimeError, match=r"\(400\)"):
                     client.result(seq)
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400), ("twelve", 400), (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_refused_before_reading(self, server, length,
+                                                       status):
+        # Regression: the handler passed Content-Length to rfile.read
+        # unchecked — -1 held the handler thread until the client hung up,
+        # and a huge value was read straight into memory.  The refusal
+        # must arrive without the client sending a body or disconnecting.
+        with HTTPServingTransport(server, port=0) as http:
+            with socket.create_connection((http.host, http.port),
+                                          timeout=10) as sock:
+                sock.sendall(("POST /stats HTTP/1.1\r\nHost: test\r\n"
+                              f"Content-Length: {length}\r\n\r\n").encode())
+                reply = b""
+                while chunk := sock.recv(65536):  # server closes after it
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status}".encode()), head
+            assert b"Connection: close" in head
+            assert "error" in json.loads(body)
+            # the handler is free again: a well-formed request still works
+            assert HTTPServingClient(http.url).stats()["server"]["running"]
 
     def test_dead_server_raises_typed_connection_error(self, tiny_dataset, server):
         from repro.serve import TransportConnectionError
