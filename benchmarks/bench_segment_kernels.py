@@ -29,10 +29,19 @@ batch, E ~= 50k directed edges), comparing:
    (``repro.nn.compiled``) inside the ``reduceat`` backend against the
    same backend with the library forced off in-process (``reduceat_*``
    keys: CSR matvec / vertical max) and against legacy, per op; the
-   fused LSTM-step scan against the tape-composition reference; and the
+   fused LSTM-step scan against the tape-composition reference
+   (``tests/oracles.py``; ``numpy_scan_s`` times the one-node numpy
+   forward of the ``legacy`` leg); and the
    one-time JIT build cost with its disk-cache reload and the number of
    scan calls that amortize it.  Contract: >=1.5x over the numpy kernels
    on the fused scan and on at least one segment reduction.
+
+6. **grad-mode layers** (``grad_layers``) — forward + backward of
+   ``GINConv`` and ``LSTMFusion`` at paper-loop shapes (one training
+   batch of 32 molecules, width 32, K=5 layers) as one-node ops
+   (``gin_message``, ``lstm_scan``, ``linear``) against the tape
+   compositions they replaced (``tests/oracles.py``), by paired
+   median-of-ratios, with the kernel library loaded and forced off.
 
 Sections 1 and 3 run twice: as the process finds the kernel library
 (``backends`` / ``gather_backward``) and with it forced off
@@ -57,12 +66,17 @@ Run modes:
 import contextlib
 import json
 import os
+import sys
 import time
 
 import numpy as np
 
 RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "BENCH_segment_kernels.json")
+
+#: The repository root, so ``tests.oracles`` (the old tape compositions
+#: the one-node ops are timed against) imports when run as a script.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: op -> feature width factor: encoder-width features for aggregation ops,
 #: per-head attention scores for softmax.
@@ -384,23 +398,25 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
             row["legacy_kernel_s"] / row["compiled_kernel_s"])
         per_op[op_name] = row
 
-    # Fused LSTM-step scan (nn/rnn.py routes here under no_grad): the
-    # hybrid GEMM + C elementwise kernel vs the tape-composition
-    # reference, on a Set2Set/fusion-sized workload.
+    # Fused LSTM-step scan forward: the hybrid GEMM + C elementwise
+    # kernel vs the tape-composition reference, on a Set2Set/fusion-sized
+    # workload.
+    oracles = _oracles()
     dispatch = OP_REGISTRY.dispatcher("lstm_scan")
     x = rng.normal(size=(lstm_steps, lstm_batch, emb_dim))
     w_x = 0.4 * rng.normal(size=(emb_dim, 4 * lstm_hidden))
     w_h = 0.4 * rng.normal(size=(lstm_hidden, 4 * lstm_hidden))
     bias = rng.normal(size=4 * lstm_hidden)
 
-    def scan_sweep(backend):
+    def scan_sweep(scan, backend="reduceat"):
         def run():
             with no_grad(), use_backend(backend):
-                dispatch(Tensor(x), w_x, w_h, bias)
+                scan(Tensor(x), w_x, w_h, bias)
         return run
 
     compiled_t, reference_t = _paired_times(
-        scan_sweep("reduceat"), scan_sweep("legacy"), max(2 * repeats, 6))
+        scan_sweep(dispatch), scan_sweep(oracles.lstm_scan_reference),
+        max(2 * repeats, 6))
     lstm_row = {
         "steps": lstm_steps,
         "batch": lstm_batch,
@@ -408,6 +424,7 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
         "hidden_dim": lstm_hidden,
         "compiled_scan_s": float(compiled_t.min()),
         "reference_scan_s": float(reference_t.min()),
+        "numpy_scan_s": _time(scan_sweep(dispatch, "legacy"), repeats),
         # contracted figure: median of per-round ratios (spike-robust)
         "scan_speedup_compiled_vs_reference": float(
             np.median(reference_t / compiled_t)),
@@ -429,6 +446,87 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
             row["kernel_speedup_compiled_vs_reduceat"]
             for row in per_op.values()),
     }
+
+
+def _oracles():
+    """``tests.oracles``: the tape compositions the one-node ops replaced."""
+    if REPO_ROOT not in sys.path:
+        sys.path.insert(0, REPO_ROOT)
+    from tests import oracles
+
+    return oracles
+
+
+def bench_grad_layers(num_graphs=32, emb_dim=32, num_layers=5, rounds=40,
+                      seed=0):
+    """Grad-mode forward + backward of ``GINConv`` and ``LSTMFusion``:
+    the one-node ops against the old tape compositions.
+
+    Shapes follow paper-loop: one training batch of ``num_graphs``
+    synthetic-bbbp molecules (~400 nodes, ~850 edges), width
+    ``emb_dim``, ``num_layers`` layer representations into the fusion.
+    Each side runs with fresh grad-tracked inputs and cleared parameter
+    gradients; the loss is the output's plain sum.  ``speedup`` is the
+    median of the per-round ``old / new`` ratios (``speedup_iqr`` their
+    quartiles), on each leg: kernel library ``loaded`` and forced off
+    (``no_compiler``).
+    """
+    from repro.gnn import GNNEncoder
+    from repro.gnn.fusion import LSTMFusion
+    from repro.graph import Batch, load_dataset
+    from repro.nn import Tensor
+
+    oracles = _oracles()
+    rng = np.random.default_rng(seed)
+    batch = Batch(load_dataset("bbbp", size=max(num_graphs, 240))
+                  .graphs[:num_graphs])
+    batch.edge_plan(), batch.edge_src_plan()
+    conv = GNNEncoder("gin", num_layers=num_layers, emb_dim=emb_dim,
+                      dropout=0.0, seed=seed).convs[0]
+    fusion = LSTMFusion(num_layers, emb_dim, rng)
+    h_data = rng.normal(size=(batch.num_nodes, emb_dim))
+    layer_data = [rng.normal(size=(batch.num_nodes, emb_dim))
+                  for _ in range(num_layers)]
+
+    def step(module, forward, data):
+        def run():
+            for p in module.parameters():
+                p.grad = None
+            inputs = [Tensor(d, requires_grad=True) for d in data]
+            forward(inputs).sum().backward()
+        return run
+
+    cases = {
+        "gin_conv": (
+            conv, [h_data],
+            lambda h: conv(h[0], batch.edge_index, batch.edge_attr,
+                           ctx=batch),
+            lambda h: oracles.gin_conv_reference(conv, h[0], batch)),
+        "lstm_fusion": (
+            fusion, layer_data, fusion,
+            lambda layers: oracles.lstm_fusion_reference(fusion, layers)),
+    }
+    out = {"num_nodes": batch.num_nodes, "num_edges": batch.num_edges,
+           "emb_dim": emb_dim, "num_layers": num_layers, "rounds": rounds}
+    for leg, library in (("loaded", True), ("no_compiler", False)):
+        rows = {}
+        with contextlib.nullcontext() if library else _library_off():
+            for name, (module, data, new, old) in cases.items():
+                new_run, old_run = (step(module, new, data),
+                                    step(module, old, data))
+                for _ in range(3):  # warm-up: build, plans, BLAS threads
+                    new_run(), old_run()
+                new_t, old_t = _paired_times(new_run, old_run, rounds)
+                ratios = old_t / new_t
+                rows[name] = {
+                    "new_s": float(np.median(new_t)),
+                    "old_s": float(np.median(old_t)),
+                    "speedup": float(np.median(ratios)),
+                    "speedup_iqr": [float(q) for q in
+                                    np.percentile(ratios, [25, 75])],
+                }
+        out[leg] = rows
+    return out
 
 
 def run_benchmark(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5, seed=0):
@@ -460,6 +558,7 @@ def run_benchmark(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5, seed=0):
         "dispatch_overhead": bench_dispatch_overhead(seed=seed),
         "compiled": bench_compiled(num_graphs, emb_dim, num_heads, repeats,
                                    seed),
+        "grad_layers": bench_grad_layers(seed=seed, rounds=8 * repeats),
     }
 
 

@@ -34,6 +34,7 @@ from ..nn import (
     concatenate,
     gather,
     gather_segments,
+    gin_message,
     segment_mean,
     segment_softmax,
     segment_sum,
@@ -77,7 +78,9 @@ class GINConv(Module):
     """Graph Isomorphism Network layer (Xu et al., 2019).
 
     ``M_v = SUM(h_u + e_uv); h_v = MLP((1 + eps) h_v + M_v)`` with a
-    learnable scalar ``eps`` balancing self vs. neighbor messages.
+    learnable scalar ``eps`` balancing self vs. neighbor messages.  The
+    bond embedding, message add and sum run as the one-node
+    ``gin_message`` op over the bond encoder's two tables.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -89,10 +92,12 @@ class GINConv(Module):
 
     def forward(self, h: Tensor, edge_index: np.ndarray, edge_attr: np.ndarray,
                 ctx=None) -> Tensor:
-        num_nodes = h.shape[0]
         if edge_index.shape[1]:
-            messages = _gather_src(h, edge_index, ctx) + self.bond_encoder(edge_attr)
-            agg = segment_sum(messages, _edge_plan(ctx, edge_index, num_nodes))
+            bonds = self.bond_encoder
+            agg = gin_message(h, edge_index, edge_attr,
+                              bonds.type_embedding.weight,
+                              bonds.tag_embedding.weight,
+                              plan=ctx.edge_plan() if ctx is not None else None)
         else:
             agg = Tensor(np.zeros_like(h.data))
         return self.mlp(h * (self.eps + 1.0) + agg)

@@ -4,9 +4,10 @@
 :mod:`.build` compiles it at first use with the discovered system
 compiler and caches the shared object on disk, and :mod:`.kernels` wraps
 the symbols.  They are not a backend of their own: the plan-backed
-segment kernels in :mod:`repro.nn.segment` and the registered
-``reduceat`` impls of ``scatter_add`` / ``lstm_scan`` call them wherever
-the library loaded, and fall back per call to numpy otherwise.  Either
+segment kernels in :mod:`repro.nn.segment` (``gin_message`` included)
+and the registered ``reduceat`` impls of ``scatter_add`` / ``lstm_scan``
+call them wherever the library loaded, and fall back per call to numpy
+otherwise.  Either
 way the results are bit-identical to the ``legacy`` reference.
 
 Availability is observable through :func:`compiled_status` (also

@@ -11,6 +11,8 @@ legacy reference implementations, not merely close:
   and accumulate each segment **sequentially in appearance order** —
   the same association the legacy ``np.add.at`` / ``np.add.reduceat``
   reference uses, so every partial sum rounds identically.
+  ``gin_message`` does the same over per-edge messages ``h[src] + (t[a]
+  + u[b])``, formed in the association of the composition it replaces.
 * ``segment_max`` folds with ``(v > acc || isnan(v))`` which reproduces
   ``np.maximum``'s NaN-propagating semantics exactly.
 * The LSTM kernels fuse only *pure arithmetic* (the ``1/(1+e)`` sigmoid
@@ -79,15 +81,38 @@ void segment_max_@S@(const @T@ *x, const long long *order,
     }
 }
 
-/* Row scatter-add in index order — the sequential accumulation
-   np.add.at performs, without its per-element dispatch overhead. */
-void scatter_add_@S@(const @T@ *g, const long long *index, @T@ *out,
+/* Row scatter-add in index order: out[index[i]] += g[rows[i]] (rows NULL
+   reads g[i]) — the sequential accumulation np.add.at performs, without
+   its per-element dispatch overhead or a gathered g[rows] copy. */
+void scatter_add_@S@(const @T@ *g, const long long *rows,
+                     const long long *index, @T@ *out,
                      ptrdiff_t n, ptrdiff_t num_rows, ptrdiff_t d) {
     for (ptrdiff_t r = 0; r < num_rows * d; r++) out[r] = (@T@)0.0;
     for (ptrdiff_t i = 0; i < n; i++) {
         @T@ *row = out + index[i] * d;
-        const @T@ *src = g + i * d;
+        const @T@ *src = g + (rows ? rows[i] : i) * d;
         for (ptrdiff_t c = 0; c < d; c++) row[c] += src[c];
+    }
+}
+
+/* GIN message passing over the destination plan: node v sums, over its
+   in-edges e in stable plan order, the message h[src[e]] + (t[a_e] +
+   u[b_e]) with (a_e, b_e) = attr[e] — the association and order of the
+   gather + embedding add + segment_sum composition it replaces. */
+void gin_message_@S@(const @T@ *h, const @T@ *t, const @T@ *u,
+                     const long long *src, const long long *attr,
+                     const long long *order, const long long *indptr,
+                     @T@ *out, ptrdiff_t num_nodes, ptrdiff_t d) {
+    for (ptrdiff_t v = 0; v < num_nodes; v++) {
+        @T@ *row = out + v * d;
+        for (ptrdiff_t c = 0; c < d; c++) row[c] = (@T@)0.0;
+        for (long long j = indptr[v]; j < indptr[v + 1]; j++) {
+            long long e = order[j];
+            const @T@ *hs = h + src[e] * d;
+            const @T@ *ts = t + attr[2 * e] * d;
+            const @T@ *us = u + attr[2 * e + 1] * d;
+            for (ptrdiff_t c = 0; c < d; c++) row[c] += hs[c] + (ts[c] + us[c]);
+        }
     }
 }
 
@@ -159,7 +184,9 @@ def _signatures_for(ptr, suffix):
     return {
         f"segment_sum_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE),
         f"segment_max_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE),
-        f"scatter_add_{suffix}": (ptr, _I64, ptr, _SIZE, _SIZE, _SIZE),
+        f"scatter_add_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE, _SIZE),
+        f"gin_message_{suffix}": (ptr, ptr, ptr, _I64, _I64, _I64, _I64, ptr,
+                                  _SIZE, _SIZE),
         f"lstm_gates_{suffix}": (ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                  _SIZE, _SIZE),
         f"lstm_combine_{suffix}": (ptr, ptr, ptr, ptr, ptr, _SIZE),

@@ -4,16 +4,18 @@
   ops: :mod:`repro.nn.segment` calls it from ``_reduce_sum_data`` /
   ``_reduce_max_data`` and runs its CSR matvec / vertical max when it
   returns None.
+* :func:`gin_message_forward` is the forward of the plan-backed
+  ``gin_message`` op, and :func:`scatter_rows` its adjoint's three
+  scatters (``out[index[i]] += g[rows[i]]``).
 * :func:`_scatter_add_compiled` and :func:`_lstm_scan_compiled` are the
   registered ``reduceat`` implementations of ``scatter_add`` and
-  ``lstm_scan``.
+  ``lstm_scan``; the scan's C forward is :func:`lstm_scan_forward`.
 
 Every entry is **bit-identical** to the ``legacy`` reference (the C
 loops accumulate in the reference order, see :mod:`.csrc`), so the
-registered tolerances stay ``0.0``.  Each falls back per call, to the
-numpy kernel or the legacy reference, whenever the library is
-unavailable (no compiler, failed build) or the dtype/layout is one the C
-side does not cover.
+registered tolerances stay ``0.0``.  Each falls back per call to its
+numpy kernel whenever the library is unavailable (no compiler, failed
+build) or the dtype/layout is one the C side does not cover.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from . import build
 from .. import rnn as _rnn
 from .. import tensor as _tensor
 from ..policy import active_dtype, active_workspace
-from ..tensor import Tensor, as_tensor, is_grad_enabled
 
 _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 _POINTERS = {np.dtype(np.float64): ctypes.POINTER(ctypes.c_double),
              np.dtype(np.float32): ctypes.POINTER(ctypes.c_float)}
+_SCALARS = {np.dtype(np.float64): ctypes.c_double,
+            np.dtype(np.float32): ctypes.c_float}
 _I64_P = ctypes.POINTER(ctypes.c_longlong)
 
 
@@ -47,6 +50,13 @@ def _kernel(name, dtype):
 
 def _fp(array):
     return array.ctypes.data_as(_POINTERS[array.dtype])
+
+
+def _scratch_p(array):
+    """``_fp`` for a writable C-contiguous array the caller allocated:
+    ``byref`` over a ``from_buffer`` view, which keeps ``array`` alive
+    and costs a fifth of ``data_as``."""
+    return ctypes.byref(_SCALARS[array.dtype].from_buffer(array))
 
 
 def _ip(array):
@@ -106,110 +116,175 @@ def _scatter_add_compiled(g, index, num_rows):
 
     The adjoint of a row gather: ``out[index[i]] += g[i]``, duplicate
     indices accumulating in appearance order — the C loop performs the
-    same sequential accumulation as ``np.add.at``.  Falls back to the
-    legacy ``np.add.at`` scatter when the library is unavailable and for
-    layouts the C kernel does not cover: non-1-D indices, broadcasting
-    payloads, or out-of-range/negative indices (which ``np.add.at``
-    wraps/raises but raw C would corrupt memory on)."""
+    same sequential accumulation as ``np.add.at``."""
+    return scatter_rows(g, None, index, num_rows)
+
+
+def scatter_rows(g, rows, index, num_rows):
+    """``out[index[i]] += g[rows[i]]`` over zeros (``rows=None`` reads
+    ``g[i]``), accumulating in appearance order.
+
+    One C loop serves the plain scatter and the gathered scatters of the
+    ``gin_message`` adjoint, without materializing ``g[rows]``.  Without
+    the library, a throwaway :class:`~repro.nn.segment.SegmentPlan` over
+    ``index`` sums the rows with the plan's sequential CSR kernel — the
+    same additions in the same order, 2-3x faster than ``np.add.at``
+    even counting the plan build.  Layouts neither covers fall back to
+    the legacy ``np.add.at`` scatter: non-1-D indices, broadcasting
+    payloads, dtypes other than float32/float64, or out-of-range/
+    negative indices (which ``np.add.at`` wraps/raises but raw C would
+    corrupt memory on)."""
     g = np.asarray(g)
     if g.dtype.kind != "f":
         g = g.astype(active_dtype())
     index = np.asarray(index)
     num_rows = int(num_rows)
+    n = index.shape[0] if index.ndim else 0
+    if (g.dtype not in _SUFFIXES or index.ndim != 1 or g.ndim < 1
+            or not _in_range(index, num_rows)
+            or (g.shape[0] != n if rows is None
+                else np.ndim(rows) != 1 or len(rows) != n
+                or not _in_range(rows, g.shape[0]))):
+        return _tensor._legacy_scatter_add(
+            g if rows is None else g[rows], index, num_rows)
     kernel = _kernel("scatter_add", g.dtype)
-    if (kernel is None or index.ndim != 1 or g.ndim < 1
-            or g.shape[0] != index.shape[0]
-            or (index.shape[0] > 0
-                and (int(index.min()) < 0 or int(index.max()) >= num_rows))):
-        return _tensor._legacy_scatter_add(g, index, num_rows)
-    if index.dtype != np.int64 or not index.flags.c_contiguous:
-        index = np.ascontiguousarray(index, dtype=np.int64)
-    flat, d = _flatten_rows(g, index.shape[0])
+    if kernel is None:
+        from ..segment import SegmentPlan, _reduce_sum_data
+
+        return _reduce_sum_data(g if rows is None else g[rows],
+                                SegmentPlan(index, num_rows))
+    index = _as_index(index)
+    flat, d = _flatten_rows(g, g.shape[0])
     out = _alloc_rows(num_rows, d, g.dtype)
-    kernel(_fp(flat), _ip(index), _fp(out), index.shape[0], num_rows, d)
+    kernel(_fp(flat), None if rows is None else _ip(_as_index(rows)),
+           _ip(index), _fp(out), n, num_rows, d)
     return out.reshape((num_rows,) + g.shape[1:])
 
 
-def _state_data(state, batch, hidden, dtype):
-    """Initial h/c as a contiguous ndarray in the scan dtype."""
-    if state is None:
-        return np.zeros((batch, hidden), dtype=dtype)
-    data = state.data if isinstance(state, Tensor) else np.asarray(state)
-    return np.ascontiguousarray(data, dtype=dtype)
+def _in_range(index, size):
+    """Whether every entry of the 1-D ``index`` lies in ``[0, size)``."""
+    return index.shape[0] == 0 or (int(index.min()) >= 0
+                                   and int(index.max()) < size)
+
+
+def _as_index(index):
+    """``index`` as contiguous int64 for the C side (no copy when it is)."""
+    index = np.asarray(index)
+    if index.dtype != np.int64 or not index.flags.c_contiguous:
+        index = np.ascontiguousarray(index, dtype=np.int64)
+    return index
+
+
+def gin_message_forward(h, type_table, tag_table, src, attr, plan):
+    """Run the C ``gin_message`` loop; None when the library is
+    unavailable or the operands mix dtypes (the caller then runs the
+    numpy composition).  Indices must already be range-checked: the C
+    loop trusts them."""
+    dtype = h.dtype
+    kernel = _kernel("gin_message", dtype)
+    if (kernel is None or h.ndim != 2
+            or not (dtype == type_table.dtype == tag_table.dtype)):
+        return None
+    d = h.shape[1]
+    h, type_table, tag_table = (np.ascontiguousarray(a)
+                                for a in (h, type_table, tag_table))
+    order, indptr = _plan_index(plan)
+    out = _alloc_rows(plan.num_segments, d, dtype)
+    kernel(_fp(h), _fp(type_table), _fp(tag_table), _ip(_as_index(src)),
+           _ip(_as_index(attr)), _ip(order), _ip(indptr), _fp(out),
+           plan.num_segments, d)
+    return out
+
+
+def lstm_scan_forward(x, w_x, w_h, bias, h0, c0, keep=True):
+    """Fused LSTM forward: :func:`repro.nn.rnn.lstm_scan_numpy`'s
+    ``(seq, saved)``, or None when the library, the dtypes or the layout
+    cannot serve the call (the caller then runs the numpy forward).
+
+    Per-step GEMMs and numpy transcendentals mirror the numpy forward
+    exactly (same association, same stridedness); the pure-arithmetic
+    gate finish and state update are fused into C — compiled with
+    ``-ffp-contract=off`` so no FMA can change the rounding."""
+    combine = _kernel("lstm_combine", x.dtype)
+    if (combine is None or x.ndim != 3 or w_x.ndim != 2
+            or w_h.ndim != 2 or bias.ndim != 1
+            or not (x.dtype == w_x.dtype == w_h.dtype == bias.dtype
+                    == h0.dtype == c0.dtype)):
+        return None
+    output = _kernel("lstm_output", x.dtype)
+    gates_kernel = _kernel("lstm_gates", x.dtype)
+    steps, batch = x.shape[0], x.shape[1]
+    hidden = w_h.shape[0]
+    dtype = x.dtype
+    # The input projection has no step-to-step dependency: one stacked
+    # GEMM over all steps (bitwise identical to the per-step products —
+    # the contraction axis and its accumulation order are unchanged).
+    xw = np.matmul(np.ascontiguousarray(x), w_x)
+    seq = np.empty((steps + 1, batch, hidden), dtype=dtype)
+    hw = np.empty((batch, 4 * hidden), dtype=dtype)
+    n = batch * hidden
+    hw_p, bias_p = _scratch_p(hw), _fp(np.ascontiguousarray(bias))
+
+    def step_buffers():
+        """e_i, e_f, g, e_o, c, tanh(c) for one step, with pointers.
+        Separate (batch, hidden) arrays: small enough for the allocator
+        to recycle warm memory, where stacked per-gate buffers would
+        fault in fresh pages on every call."""
+        bufs = [np.empty((batch, hidden), dtype=dtype) for _ in range(6)]
+        return bufs, [_scratch_p(b) for b in bufs]
+
+    # Without gradients one set of buffers serves every step, plus a
+    # spare cell buffer to swap with (c_prev and c_next must differ).
+    reused = None if keep else step_buffers()
+    if not keep and steps > 1:
+        spare_c = np.empty((batch, hidden), dtype=dtype)
+        spare_c_p = _scratch_p(spare_c)
+    saved = ([], [], [], [], [c0], []) if keep else None
+    c, c_p = c0, _fp(np.ascontiguousarray(c0))
+    h = np.ascontiguousarray(h0)
+    for t in range(steps):
+        bufs, ptrs = step_buffers() if keep else reused
+        e_i, e_f, g, e_o, c, t_c = bufs
+        e_i_p, e_f_p, g_p, e_o_p, c_next_p, t_c_p = ptrs
+        # One C pass assembles the reference association
+        # ((x[t] @ w_x) + (h @ w_h)) + bias per gate slice, pre-negated
+        # for the sigmoid gates (mirroring the np.exp(-pre) of the numpy
+        # sigmoid); numpy's exp/tanh then run on the contiguous buffers —
+        # layout-invariant, so bitwise the numpy forward's values.
+        np.matmul(h, w_h, out=hw)
+        gates_kernel(_scratch_p(xw[t]), hw_p, bias_p, e_i_p, e_f_p, g_p,
+                     e_o_p, batch, hidden)
+        np.exp(e_i, out=e_i)
+        np.exp(e_f, out=e_f)
+        np.exp(e_o, out=e_o)
+        np.tanh(g, out=g)
+        combine(e_i_p, e_f_p, g_p, c_p, c_next_p, n)
+        np.tanh(c, out=t_c)
+        output(e_o_p, t_c_p, _scratch_p(seq[t]), n)
+        if keep:
+            for buffers, buf in zip(saved, bufs):
+                buffers.append(buf)
+        elif steps > 1:
+            bufs[4], spare_c = spare_c, bufs[4]
+            ptrs[4], spare_c_p = spare_c_p, ptrs[4]
+        c_p = c_next_p
+        h = seq[t]
+    seq[steps] = c
+    return seq, saved
+
+
+def _scan_forward(x, w_x, w_h, bias, h0, c0, keep=True):
+    """The fused C forward, else the numpy one (same buffers, same bits)."""
+    fused = lstm_scan_forward(x, w_x, w_h, bias, h0, c0, keep)
+    if fused is not None:
+        return fused
+    return _rnn.lstm_scan_numpy(x, w_x, w_h, bias, h0, c0, keep)
 
 
 def _lstm_scan_compiled(x, w_x, w_h, bias, h0=None, c0=None,
                         return_state=False):
-    """Fused LSTM-step scan: per-step GEMMs and numpy transcendentals
-    mirror the tape reference exactly (same association, same
-    stridedness), with the pure-arithmetic gate finish and state update
-    fused into C — compiled with ``-ffp-contract=off`` so no FMA can
-    change the reference's rounding.  Grad-tracked inputs delegate to
-    the tape reference (the fused scan is an inference-path kernel), as
-    does every call the library or the operand layout cannot serve."""
-    x = as_tensor(x)
-    w_x = as_tensor(w_x)
-    w_h = as_tensor(w_h)
-    bias = as_tensor(bias)
-    operands = (x, w_x, w_h, bias) + tuple(
-        t for t in (h0, c0) if isinstance(t, Tensor))
-    xd, wxd, whd, bd = x.data, w_x.data, w_h.data, bias.data
-    combine = _kernel("lstm_combine", xd.dtype)
-    if ((is_grad_enabled() and any(t.requires_grad for t in operands))
-            or combine is None or xd.ndim != 3 or wxd.ndim != 2
-            or whd.ndim != 2 or bd.ndim != 1 or xd.shape[0] == 0
-            or not (xd.dtype == wxd.dtype == whd.dtype == bd.dtype)):
-        return _rnn._lstm_scan_reference(x, w_x, w_h, bias, h0=h0, c0=c0,
-                                         return_state=return_state)
-    output = _kernel("lstm_output", xd.dtype)
-    gates_kernel = _kernel("lstm_gates", xd.dtype)
-    steps, batch = xd.shape[0], xd.shape[1]
-    hidden = whd.shape[0]
-    dtype = xd.dtype
-    if not xd.flags.c_contiguous:
-        xd = np.ascontiguousarray(xd)
-    if not bd.flags.c_contiguous:
-        bd = np.ascontiguousarray(bd)
-    h = _state_data(h0, batch, hidden, dtype)
-    # c is mutated in place through the buffer swap — never alias c0.
-    c = np.array(_state_data(c0, batch, hidden, dtype))
-    # The input projection has no step-to-step dependency: one stacked
-    # GEMM over all steps (bitwise identical to the per-step products —
-    # the contraction axis and its accumulation order are unchanged).
-    xw = np.matmul(xd, wxd)
-    out = np.empty((steps, batch, hidden), dtype=dtype)
-    hw = np.empty((batch, 4 * hidden), dtype=dtype)
-    ei = np.empty((batch, hidden), dtype=dtype)
-    ef = np.empty((batch, hidden), dtype=dtype)
-    eo = np.empty((batch, hidden), dtype=dtype)
-    gg = np.empty((batch, hidden), dtype=dtype)
-    c_next = np.empty((batch, hidden), dtype=dtype)
-    tc = np.empty((batch, hidden), dtype=dtype)
-    n = batch * hidden
-    hw_p, bd_p = _fp(hw), _fp(bd)
-    ei_p, ef_p, eo_p, gg_p = _fp(ei), _fp(ef), _fp(eo), _fp(gg)
-    tc_p = _fp(tc)
-    c_p, c_next_p = _fp(c), _fp(c_next)
-    for t in range(steps):
-        # One C pass assembles the reference association
-        # ((x[t] @ w_x) + (h @ w_h)) + bias per gate slice, pre-negated
-        # for the sigmoid gates (mirroring Tensor.sigmoid's
-        # np.exp(-view)); numpy's exp/tanh then run on the contiguous
-        # buffers — layout-invariant, so bitwise the reference values.
-        np.matmul(h, whd, out=hw)
-        gates_kernel(_fp(xw[t]), hw_p, bd_p,
-                     ei_p, ef_p, gg_p, eo_p, batch, hidden)
-        np.exp(ei, out=ei)
-        np.exp(ef, out=ef)
-        np.exp(eo, out=eo)
-        np.tanh(gg, out=gg)
-        combine(ei_p, ef_p, gg_p, c_p, c_next_p, n)
-        np.tanh(c_next, out=tc)
-        output(eo_p, tc_p, _fp(out[t]), n)
-        h = out[t]
-        c, c_next = c_next, c
-        c_p, c_next_p = c_next_p, c_p
-    result = Tensor(out)
-    if return_state:
-        return result, Tensor(h), Tensor(c)
-    return result
+    """The ``reduceat`` ``lstm_scan``: the one-node scan of
+    :func:`repro.nn.rnn.lstm_scan_node` over the fused C forward, with or
+    without gradients; its adjoint is the shared numpy BPTT."""
+    return _rnn.lstm_scan_node(x, w_x, w_h, bias, h0, c0, return_state,
+                               forward=_scan_forward)

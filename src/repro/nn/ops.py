@@ -2,13 +2,15 @@
 
 Every differentiable kernel op of the nn layer — the segment family
 (``segment_sum/mean/max/softmax``, ``gather_segments``), the row ops
-(``gather``, ``scatter_add``) and the elementwise reference ops — is
-registered here exactly once, with:
+(``gather``, ``scatter_add``), the one-node layer ops (``gin_message``,
+``lstm_scan``, ``linear``, ``batch_norm``) and the elementwise reference
+ops — is registered here exactly once, with:
 
 * its **per-backend implementations**: ``legacy`` = the ``np.add.at``
-  reference ops in :mod:`repro.nn.tensor`, and ``reduceat`` = the fast
-  path — the plan-backed kernels in :mod:`repro.nn.segment` plus the
-  ``scatter_add`` / ``lstm_scan`` wrappers in
+  reference ops in :mod:`repro.nn.tensor` (and their one-node numpy
+  counterparts for ``gin_message`` / ``lstm_scan``), and ``reduceat`` =
+  the fast path — the plan-backed kernels in :mod:`repro.nn.segment`
+  plus the ``scatter_add`` / ``lstm_scan`` wrappers in
   :mod:`repro.nn.compiled.kernels`, which run the JIT-built C kernels
   wherever they built and fall back per call to numpy otherwise;
 * its **adjoint** (a one-line statement of the backward rule — consumed
@@ -20,8 +22,10 @@ registered here exactly once, with:
   leg);
 * deterministic **sample-input generators** covering the edge layouts the
   kernels must survive: empty index arrays, empty segments interleaved
-  with large ones, single-segment batches, 1-D and matrix payloads, and
-  every policy dtype (the generators take the dtype as an argument).
+  with large ones, single-segment batches, 1-D and matrix payloads,
+  edgeless and self-looped graphs, and every policy dtype (the
+  generators take the dtype as an argument).  A sample's ``grad_args``
+  extend the sweeps to weights, tables and initial states.
 
 The table is the single source of truth for three downstream layers:
 
@@ -57,7 +61,7 @@ from . import rnn as _rnn
 from . import segment as _segment
 from . import tensor as _tensor
 from .compiled import kernels as _kernels
-from .tensor import as_tensor
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "OpRegistry",
@@ -76,6 +80,9 @@ __all__ = [
     "matmul",
     "concat",
     "lstm_scan",
+    "gin_message",
+    "linear",
+    "batch_norm",
 ]
 
 
@@ -83,17 +90,22 @@ class SampleInput:
     """One deterministic op invocation: ``op(data, *args)``.
 
     ``data`` is the differentiated payload (wrapped in a Tensor by the
-    sweeps); ``args`` are the non-differentiable trailing arguments
-    (index arrays, segment counts).  ``label`` names the edge layout the
-    sample exists to pin (``"interleaved_empty"``, ``"flat"``, ...).
+    sweeps); ``args`` are the trailing arguments (index arrays, segment
+    counts, weights).  ``grad_args`` lists the positions in ``args`` the
+    sweeps also wrap as grad-tracked Tensors and check gradients of
+    (weights, embedding tables, initial states).  ``label`` names the
+    layout the sample exists to pin (``"interleaved_empty"``,
+    ``"flat"``, ...).
     """
 
-    __slots__ = ("label", "data", "args")
+    __slots__ = ("label", "data", "args", "grad_args")
 
-    def __init__(self, label: str, data: np.ndarray, args: tuple = ()):
+    def __init__(self, label: str, data: np.ndarray, args: tuple = (),
+                 grad_args: tuple = ()):
         self.label = label
         self.data = data
         self.args = tuple(args)
+        self.grad_args = tuple(grad_args)
 
     def __repr__(self) -> str:
         return f"SampleInput({self.label!r}, shape={self.data.shape})"
@@ -436,18 +448,106 @@ def _concat_samples(dtype):
 
 
 def _lstm_scan_samples(dtype):
-    """Short scans differentiated w.r.t. the stacked ``(T, B, I)`` step
-    inputs; the packed ``[i, f, g, o]`` gate weights ride along as fixed
-    args, scaled to keep the gates in their smooth region."""
+    """Scans differentiated w.r.t. the stacked ``(T, B, I)`` step inputs
+    and the packed ``[i, f, g, o]`` gate weights (scaled to keep the
+    gates in their smooth region): a short scan, one step from grad-
+    tracked ``h0``/``c0`` (Set2Set's use), and the two directions of a
+    T=5 bidirectional LSTM — the forward sequence and its reverse."""
     rng = np.random.default_rng(61)
     w_x = (0.4 * rng.normal(size=(3, 8))).astype(dtype)
     w_h = (0.4 * rng.normal(size=(2, 8))).astype(dtype)
     bias = rng.normal(size=8).astype(dtype)
+    h0 = (0.5 * rng.normal(size=(4, 2))).astype(dtype)
+    c0 = (0.5 * rng.normal(size=(4, 2))).astype(dtype)
+    weights = (w_x, w_h, bias)
+    five = rng.normal(size=(5, 2, 3)).astype(dtype)
     return [
         SampleInput("scan", rng.normal(size=(3, 4, 3)).astype(dtype),
-                    (w_x, w_h, bias)),
-        SampleInput("single_step", rng.normal(size=(1, 4, 3)).astype(dtype),
-                    (w_x, w_h, bias)),
+                    weights, grad_args=(0, 1, 2)),
+        SampleInput("single_step_with_state",
+                    rng.normal(size=(1, 4, 3)).astype(dtype),
+                    weights + (h0, c0), grad_args=(0, 1, 2, 3, 4)),
+        SampleInput("bidirectional_T5_forward", five, weights,
+                    grad_args=(0, 1, 2)),
+        SampleInput("bidirectional_T5_reverse",
+                    np.ascontiguousarray(five[::-1]), weights,
+                    grad_args=(0, 1, 2)),
+    ]
+
+
+def _gin_layouts():
+    """Named ``(num_nodes, edge_index, edge_attr)`` message-passing
+    layouts: a molecule-like batch, no edges, isolated nodes, self-loops
+    with duplicate edges, and mask-token bond ids (type 4, the last row
+    of the 5-row type table)."""
+    rng = np.random.default_rng(67)
+    num_edges = 14
+    dense = rng.integers(0, 6, size=(2, num_edges))
+    dense_attr = np.stack([rng.integers(0, 4, size=num_edges),
+                           rng.integers(0, 3, size=num_edges)], axis=1)
+    isolated = np.array([[0, 1, 5, 1], [1, 0, 1, 5]])
+    loops = np.array([[2, 2, 0, 3, 3, 3], [2, 2, 3, 0, 0, 3]])
+    masked = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
+    return [
+        ("dense", 6, dense, dense_attr),
+        ("no_edges", 4, np.zeros((2, 0), dtype=np.int64),
+         np.zeros((0, 2), dtype=np.int64)),
+        ("isolated_nodes", 7, isolated, np.array([[0, 1], [1, 2], [2, 0],
+                                                  [3, 1]])),
+        ("self_loop_duplicates", 4, loops,
+         np.array([[1, 0], [1, 0], [0, 2], [2, 1], [2, 1], [3, 0]])),
+        ("mask_token_bonds", 4, masked,
+         np.array([[4, 0], [4, 2], [0, 1], [4, 1]])),
+    ]
+
+
+def _gin_message_samples(dtype):
+    """Node payloads differentiated together with the 5x3 bond-type and
+    3x3 bond-tag tables (the +1 type row is the mask token)."""
+    rng = np.random.default_rng(71)
+    out = []
+    for label, num_nodes, edge_index, edge_attr in _gin_layouts():
+        type_table = rng.normal(size=(5, 3)).astype(dtype)
+        tag_table = rng.normal(size=(3, 3)).astype(dtype)
+        out.append(SampleInput(
+            label, rng.normal(size=(num_nodes, 3)).astype(dtype),
+            (edge_index.astype(np.int64), edge_attr.astype(np.int64),
+             type_table, tag_table), grad_args=(2, 3)))
+    return out
+
+
+def _linear_samples(dtype):
+    """Row batches and a single vector through a 3->2 affine map (weight
+    and bias differentiated too), plus the bias-free map."""
+    rng = np.random.default_rng(73)
+    weight = rng.normal(size=(3, 2)).astype(dtype)
+    bias = rng.normal(size=2).astype(dtype)
+    return [
+        SampleInput("rows", rng.normal(size=(4, 3)).astype(dtype),
+                    (weight, bias), grad_args=(0, 1)),
+        SampleInput("vector", rng.normal(size=3).astype(dtype),
+                    (weight, bias), grad_args=(0, 1)),
+        SampleInput("no_bias", rng.normal(size=(4, 3)).astype(dtype),
+                    (weight,), grad_args=(0,)),
+    ]
+
+
+def _batch_norm_samples(dtype):
+    """Rows normalized by their own batch statistics and by fixed running
+    statistics (``gamma``/``beta`` differentiated too)."""
+    rng = np.random.default_rng(79)
+    x = rng.normal(size=(5, 3)).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, size=3).astype(dtype)
+    beta = rng.normal(size=3).astype(dtype)
+    batch_inv_std = (1.0 / np.sqrt(x.var(axis=0) + 1e-5)).astype(dtype)
+    running_mean = rng.normal(size=3).astype(dtype)
+    running_inv_std = rng.uniform(0.5, 2.0, size=3).astype(dtype)
+    return [
+        SampleInput("batch_stats", x, (x.mean(axis=0), batch_inv_std,
+                                       gamma, beta), grad_args=(2, 3)),
+        SampleInput("running_stats", rng.normal(size=(4, 3)).astype(dtype),
+                    (running_mean, running_inv_std, gamma, beta),
+                    grad_args=(2, 3)),
     ]
 
 
@@ -525,6 +625,58 @@ def _concat_ref(x, other, axis=-1):
     """concatenate([x, other], axis); the adjoint splits g back at the
     operand boundary."""
     return _tensor.concatenate([as_tensor(x), as_tensor(other)], axis=axis)
+
+
+# ----------------------------------------------------------------------
+# One-node layer ops (Linear / BatchNorm1d)
+# ----------------------------------------------------------------------
+def _linear(x, weight, bias=None):
+    """``out = x @ weight; out += bias`` as one node — the arithmetic of
+    the matmul + add composition it replaces.  Adjoints: ``g @
+    weight^T`` (an outer product for 1-D ``g``), ``x^T @ g`` (``outer(x,
+    g)`` for 1-D ``x``) and ``g`` summed over the leading axes.  Without
+    a bias the plain matmul node already is one node."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    if bias is None:
+        return x @ weight
+    bias = as_tensor(bias)
+    out_data = x.data @ weight.data
+    out_data += bias.data
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(g)
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.swapaxes(-1, -2))
+        if weight.requires_grad:
+            if x.data.ndim == 1:
+                weight._accumulate(np.outer(x.data, g))
+            else:
+                weight._accumulate(x.data.swapaxes(-1, -2) @ g)
+
+    return Tensor._result(out_data, (x, weight, bias), "linear", backward)
+
+
+def _batch_norm(x, mean, inv_std, gamma, beta):
+    """``(x - mean) * inv_std * gamma + beta`` as one node, the statistics
+    ``mean``/``inv_std`` held constant (cast to the active dtype).  Keeps
+    only the normalized activations; adjoints ``g * gamma * inv_std``,
+    ``sum(g * normed)`` and ``sum(g)`` over the rows."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    inv_std = as_tensor(inv_std).data
+    normed = (x.data - as_tensor(mean).data) * inv_std
+    out_data = normed * gamma.data
+    out_data += beta.data
+
+    def backward(g):
+        if beta.requires_grad:
+            beta._accumulate(g)
+        if gamma.requires_grad:
+            gamma._accumulate(g * normed)
+        if x.requires_grad:
+            x._accumulate(g * gamma.data * inv_std)
+
+    return Tensor._result(out_data, (x, gamma, beta), "batch_norm", backward)
 
 
 # ----------------------------------------------------------------------
@@ -689,14 +841,50 @@ OP_REGISTRY.register(
 OP_REGISTRY.register(
     "lstm_scan",
     backends={"reduceat": _kernels._lstm_scan_compiled,
-              "legacy": _rnn._lstm_scan_reference},
-    adjoint="reverse scan through the gates: the tape reference composes "
-            "per-step sigmoid/tanh/matmul adjoints (the fused C scan "
-            "serves no_grad calls only)",
+              "legacy": _rnn._lstm_scan_legacy},
+    adjoint="one node; numpy BPTT over the saved per-step gates, shared "
+            "by both forwards: per step in reverse, d_pre_i = dc*g*i*(1-i) "
+            "etc., dx[t] = dgates @ w_x^T, dh = dgates @ w_h^T, dc = dc*f; "
+            "dW accumulated from step T-1 down to 0; h0/c0 get the step-0 "
+            "state gradients",
     samples=_lstm_scan_samples,
     tolerance=0.0,
     gradcheck_tol=1e-4,
     float32_tol=5e-4,
+)
+
+OP_REGISTRY.register(
+    "gin_message",
+    backends={"reduceat": _segment._gin_message_plan,
+              "legacy": _segment._gin_message_legacy},
+    adjoint="with gm = g[dst]: dh = scatter_add(gm, src), dT = "
+            "scatter_add(gm, a), dU = scatter_add(gm, b), each in edge "
+            "order (the reduceat legs scatter g[dst] rows without "
+            "materializing gm)",
+    samples=_gin_message_samples,
+    tolerance=0.0,
+)
+
+OP_REGISTRY.register(
+    "linear",
+    backends={"legacy": _linear},
+    adjoint="dL/dx = g @ W^T, dL/dW = x^T @ g, dL/db = sum of g over the "
+            "leading axes",
+    samples=_linear_samples,
+    tolerance=0.0,
+    waiver="backend-independent BLAS matmul + bias add; single canonical "
+           "implementation",
+)
+
+OP_REGISTRY.register(
+    "batch_norm",
+    backends={"legacy": _batch_norm},
+    adjoint="statistics constant: dL/dx = g * gamma * inv_std, dL/dgamma "
+            "= sum(g * normed), dL/dbeta = sum(g) over the rows",
+    samples=_batch_norm_samples,
+    tolerance=0.0,
+    waiver="backend-independent elementwise affine; single canonical "
+           "implementation",
 )
 
 
@@ -713,3 +901,6 @@ gather = OP_REGISTRY.dispatcher("gather")
 matmul = OP_REGISTRY.dispatcher("matmul")
 concat = OP_REGISTRY.dispatcher("concat")
 lstm_scan = OP_REGISTRY.dispatcher("lstm_scan")
+gin_message = OP_REGISTRY.dispatcher("gin_message")
+linear = OP_REGISTRY.dispatcher("linear")
+batch_norm = OP_REGISTRY.dispatcher("batch_norm")

@@ -6,16 +6,16 @@ representations and produces attention scores over layers.  Set2Set
 (Vinyals et al., 2015) runs an LSTM over processing steps with content-based
 attention over nodes.
 
-The step math lives in two places that must stay in lockstep:
-
-* :func:`_lstm_scan_reference` — the tape composition registered as the
-  ``lstm_scan`` op's legacy/reference implementation.  Inference-time
-  forwards (``no_grad``) route through the ``lstm_scan`` dispatcher, so
-  the fused C scan serves them wherever the kernel library built.
-* The inline loops below — used whenever gradients are being recorded.
-  They build the exact same tape the reference scan would, without the
-  ``stack``/``getitem`` hops, so training trajectories are bitwise
-  unchanged from before the scan op existed.
+The step math lives in one place, the ``lstm_scan`` op: :class:`LSTM`
+runs one scan per direction and :class:`LSTMCell` a one-step scan, with
+or without gradients.  A scan is one tape node.  Its forward —
+:func:`lstm_scan_numpy`, or the fused C loop of
+:mod:`repro.nn.compiled.kernels` where the kernel library built — keeps
+the per-step gate buffers, and :func:`lstm_scan_node`'s adjoint runs
+backpropagation through time over them in numpy, reproducing the
+per-gate tape composition it replaced bit for bit (same association,
+same per-step GEMM operand layouts, weight gradients accumulated from
+the last step down to the first).
 """
 
 from __future__ import annotations
@@ -27,48 +27,132 @@ from .module import Module, Parameter
 from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, stack
 
 
-__all__ = ["LSTMCell", "LSTM"]
+__all__ = ["LSTMCell", "LSTM", "lstm_scan_numpy", "lstm_scan_node"]
 
 
-def _lstm_scan_reference(x, w_x, w_h, bias, h0=None, c0=None,
-                         return_state=False):
-    """Tape-composition LSTM scan over stacked steps ``x`` of shape
-    ``(steps, batch, input_dim)``.
+def lstm_scan_numpy(x, w_x, w_h, bias, h0, c0, keep=True):
+    """numpy LSTM forward over the stacked steps ``x`` ``(T, B, I)``.
 
-    The ``lstm_scan`` op's reference implementation: per step, exactly
-    the :class:`LSTMCell` gate math — ``gates = x[t] @ w_x + h @ w_h +
-    bias`` with gates packed ``[i, f, g, o]``, then ``c = f*c + i*g``
-    and ``h = o*tanh(c)``.  Gradients flow through every step via the
-    tape; the fused C scan (the ``reduceat`` impl) must match this
-    composition bit for bit (and delegates back here whenever gradients
-    are being recorded).
+    Per step, gates packed ``[i, f, g, o]``: ``gates = x[t] @ w_x + h @
+    w_h + bias``, ``c = f*c + i*g``, ``h = o*tanh(c)``, each sigmoid
+    computed as ``1 / (1 + exp(-pre))``.
 
-    Returns the stacked per-step hidden states ``(steps, batch,
-    hidden)``; with ``return_state=True``, also the final ``h`` and
-    ``c``.
+    Returns ``(seq, saved)``: ``seq`` is ``(T + 1, B, H)`` holding
+    ``h_1 .. h_T`` then ``c_T``; ``saved`` the per-step ``(B, H)``
+    arrays the adjoint reads, as lists — ``exp(-pre)`` of the i/f/o
+    gates, ``tanh`` of the cell gate, the cell states ``c_0 .. c_T`` and
+    ``tanh(c_1 .. c_T)`` — or None when ``keep`` is false (no gradient
+    will be taken).
     """
-    x = as_tensor(x)
-    w_x = as_tensor(w_x)
-    w_h = as_tensor(w_h)
-    bias = as_tensor(bias)
     steps, batch = x.shape[0], x.shape[1]
     hidden = w_h.shape[0]
-    h = as_tensor(h0) if h0 is not None else Tensor(np.zeros((batch, hidden)))
-    c = as_tensor(c0) if c0 is not None else Tensor(np.zeros((batch, hidden)))
-    outputs = []
+    seq = np.empty((steps + 1, batch, hidden), dtype=x.dtype)
+    saved = ([], [], [], [], [c0], []) if keep else None
+    h, c = h0, c0
     for t in range(steps):
         gates = x[t] @ w_x + h @ w_h + bias
-        i = gates[:, 0 * hidden:1 * hidden].sigmoid()
-        f = gates[:, 1 * hidden:2 * hidden].sigmoid()
-        g = gates[:, 2 * hidden:3 * hidden].tanh()
-        o = gates[:, 3 * hidden:4 * hidden].sigmoid()
-        c = f * c + i * g
-        h = o * c.tanh()
-        outputs.append(h)
-    out = stack(outputs, 0)
+        e_i = np.exp(-gates[:, 0 * hidden:1 * hidden])
+        e_f = np.exp(-gates[:, 1 * hidden:2 * hidden])
+        g = np.tanh(gates[:, 2 * hidden:3 * hidden])
+        e_o = np.exp(-gates[:, 3 * hidden:4 * hidden])
+        c = (1.0 / (1.0 + e_f)) * c + (1.0 / (1.0 + e_i)) * g
+        t_c = np.tanh(c)
+        np.multiply(1.0 / (1.0 + e_o), t_c, out=seq[t])
+        if keep:
+            for buffers, buf in zip(saved, (e_i, e_f, g, e_o, c, t_c)):
+                buffers.append(buf)
+        h = seq[t]
+    seq[steps] = c
+    return seq, saved
+
+
+def lstm_scan_node(x, w_x, w_h, bias, h0=None, c0=None, return_state=False,
+                   forward=lstm_scan_numpy):
+    """The ``lstm_scan`` op as one tape node over ``forward``'s buffers.
+
+    ``forward(x, w_x, w_h, bias, h0, c0, keep)`` returns ``(seq,
+    saved)`` as :func:`lstm_scan_numpy` does.  The node's output is
+    ``seq`` (every hidden state, then the final cell state), so
+    gradients reach ``h0``/``c0`` through one node; callers get slices
+    of it.
+
+    Returns the stacked hidden states ``(T, B, H)``; with
+    ``return_state=True`` also the final ``h`` and ``c``.
+    """
+    x, w_x, w_h, bias = (as_tensor(t) for t in (x, w_x, w_h, bias))
+    if x.ndim != 3 or x.shape[0] == 0:
+        raise ValueError(
+            f"lstm_scan needs (steps >= 1, batch, input) steps, got "
+            f"shape {x.shape}")
+    steps, batch = x.shape[0], x.shape[1]
+    hidden = w_h.shape[0]
+    h0 = as_tensor(h0) if h0 is not None else Tensor(np.zeros((batch, hidden)))
+    c0 = as_tensor(c0) if c0 is not None else Tensor(np.zeros((batch, hidden)))
+    keep = is_grad_enabled() and any(
+        t.requires_grad for t in (x, w_x, w_h, bias, h0, c0))
+    seq_data, saved = forward(x.data, w_x.data, w_h.data, bias.data,
+                              h0.data, c0.data, keep)
+
+    def backward(g):
+        ei, ef, gg, eo, cells, tc = saved
+        w_x_t = w_x.data.swapaxes(-1, -2)
+        w_h_t = w_h.data.swapaxes(-1, -2)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        dgates = np.empty((batch, 4 * hidden), dtype=g.dtype)
+        # The final cell state's own consumers (Set2Set's next step).
+        dc_next = g[steps] if g[steps].any() else None
+        dh_next = None
+        for t in range(steps - 1, -1, -1):
+            gate_i = 1.0 / (1.0 + ei[t])
+            gate_f = 1.0 / (1.0 + ef[t])
+            gate_o = 1.0 / (1.0 + eo[t])
+            dh = g[t] if dh_next is None else g[t] + dh_next
+            d_out = dh * tc[t]
+            dc = dh * gate_o * (1.0 - tc[t] ** 2)
+            if dc_next is not None:
+                dc = dc + dc_next
+            dgates[:, 0 * hidden:1 * hidden] = (
+                dc * gg[t] * gate_i * (1.0 - gate_i))
+            dgates[:, 1 * hidden:2 * hidden] = (
+                dc * cells[t] * gate_f * (1.0 - gate_f))
+            dgates[:, 2 * hidden:3 * hidden] = (
+                dc * gate_i * (1.0 - gg[t] ** 2))
+            dgates[:, 3 * hidden:4 * hidden] = (
+                d_out * gate_o * (1.0 - gate_o))
+            # The tape assembled the gate gradient as zeros + slice, which
+            # turns -0.0 into +0.0; keep that.
+            dgates += 0.0
+            dc_next = dc * gate_f
+            h_prev = h0.data if t == 0 else seq_data[t - 1]
+            if bias.requires_grad:
+                bias._accumulate(dgates)
+            if w_h.requires_grad:
+                w_h._accumulate(h_prev.swapaxes(-1, -2) @ dgates)
+            if w_x.requires_grad:
+                w_x._accumulate(x.data[t].swapaxes(-1, -2) @ dgates)
+            if dx is not None:
+                dx[t] = dgates @ w_x_t
+            dh_next = dgates @ w_h_t
+        if x.requires_grad:
+            x._accumulate(dx)
+        if h0.requires_grad:
+            h0._accumulate(dh_next)
+        if c0.requires_grad:
+            c0._accumulate(dc_next)
+
+    seq = Tensor._result(seq_data, (x, w_x, w_h, bias, h0, c0), "lstm_scan",
+                         backward)
+    out = seq[:steps]
     if return_state:
-        return out, h, c
+        return out, seq[steps - 1], seq[steps]
     return out
+
+
+def _lstm_scan_legacy(x, w_x, w_h, bias, h0=None, c0=None,
+                      return_state=False):
+    """The ``lstm_scan`` reference: the one-node scan over the numpy
+    forward (:func:`lstm_scan_numpy`)."""
+    return lstm_scan_node(x, w_x, w_h, bias, h0, c0, return_state)
 
 
 class LSTMCell(Module):
@@ -86,21 +170,9 @@ class LSTMCell(Module):
         self.bias.data[hidden_dim:2 * hidden_dim] = 1.0
 
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        if is_grad_enabled():
-            gates = x @ self.w_x + h @ self.w_h + self.bias
-            hd = self.hidden_dim
-            i = gates[:, 0 * hd:1 * hd].sigmoid()
-            f = gates[:, 1 * hd:2 * hd].sigmoid()
-            g = gates[:, 2 * hd:3 * hd].tanh()
-            o = gates[:, 3 * hd:4 * hd].sigmoid()
-            c_next = f * c + i * g
-            h_next = o * c_next.tanh()
-            return h_next, c_next
-        # Inference: a one-step scan through the dispatcher, so the
-        # fused C scan serves Set2Set's step loop.
         from .ops import lstm_scan
 
-        _, h_next, c_next = lstm_scan(Tensor(x.data[None]), self.w_x,
+        _, h_next, c_next = lstm_scan(as_tensor(x).expand_dims(0), self.w_x,
                                       self.w_h, self.bias, h0=h, c0=c,
                                       return_state=True)
         return h_next, c_next
@@ -139,41 +211,19 @@ class LSTM(Module):
     def forward(self, steps: list[Tensor]) -> list[Tensor]:
         if not steps:
             raise ValueError("LSTM needs at least one timestep")
-        if not is_grad_enabled():
-            return self._forward_scan(steps)
-        batch = steps[0].shape[0]
-        h, c = self.fwd.initial_state(batch)
-        forward_states = []
-        for x in steps:
-            h, c = self.fwd(x, h, c)
-            forward_states.append(h)
+        forward_states = _scan(self.fwd, steps)
         if not self.bidirectional:
             return forward_states
-        h, c = self.bwd.initial_state(batch)
-        backward_states = []
-        for x in reversed(steps):
-            h, c = self.bwd(x, h, c)
-            backward_states.append(h)
-        backward_states.reverse()
+        backward_states = _scan(self.bwd, steps[::-1])[::-1]
         return [
             concatenate([f, b], axis=-1)
             for f, b in zip(forward_states, backward_states)
         ]
 
-    def _forward_scan(self, steps: list[Tensor]) -> list[Tensor]:
-        """Inference forward as whole-sequence ``lstm_scan`` dispatches."""
-        from .ops import lstm_scan
 
-        out = lstm_scan(stack(steps, 0), self.fwd.w_x, self.fwd.w_h,
-                        self.fwd.bias)
-        forward_states = [out[t] for t in range(len(steps))]
-        if not self.bidirectional:
-            return forward_states
-        out = lstm_scan(stack(list(reversed(steps)), 0), self.bwd.w_x,
-                        self.bwd.w_h, self.bwd.bias)
-        backward_states = [out[t] for t in range(len(steps))]
-        backward_states.reverse()
-        return [
-            concatenate([f, b], axis=-1)
-            for f, b in zip(forward_states, backward_states)
-        ]
+def _scan(cell: LSTMCell, steps: list[Tensor]) -> list[Tensor]:
+    """Per-step hidden states of one whole-sequence ``lstm_scan``."""
+    from .ops import lstm_scan
+
+    out = lstm_scan(stack(steps, 0), cell.w_x, cell.w_h, cell.bias)
+    return [out[t] for t in range(len(steps))]

@@ -18,6 +18,9 @@ module provides the fast (``reduceat``) backend:
   :class:`SegmentPlan` or a plain index array (a throwaway plan is built on
   the fly), so standalone callers keep the historical
   ``op(x, segment_ids, num_segments)`` signature.
+* ``gin_message`` — GIN's gather + bond embeddings + add + sum over the
+  destination plan as one autograd node (C forward where the kernel
+  library built), with a one-node ``np.add.at`` legacy counterpart.
 
 Kernel execution
 ----------------
@@ -456,6 +459,100 @@ def _segment_softmax_legacy(scores: Tensor, index, num_segments: int | None = No
     exp = shifted.exp()
     denom = _segment_sum_legacy(exp, index, num_segments)
     return exp / (_gather_segments_legacy(denom, index, num_segments) + 1e-16)
+
+
+def _gin_indices(h, edge_index, edge_attr, type_table, tag_table):
+    """Range-checked ``(src, dst, attr)`` of one ``gin_message`` call.
+
+    Raises ``IndexError`` for any node or bond id outside its table —
+    before any C loop trusts them, as ``Embedding.forward`` does for the
+    lookups it replaces."""
+    edge_index = np.asarray(edge_index, dtype=np.int64)
+    attr = np.ascontiguousarray(edge_attr, dtype=np.int64)
+    num_edges = edge_index.shape[1] if edge_index.ndim == 2 else -1
+    if edge_index.shape[:1] != (2,) or attr.shape != (num_edges, 2):
+        raise ValueError(
+            f"gin_message needs edge_index (2, E) and edge_attr (E, 2), got "
+            f"{edge_index.shape} and {attr.shape}")
+    for ids, size, what in ((edge_index, h.shape[0], "node"),
+                            (attr[:, 0], type_table.shape[0], "bond type"),
+                            (attr[:, 1], tag_table.shape[0], "bond tag")):
+        if ids.size and (ids.min() < 0 or ids.max() >= size):
+            raise IndexError(
+                f"{what} ids out of range [0, {size}): "
+                f"min={ids.min()}, max={ids.max()}")
+    return edge_index[0], edge_index[1], attr
+
+
+def _gin_message_plan(h: Tensor, edge_index, edge_attr, type_table,
+                      tag_table, plan: SegmentPlan | None = None) -> Tensor:
+    """GIN aggregation ``out[v] = sum_{e->v} h[src_e] + (T[a_e] + U[b_e])``
+    as one node, ``(a_e, b_e) = edge_attr[e]`` indexing the bond-type and
+    bond-tag tables ``T``/``U``.
+
+    Forward is the C loop over the destination ``plan`` (the batch's
+    cached one, or one built here), else the message gather plus the
+    plan's sum kernel; the tape keeps no per-edge messages.  The adjoint
+    gives ``h``, ``T`` and ``U`` one scatter each of ``g[dst]``, in edge
+    order, without materializing it.
+    """
+    h, type_table, tag_table = (as_tensor(t) for t in (h, type_table,
+                                                        tag_table))
+    src, dst, attr = _gin_indices(h, edge_index, edge_attr, type_table,
+                                  tag_table)
+    plan = as_plan(dst if plan is None else plan, h.shape[0])
+    if plan.num_items != dst.shape[0]:
+        raise ValueError(f"plan covers {plan.num_items} edges, "
+                         f"edge_index has {dst.shape[0]}")
+    out_data = _kernels.gin_message_forward(h.data, type_table.data,
+                                            tag_table.data, src, attr, plan)
+    if out_data is None:
+        out_data = _reduce_sum_data(
+            _gin_messages(h, type_table, tag_table, src, attr), plan)
+    return _gin_node(out_data, h, type_table, tag_table, src, dst, attr,
+                     _kernels.scatter_rows)
+
+
+def _gin_message_legacy(h: Tensor, edge_index, edge_attr, type_table,
+                        tag_table, plan: SegmentPlan | None = None) -> Tensor:
+    """Legacy ``gin_message``: one node over the ``np.add.at`` reference
+    scatters (``plan`` is accepted and ignored)."""
+    h, type_table, tag_table = (as_tensor(t) for t in (h, type_table,
+                                                        tag_table))
+    src, dst, attr = _gin_indices(h, edge_index, edge_attr, type_table,
+                                  tag_table)
+    out_data = _tensor._legacy_scatter_add(
+        _gin_messages(h, type_table, tag_table, src, attr), dst, h.shape[0])
+    return _gin_node(out_data, h, type_table, tag_table, src, dst, attr,
+                     _legacy_scatter_rows)
+
+
+def _gin_messages(h, type_table, tag_table, src, attr):
+    """The per-edge messages ``h[src] + (T[a] + U[b])`` (E x d)."""
+    return h.data[src] + (type_table.data[attr[:, 0]]
+                          + tag_table.data[attr[:, 1]])
+
+
+def _legacy_scatter_rows(g, rows, index, num_rows):
+    """``np.add.at`` scatter of ``g[rows]`` into ``num_rows`` rows."""
+    return _tensor._legacy_scatter_add(g[rows], index, num_rows)
+
+
+def _gin_node(out_data, h, type_table, tag_table, src, dst, attr, scatter):
+    """The ``gin_message`` tape node: ``scatter(g, dst, index, n)`` sums
+    ``g[dst]`` into ``h``'s, ``T``'s and ``U``'s rows in edge order."""
+    def backward(g):
+        if h.requires_grad:
+            h._accumulate(scatter(g, dst, src, h.shape[0]))
+        if type_table.requires_grad:
+            type_table._accumulate(scatter(g, dst, attr[:, 0],
+                                           type_table.shape[0]))
+        if tag_table.requires_grad:
+            tag_table._accumulate(scatter(g, dst, attr[:, 1],
+                                          tag_table.shape[0]))
+
+    return Tensor._result(out_data, (h, type_table, tag_table),
+                          "gin_message", backward)
 
 
 #: Public op surface served by the registry dispatchers in

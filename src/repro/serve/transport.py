@@ -72,15 +72,32 @@ def graph_to_payload(graph) -> dict:
 
 
 def graph_from_payload(payload: dict):
-    """Inverse of :func:`graph_to_payload` (validates via ``Graph``)."""
-    from ..graph.graph import Graph
+    """Inverse of :func:`graph_to_payload` (validates via ``Graph``).
 
-    return Graph(
+    Atom and bond ids are checked against the embedding tables here, at
+    admission: an out-of-range id raises ``ValueError`` (a 400) instead
+    of failing the whole micro-batch the graph would have joined.
+    """
+    from ..graph.graph import Graph
+    from ..graph.molecule import (MASK_ATOM_ID, MASK_BOND_ID, NUM_ATOM_TAGS,
+                                  NUM_BOND_TAGS)
+
+    graph = Graph(
         x=np.asarray(payload["x"], dtype=np.int64).reshape(-1, 2),
         edge_index=np.asarray(payload["edge_index"], dtype=np.int64).reshape(2, -1),
         edge_attr=np.asarray(payload["edge_attr"], dtype=np.int64).reshape(-1, 2),
         y=payload.get("y"),
     )
+    for ids, size, what in ((graph.x[:, 0], MASK_ATOM_ID + 1, "atom type"),
+                            (graph.x[:, 1], NUM_ATOM_TAGS, "atom tag"),
+                            (graph.edge_attr[:, 0], MASK_BOND_ID + 1,
+                             "bond type"),
+                            (graph.edge_attr[:, 1], NUM_BOND_TAGS,
+                             "bond tag")):
+        if ids.size and (ids.min() < 0 or ids.max() >= size):
+            raise ValueError(f"{what} ids must lie in [0, {size}), got "
+                             f"{ids.min()}..{ids.max()}")
+    return graph
 
 
 def spec_to_payload(spec) -> dict:
@@ -280,6 +297,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Replies go out as one write with TCP_NODELAY: with Nagle's
+    # algorithm on, a reply split into a header send and a body send
+    # waits for the client's delayed ACK (~40 ms) on keep-alive
+    # connections.
+    disable_nagle_algorithm = True
 
     # set by HTTPServingTransport on the server object
     def _core(self) -> ServingProtocol:
@@ -293,8 +315,10 @@ class _Handler(BaseHTTPRequestHandler):
         if close:
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(data)
+        # end_headers() without its separate flush: the blank line and
+        # the body join the buffered headers, and one write sends all.
+        self._headers_buffer.append(b"\r\n" + data)
+        self.flush_headers()
 
     def _dispatch(self, op: str, payload: dict) -> None:
         try:

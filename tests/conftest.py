@@ -44,6 +44,24 @@ def kernel_leg(leg: str):
         yield
 
 
+def sample_tensors(sample):
+    """Fresh tensors for one registry sample: ``(x, args, tracked)``.
+
+    ``x`` wraps a copy of the payload and every ``grad_args`` position of
+    ``args`` a copy of its array, all grad-tracked, in the active dtype;
+    ``tracked`` lists them, payload first, for reading gradients back.
+    """
+    from repro.nn import Tensor
+
+    x = Tensor(sample.data.copy(), requires_grad=True)
+    args = list(sample.args)
+    tracked = [x]
+    for position in sample.grad_args:
+        args[position] = Tensor(args[position].copy(), requires_grad=True)
+        tracked.append(args[position])
+    return x, args, tracked
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -4,11 +4,12 @@ The C kernels are the data kernels of the ``reduceat`` backend, not a
 backend of their own.  Four contracts:
 
 * **parity, library loaded** — with the kernel library built, every
-  C-backed op (the segment family, ``scatter_add``, ``lstm_scan``) is
-  bit-identical to the same backend with the library forced off and to
-  the ``legacy`` reference, in float64 and float32, forward and
-  gradient, on every sample layout (including the long-segment one); a
-  spy on the loaded library proves the C symbols actually ran;
+  C-backed op (the segment family, ``scatter_add``, ``lstm_scan``,
+  ``gin_message``) is bit-identical to the same backend with the
+  library forced off and to the ``legacy`` reference, in float64 and
+  float32, forward and every gradient, on every sample layout
+  (including the long-segment one); a spy on the loaded library proves
+  the C symbols actually ran;
 * **no-compiler degradation** — with compiler discovery stubbed out,
   every op stays bit-identical to ``legacy``, ``compiled_status()``
   reports ``unavailable``, and *nothing* is written to the build cache;
@@ -32,12 +33,12 @@ from repro.nn import (
     no_grad,
     use_dtype,
 )
-from repro.nn import rnn as _rnn
 from repro.nn.compiled import build, compiled_status
 from repro.nn.compiled import kernels as _kernels
 from repro.nn.ops import OP_REGISTRY, OpRegistry
 from repro.serve import InferenceService
-from tests.conftest import kernel_leg
+from tests.conftest import kernel_leg, sample_tensors
+from tests.oracles import lstm_reference, lstm_scan_reference
 
 HAVE_CC = build.find_compiler() is not None
 
@@ -47,21 +48,30 @@ needs_cc = pytest.mark.skipif(not HAVE_CC,
 #: Ops whose reduceat impl runs a C kernel when the library is loaded.
 C_BACKED_OPS = ("segment_sum", "segment_mean", "segment_max",
                 "segment_softmax", "gather_segments", "scatter_add",
-                "lstm_scan")
+                "lstm_scan", "gin_message")
 
 
 def _run(op_name, leg, sample):
-    """Forward (+ gradient of the sum, for differentiable ops) of one
-    sample on one kernel leg; plain arrays out, grad None otherwise."""
+    """Forward (+ gradients of the sum w.r.t. the payload and every grad
+    arg, for differentiable ops) of one sample on one kernel leg; plain
+    arrays out, grads None otherwise."""
     dispatch = OP_REGISTRY.dispatcher(op_name)
     entry = OP_REGISTRY.get(op_name)
     with kernel_leg(leg):
         if not entry.differentiable:
             return np.asarray(dispatch(sample.data.copy(), *sample.args)), None
-        x = Tensor(sample.data.copy(), requires_grad=True)
-        out = dispatch(x, *sample.args)
+        x, args, tracked = sample_tensors(sample)
+        out = dispatch(x, *args)
         out.backward(np.ones_like(out.data))
-    return out.data, x.grad
+    return out.data, [t.grad for t in tracked]
+
+
+def _same(got, want):
+    """Bitwise equality of two arrays or two gradient lists."""
+    if want is None or isinstance(want, np.ndarray):
+        return (got is None and want is None) or np.array_equal(got, want)
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _run_forward(op_name, leg, sample):
@@ -133,7 +143,7 @@ class TestNoCompilerDegradation:
                             key = (op_name, reference, dtype_name,
                                    sample.label)
                             assert np.array_equal(out, ref), key
-                            assert np.array_equal(grad, ref_grad), key
+                            assert _same(grad, ref_grad), key
         assert build.load() is None  # nothing was built along the way
 
     def test_zero_build_cache_writes(self, no_compiler):
@@ -235,7 +245,7 @@ class TestCompiledKernelParity:
                         ref, ref_grad = _run(op_name, reference, sample)
                         assert np.array_equal(out, ref), \
                             (op_name, reference, sample.label)
-                        assert np.array_equal(grad, ref_grad), \
+                        assert _same(grad, ref_grad), \
                             (op_name, reference, sample.label)
 
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
@@ -249,7 +259,8 @@ class TestCompiledKernelParity:
                 with use_dtype(dtype_name), no_grad():
                     _run_forward(op_name, "compiled", sample)
         for symbol in ("segment_sum", "segment_max", "scatter_add",
-                       "lstm_gates", "lstm_combine", "lstm_output"):
+                       "lstm_gates", "lstm_combine", "lstm_output",
+                       "gin_message"):
             assert spy.calls[f"{symbol}_{suffix}"] > 0, (symbol, spy.calls)
 
     def test_lstm_scan_with_state_matches_reference(self):
@@ -261,7 +272,7 @@ class TestCompiledKernelParity:
                     out_c, h_c, c_c = _kernels._lstm_scan_compiled(
                         Tensor(sample.data.copy()), *sample.args,
                         return_state=True)
-                    out_r, h_r, c_r = _rnn._lstm_scan_reference(
+                    out_r, h_r, c_r = lstm_scan_reference(
                         Tensor(sample.data.copy()), *sample.args,
                         return_state=True)
                 assert np.array_equal(out_c.data, out_r.data), sample.label
@@ -273,23 +284,20 @@ class TestCompiledKernelParity:
         rng = np.random.default_rng(7)
         lstm = LSTM(5, 4, rng, bidirectional=bidirectional)
         steps = [Tensor(rng.normal(size=(3, 5))) for _ in range(4)]
-        # Grad mode keeps the original tape composition; no_grad routes
-        # through the fused scan. They must agree bitwise on every leg.
-        tape = [t.data.copy() for t in lstm(steps)]
+        # The per-gate tape composition is the oracle; the scan serves
+        # both grad mode and no_grad and must agree bitwise on every leg.
+        tape = [t.data.copy() for t in lstm_reference(lstm, steps)]
         for leg in ("legacy", "reduceat", "compiled"):
-            with no_grad(), kernel_leg(leg):
-                scanned = lstm(steps)
-            for got, want in zip(scanned, tape):
-                assert np.array_equal(got.data, want), (leg, bidirectional)
-
-    def test_gradients_route_through_the_reference(self):
-        # With grad enabled the fused scan must delegate to the
-        # tape-building reference — gradients stay bitwise identical.
-        for sample in OP_REGISTRY.get("lstm_scan").samples(np.float64):
-            out_c, grad_c = _run("lstm_scan", "compiled", sample)
-            out_l, grad_l = _run("lstm_scan", "legacy", sample)
-            assert np.array_equal(out_c, out_l)
-            assert np.array_equal(grad_c, grad_l)
+            for grad_mode in (False, True):
+                with kernel_leg(leg):
+                    if grad_mode:
+                        scanned = lstm(steps)
+                    else:
+                        with no_grad():
+                            scanned = lstm(steps)
+                for got, want in zip(scanned, tape):
+                    assert np.array_equal(got.data, want), \
+                        (leg, grad_mode, bidirectional)
 
 
 def _encoder_factory():

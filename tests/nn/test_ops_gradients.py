@@ -10,9 +10,11 @@ is the registry's consumer contract:
   literal names double as the REP005 suite-coverage witnesses:
   segment_sum, segment_mean, segment_max, segment_softmax,
   gather_segments, scatter_add, gather, exp, log, sqrt, tanh, sigmoid,
-  relu, abs, matmul, concat, lstm_scan.
+  relu, abs, matmul, concat, lstm_scan, gin_message, linear, batch_norm.
 * **numeric-vs-analytic gradcheck** over every differentiable op ×
-  kernel leg × sample input (float64, the policy default).  The legs
+  kernel leg × sample input (float64, the policy default), for the
+  payload and for every argument a sample marks in ``grad_args``
+  (weights, embedding tables, initial LSTM states).  The legs
   (``tests.conftest.KERNEL_LEGS``) are the ``legacy`` reference, the
   ``reduceat`` backend with the C kernel library forced off, and — where
   a C compiler exists — the same backend running the C kernels
@@ -28,6 +30,8 @@ is the registry's consumer contract:
   through the registry dispatchers on every kernel leg.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.nn import Tensor, use_backend, use_dtype
 from repro.nn.ops import OP_REGISTRY
-from tests.conftest import KERNEL_LEGS, gradcheck, kernel_leg
+from tests.conftest import KERNEL_LEGS, gradcheck, kernel_leg, sample_tensors
 
 pytestmark = pytest.mark.gradcheck_sweep
 
@@ -44,7 +48,7 @@ EXPECTED_OPS = {
     "segment_sum", "segment_mean", "segment_max", "segment_softmax",
     "gather_segments", "scatter_add", "gather",
     "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "abs",
-    "matmul", "concat", "lstm_scan",
+    "matmul", "concat", "lstm_scan", "gin_message", "linear", "batch_norm",
 }
 
 BACKENDS = KERNEL_LEGS
@@ -84,19 +88,33 @@ class TestRegistryCompleteness:
 
 
 def _run_sample(op_name, backend, sample, dtype_ctx=None):
-    """Forward + backward of one sample; returns (out, grad) arrays."""
+    """Forward + backward of one sample; returns (out, grads) arrays,
+    ``grads`` holding the payload's gradient then each grad arg's."""
     dispatch = OP_REGISTRY.dispatcher(op_name)
-    with kernel_leg(backend):
-        if dtype_ctx is None:
-            x = Tensor(sample.data.copy(), requires_grad=True)
-            out = dispatch(x, *sample.args)
-            out.backward(np.ones_like(out.data))
-        else:
-            with dtype_ctx():
-                x = Tensor(sample.data.copy(), requires_grad=True)
-                out = dispatch(x, *sample.args)
-                out.backward(np.ones_like(out.data))
-    return out.data.copy(), x.grad.copy()
+    with kernel_leg(backend), (dtype_ctx or contextlib.nullcontext)():
+        x, args, tracked = sample_tensors(sample)
+        out = dispatch(x, *args)
+        out.backward(np.ones_like(out.data))
+    return out.data.copy(), [t.grad.copy() for t in tracked]
+
+
+def _gradcheck_sample(dispatch, sample, tol):
+    """Numeric-vs-analytic gradients of the payload and every grad arg,
+    each perturbed with the other operands held fixed."""
+    positions = (None,) + sample.grad_args
+    for position in positions:
+        base = sample.data if position is None else sample.args[position]
+        if base.size == 0:
+            continue  # finite differencing over zero inputs is vacuous
+
+        def fn(t, position=position):
+            args = list(sample.args)
+            if position is None:
+                return dispatch(t, *args).sum()
+            args[position] = t
+            return dispatch(Tensor(sample.data), *args).sum()
+
+        gradcheck(fn, base.copy(), tol=tol)
 
 
 class TestGradcheckSweep:
@@ -108,12 +126,8 @@ class TestGradcheckSweep:
         entry = OP_REGISTRY.get(op_name)
         dispatch = OP_REGISTRY.dispatcher(op_name)
         for sample in entry.samples(np.float64):
-            if sample.data.size == 0:
-                continue  # finite differencing over zero inputs is vacuous
             with kernel_leg(backend):
-                gradcheck(
-                    lambda t, s=sample: dispatch(t, *s.args).sum(),
-                    sample.data, tol=entry.gradcheck_tol)
+                _gradcheck_sample(dispatch, sample, entry.gradcheck_tol)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("op_name", DIFFERENTIABLE)
@@ -128,12 +142,13 @@ class TestGradcheckSweep:
                 op_name, backend, s32,
                 dtype_ctx=lambda: use_dtype("float32"))
             assert out32.dtype == np.float32, (op_name, s32.label)
-            assert grad32.dtype == np.float32, (op_name, s32.label)
             tol = entry.float32_tol
             assert np.abs(out32 - out64).max(initial=0.0) <= tol, \
                 (op_name, backend, s32.label)
-            assert np.abs(grad32 - grad64).max(initial=0.0) <= tol, \
-                (op_name, backend, s32.label)
+            for g32, g64 in zip(grad32, grad64):
+                assert g32.dtype == np.float32, (op_name, s32.label)
+                assert np.abs(g32 - g64).max(initial=0.0) <= tol, \
+                    (op_name, backend, s32.label)
 
 
 class TestBackendParityOnSamples:
@@ -147,16 +162,15 @@ class TestBackendParityOnSamples:
             out_ref, grad_ref = _run_sample(op_name, reference, sample)
             for backend in BACKENDS[1:]:
                 out, grad = _run_sample(op_name, backend, sample)
-                if entry.tolerance == 0.0:
-                    assert np.array_equal(out, out_ref), \
-                        (op_name, backend, sample.label)
-                    assert np.array_equal(grad, grad_ref), \
-                        (op_name, backend, sample.label)
-                else:
-                    assert np.abs(out - out_ref).max(initial=0.0) \
-                        <= entry.tolerance, (op_name, backend, sample.label)
-                    assert np.abs(grad - grad_ref).max(initial=0.0) \
-                        <= entry.tolerance, (op_name, backend, sample.label)
+                key = (op_name, backend, sample.label)
+                assert len(grad) == len(grad_ref) == \
+                    1 + len(sample.grad_args), key
+                for got, want in zip([out] + grad, [out_ref] + grad_ref):
+                    if entry.tolerance == 0.0:
+                        assert np.array_equal(got, want), key
+                    else:
+                        assert np.abs(got - want).max(initial=0.0) \
+                            <= entry.tolerance, key
 
     def test_scatter_add_forward_parity(self):
         entry = OP_REGISTRY.get("scatter_add")
@@ -199,7 +213,7 @@ class TestFallbackChain:
             out = OP_REGISTRY.dispatcher("gather")(x, *sample.args)
             out.backward(np.ones_like(out.data))
         assert np.array_equal(out.data, out_ref)
-        assert np.array_equal(x.grad, grad_ref)
+        assert np.array_equal(x.grad, grad_ref[0])
 
 
 @st.composite

@@ -9,8 +9,10 @@ status-code mapping, and concurrent connections.
 """
 
 import json
+import re
 import socket
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -121,6 +123,30 @@ class TestInProcessProtocol:
             transport.request("frobnicate", {})
         with pytest.raises(TransportError, match="integer 'seq'"):
             transport.request("result", {})
+
+    def test_bad_graph_fails_alone(self, tiny_dataset):
+        # Regression: a graph with an out-of-range atom id was admitted
+        # and failed the whole micro-batch with the embedding's
+        # IndexError, taking the valid graph batched with it down too.
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   batch_size=8, seed=0)
+        with InferenceServer(service, num_workers=1, max_batch_size=100,
+                             max_delay=10_000, tick_interval_s=None) as srv:
+            transport = InProcessTransport(srv)
+            good = transport.submit(tiny_dataset.graphs[0], SPEC_A)
+            for column, key in ((0, "x"), (1, "x"), (0, "edge_attr"),
+                                (1, "edge_attr")):
+                payload = graph_to_payload(tiny_dataset.graphs[1])
+                rows = np.asarray(payload[key]).reshape(-1, 2)
+                rows[0, column] = 9999
+                payload[key] = rows.tolist()
+                with pytest.raises(TransportError, match="ids must lie"):
+                    transport.request("submit", {
+                        "graph": payload, "spec": spec_to_payload(SPEC_A)})
+            srv.flush()
+            reply = transport.result(good, timeout_s=30)
+            assert "error" not in reply
+            assert len(reply["logits"]) == tiny_dataset.num_tasks
 
     def test_stats_are_json_safe(self, server):
         stats = InProcessTransport(server).stats()
@@ -360,6 +386,33 @@ class TestHTTPTransport:
             assert "error" in json.loads(body)
             # the handler is free again: a well-formed request still works
             assert HTTPServingClient(http.url).stats()["server"]["running"]
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self, server):
+        # Regression: each reply left in two sends (headers, then body)
+        # with Nagle's algorithm on, so on a keep-alive connection the
+        # body waited for the client's delayed ACK — 20 sequential
+        # requests took ~0.8 s.  Sent as one write with TCP_NODELAY, they
+        # take a few milliseconds each.
+        request = (b"POST /stats HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Length: 2\r\n\r\n{}")
+        with HTTPServingTransport(server, port=0) as http:
+            with socket.create_connection((http.host, http.port),
+                                          timeout=10) as sock:
+                started = time.perf_counter()
+                for _ in range(20):
+                    sock.sendall(request)
+                    reply = b""
+                    while b"\r\n\r\n" not in reply:
+                        reply += sock.recv(65536)
+                    head, _, body = reply.partition(b"\r\n\r\n")
+                    length = int(re.search(rb"Content-Length: (\d+)",
+                                           head).group(1))
+                    while len(body) < length:
+                        body += sock.recv(65536)
+                    assert head.startswith(b"HTTP/1.1 200"), head
+                    assert json.loads(body)["server"]["running"]
+                elapsed = time.perf_counter() - started
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f} s"
 
     def test_dead_server_raises_typed_connection_error(self, tiny_dataset, server):
         from repro.serve import TransportConnectionError
