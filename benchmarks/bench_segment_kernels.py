@@ -5,38 +5,33 @@ Times the four segment reductions every forward pass bottoms out in —
 workload (all molecules of a synthetic-MoleculeNet split collated into one
 batch, E ~= 50k directed edges), comparing:
 
-1. **plan-backed vs legacy** — the ``reduceat`` backend's plan kernels
-   (the C segment loops where the kernel library built, else a CSR matvec
-   and a rank-sliced vertical max) against the ``np.add.at`` /
-   ``np.maximum.at`` reference backend.  The headline
-   ``kernel_s`` numbers time the op forward (the part the backend changes);
-   ``roundtrip_s`` times forward + full backward for context — the adjoint
-   gathers are shared by both backends, so roundtrip ratios are diluted by
-   identical autograd machinery.
+1. **plan-backed vs legacy** — the registered ops' plan kernels (the C
+   segment loops where the kernel library built, else a CSR matvec and a
+   rank-sliced vertical max) against the ``np.add.at`` /
+   ``np.maximum.at`` oracles of ``tests/oracles.py``.  The headline
+   ``kernel_s`` numbers time the op forward (the part the kernels
+   change); ``roundtrip_s`` times forward + full backward for context —
+   the adjoint gathers are the same on both sides, so roundtrip ratios
+   are diluted by identical autograd machinery.
 2. **plan-cached vs plan-per-call** — reusing one precomputed
    :class:`SegmentPlan` (what ``Batch`` caching gives every model-level
    call) against rebuilding the plan from the raw index array per call.
 3. **gather-backward scatter** — the ``gather`` / ``__getitem__``
-   adjoint for embedding-id columns of cached batches: the ``reduceat``
-   backend's ``scatter_add`` (the C scatter loop; ``np.add.at`` without
-   the library) against the ``np.add.at`` reference.
-4. **registry dispatch overhead** — every public op now routes through
-   ``repro.nn.ops.OP_REGISTRY`` (one ContextVar read + one dict hit per
-   call) instead of inline backend branches; the contract is <2% added
-   cost over calling the resolved kernel directly, measured on a small
-   per-call workload where dispatch is least amortized.
-5. **compiled C kernels** — the JIT-built ctypes kernels
-   (``repro.nn.compiled``) inside the ``reduceat`` backend against the
-   same backend with the library forced off in-process (``reduceat_*``
-   keys: CSR matvec / vertical max) and against legacy, per op; the
+   adjoint for embedding-id columns of cached batches: the ``scatter_add``
+   op (the C scatter loop; a plan sum without the library) against the
+   ``np.add.at`` oracle.
+4. **compiled C kernels** — the JIT-built ctypes kernels
+   (``repro.nn.compiled``) inside the registered ops against the same
+   ops with the library forced off in-process (``reduceat_*`` keys: CSR
+   matvec / vertical max) and against the legacy oracles, per op; the
    fused LSTM-step scan against the tape-composition reference
    (``tests/oracles.py``; ``numpy_scan_s`` times the one-node numpy
-   forward of the ``legacy`` leg); and the
+   scan, ``lstm_scan``'s oracle); and the
    one-time JIT build cost with its disk-cache reload and the number of
    scan calls that amortize it.  Contract: >=1.5x over the numpy kernels
    on the fused scan and on at least one segment reduction.
 
-6. **grad-mode layers** (``grad_layers``) — forward + backward of
+5. **grad-mode layers** (``grad_layers``) — forward + backward of
    ``GINConv`` and ``LSTMFusion`` at paper-loop shapes (one training
    batch of 32 molecules, width 32, K=5 layers) as one-node ops
    (``gin_message``, ``lstm_scan``, ``linear``) against the tape
@@ -74,8 +69,8 @@ import numpy as np
 RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "BENCH_segment_kernels.json")
 
-#: The repository root, so ``tests.oracles`` (the old tape compositions
-#: the one-node ops are timed against) imports when run as a script.
+#: The repository root, so ``tests.oracles`` (the references the ops are
+#: timed against) imports when run as a script.
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: op -> feature width factor: encoder-width features for aggregation ops,
@@ -109,8 +104,7 @@ def _paired_times(fn_a, fn_b, rounds):
     Each round times one call of each, alternating which goes first to
     cancel ordering bias; sustained load drift hits both members of a
     round equally, so per-round ratios stay meaningful on shared
-    machines where two separate best-of loops would not (same rationale
-    as :func:`bench_dispatch_overhead`'s paired measurement).
+    machines where two separate best-of loops would not.
     """
     times_a, times_b = [], []
     for r in range(rounds):
@@ -145,45 +139,44 @@ def _get_op(op_name):
 
 def bench_backends(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5, seed=0):
     """Plan-backed kernels vs legacy, and plan-cached vs plan-per-call."""
-    from repro.nn import SegmentPlan, Tensor, no_grad, use_backend
+    from repro.nn import SegmentPlan, Tensor, no_grad
 
+    oracles = _oracles().ORACLES
     ids, n, num_edges = _edge_workload(num_graphs, seed)
     plan = SegmentPlan(ids, n)
     # Warm the lazy plan caches so ``plan-cached`` times steady state.
     plan.csr(), plan.rank_slices()
     rng = np.random.default_rng(seed)
 
-    def kernel_sweep(op, data, index, num_segments, backend):
+    def kernel_sweep(op, data, index, num_segments):
         def run():
-            with no_grad(), use_backend(backend):
+            with no_grad():
                 op(Tensor(data), index, num_segments)
         return run
 
-    def roundtrip_sweep(op, data, index, num_segments, backend):
+    def roundtrip_sweep(op, data, index, num_segments):
         def run():
             x = Tensor(data, requires_grad=True)
-            with use_backend(backend):
-                out = op(x, index, num_segments)
-            out.sum().backward()
+            op(x, index, num_segments).sum().backward()
         return run
 
     per_op = {}
     for op_name, width_kind in OP_DIMS.items():
-        op = _get_op(op_name)
+        op, legacy = _get_op(op_name), oracles[op_name]
         width = emb_dim if width_kind == "emb" else num_heads
         data = rng.normal(size=(num_edges, width))
         row = {
             "feature_dim": width,
             "legacy_kernel_s": _time(
-                kernel_sweep(op, data, ids, n, "legacy"), repeats),
+                kernel_sweep(legacy, data, ids, n), repeats),
             "plan_kernel_s": _time(
-                kernel_sweep(op, data, plan, None, "reduceat"), repeats),
+                kernel_sweep(op, data, plan, None), repeats),
             "per_call_kernel_s": _time(
-                kernel_sweep(op, data, ids, n, "reduceat"), repeats),
+                kernel_sweep(op, data, ids, n), repeats),
             "legacy_roundtrip_s": _time(
-                roundtrip_sweep(op, data, ids, n, "legacy"), repeats),
+                roundtrip_sweep(legacy, data, ids, n), repeats),
             "plan_roundtrip_s": _time(
-                roundtrip_sweep(op, data, plan, None, "reduceat"), repeats),
+                roundtrip_sweep(op, data, plan, None), repeats),
         }
         row["kernel_speedup_plan_vs_legacy"] = (
             row["legacy_kernel_s"] / row["plan_kernel_s"])
@@ -216,8 +209,10 @@ def bench_gather_backward(num_graphs=1800, emb_dim=32, repeats=5, seed=0):
     a small weight table every epoch, and every backward scatter-adds the
     output gradient back onto the table.
     """
-    from repro.nn import Tensor, gather, scatter_add, use_backend
+    from repro.nn import Tensor, gather, scatter_add
     from repro.graph import Batch, load_dataset
+
+    add_at_scatter = _oracles().ORACLES["scatter_add"]
 
     dataset = load_dataset("bbbp", size=num_graphs)
     batch = Batch(dataset.graphs)
@@ -228,86 +223,34 @@ def bench_gather_backward(num_graphs=1800, emb_dim=32, repeats=5, seed=0):
     weight = rng.normal(size=(num_rows, emb_dim))
 
     def legacy_scatter():
-        with use_backend("legacy"):
-            scatter_add(g, ids, num_rows)
+        add_at_scatter(g, ids, num_rows)
 
     def plan_scatter():
         scatter_add(g, ids, num_rows)
 
-    def roundtrip(backend):
-        def run():
-            x = Tensor(weight, requires_grad=True)
-            with use_backend(backend):
-                gather(x, batch.x[:, 0]).backward(g)
-        return run
+    def roundtrip():
+        x = Tensor(weight, requires_grad=True)
+        gather(x, batch.x[:, 0]).backward(g)
 
     plan_scatter()  # warm-up: first-use library load
+    # The legacy roundtrip runs with the adjoint's scatter_add swapped
+    # for the np.add.at oracle.
+    with _oracles_installed():
+        legacy_roundtrip_s = _time(roundtrip, repeats)
     row = {
         "num_items": int(ids.size),
         "num_rows": num_rows,
         "feature_dim": emb_dim,
         "legacy_scatter_s": _time(legacy_scatter, repeats),
         "plan_scatter_s": _time(plan_scatter, repeats),
-        "legacy_roundtrip_s": _time(roundtrip("legacy"), repeats),
-        "plan_roundtrip_s": _time(roundtrip("reduceat"), repeats),
+        "legacy_roundtrip_s": legacy_roundtrip_s,
+        "plan_roundtrip_s": _time(roundtrip, repeats),
     }
     row["scatter_speedup_plan_vs_legacy"] = (
         row["legacy_scatter_s"] / row["plan_scatter_s"])
     row["roundtrip_speedup_plan_vs_legacy"] = (
         row["legacy_roundtrip_s"] / row["plan_roundtrip_s"])
     return row
-
-
-def bench_dispatch_overhead(pairs=3000, seed=0):
-    """Registry dispatch vs calling the resolved kernel directly.
-
-    Times single invocations of ``segment_sum`` on a deliberately small
-    workload (400 rows x 8 features) so the fixed per-call dispatch
-    cost is as visible as it ever gets; model-sized batches amortize it
-    further.  Measurement: ``pairs`` *paired* single-call timings —
-    direct and dispatched adjacent in time (order alternating to cancel
-    bias), overhead = median of the per-pair ratios.  The two calls of
-    a pair run ~0.1ms apart, so sustained load drift cancels inside
-    each pair and spikes land in single pairs where the median discards
-    them.  (Back-to-back loop timing was +-10% noisy on shared
-    machines, swamping the <2% contract.)
-    """
-    from repro.nn import Tensor, no_grad
-    from repro.nn.ops import OP_REGISTRY
-
-    rng = np.random.default_rng(seed)
-    num_segments = 40
-    ids = np.sort(rng.integers(0, num_segments, 400))
-    data = rng.normal(size=(ids.size, 8))
-    dispatched = OP_REGISTRY.dispatcher("segment_sum")
-    direct = OP_REGISTRY.resolve("segment_sum", "reduceat")
-    x = Tensor(data)
-
-    def timed(fn):
-        start = time.perf_counter()
-        fn(x, ids, num_segments)
-        return time.perf_counter() - start
-
-    ratios, direct_times, dispatched_times = [], [], []
-    with no_grad():
-        for _ in range(20):  # warm-up: dispatch table, allocator, caches
-            timed(direct), timed(dispatched)
-        for index in range(pairs):
-            if index % 2 == 0:
-                direct_s, dispatched_s = timed(direct), timed(dispatched)
-            else:
-                dispatched_s, direct_s = timed(dispatched), timed(direct)
-            ratios.append(dispatched_s / direct_s)
-            direct_times.append(direct_s)
-            dispatched_times.append(dispatched_s)
-    return {
-        "pairs": pairs,
-        "num_items": int(ids.size),
-        "feature_dim": int(data.shape[1]),
-        "median_direct_s": float(np.median(direct_times)),
-        "median_dispatched_s": float(np.median(dispatched_times)),
-        "overhead_pct": (float(np.median(ratios)) - 1.0) * 100.0,
-    }
 
 
 def bench_plan_build(num_graphs=1800, repeats=3, seed=0):
@@ -341,9 +284,9 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
     import shutil
     import tempfile
 
-    from repro.nn import SegmentPlan, Tensor, no_grad, use_backend
+    from repro.nn import SegmentPlan, Tensor, no_grad
     from repro.nn.compiled import build
-    from repro.nn.ops import OP_REGISTRY
+    from repro.nn.ops import lstm_scan
 
     if build.find_compiler() is None:
         return {"available": False}
@@ -370,9 +313,11 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
     plan.csr(), plan.rank_slices()
     rng = np.random.default_rng(seed)
 
-    def kernel_sweep(op, data, index, num_segments, backend, library=True):
+    oracles = _oracles()
+
+    def kernel_sweep(op, data, index, num_segments, library=True):
         def run():
-            with no_grad(), use_backend(backend), (
+            with no_grad(), (
                     contextlib.nullcontext() if library else _library_off()):
                 op(Tensor(data), index, num_segments)
         return run
@@ -385,12 +330,12 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
         row = {
             "feature_dim": width,
             "compiled_kernel_s": _time(
-                kernel_sweep(op, data, plan, None, "reduceat"), repeats),
+                kernel_sweep(op, data, plan, None), repeats),
             "reduceat_kernel_s": _time(
-                kernel_sweep(op, data, plan, None, "reduceat",
-                             library=False), repeats),
+                kernel_sweep(op, data, plan, None, library=False), repeats),
             "legacy_kernel_s": _time(
-                kernel_sweep(op, data, ids, n, "legacy"), repeats),
+                kernel_sweep(oracles.ORACLES[op_name], data, ids, n),
+                repeats),
         }
         row["kernel_speedup_compiled_vs_reduceat"] = (
             row["reduceat_kernel_s"] / row["compiled_kernel_s"])
@@ -401,21 +346,19 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
     # Fused LSTM-step scan forward: the hybrid GEMM + C elementwise
     # kernel vs the tape-composition reference, on a Set2Set/fusion-sized
     # workload.
-    oracles = _oracles()
-    dispatch = OP_REGISTRY.dispatcher("lstm_scan")
     x = rng.normal(size=(lstm_steps, lstm_batch, emb_dim))
     w_x = 0.4 * rng.normal(size=(emb_dim, 4 * lstm_hidden))
     w_h = 0.4 * rng.normal(size=(lstm_hidden, 4 * lstm_hidden))
     bias = rng.normal(size=4 * lstm_hidden)
 
-    def scan_sweep(scan, backend="reduceat"):
+    def scan_sweep(scan):
         def run():
-            with no_grad(), use_backend(backend):
+            with no_grad():
                 scan(Tensor(x), w_x, w_h, bias)
         return run
 
     compiled_t, reference_t = _paired_times(
-        scan_sweep(dispatch), scan_sweep(oracles.lstm_scan_reference),
+        scan_sweep(lstm_scan), scan_sweep(oracles.lstm_scan_reference),
         max(2 * repeats, 6))
     lstm_row = {
         "steps": lstm_steps,
@@ -424,7 +367,8 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
         "hidden_dim": lstm_hidden,
         "compiled_scan_s": float(compiled_t.min()),
         "reference_scan_s": float(reference_t.min()),
-        "numpy_scan_s": _time(scan_sweep(dispatch, "legacy"), repeats),
+        "numpy_scan_s": _time(scan_sweep(oracles.ORACLES["lstm_scan"]),
+                              repeats),
         # contracted figure: median of per-round ratios (spike-robust)
         "scan_speedup_compiled_vs_reference": float(
             np.median(reference_t / compiled_t)),
@@ -449,12 +393,22 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
 
 
 def _oracles():
-    """``tests.oracles``: the tape compositions the one-node ops replaced."""
+    """``tests.oracles``: the ``np.add.at`` references of the kernel ops
+    and the tape compositions the one-node ops replaced."""
     if REPO_ROOT not in sys.path:
         sys.path.insert(0, REPO_ROOT)
     from tests import oracles
 
     return oracles
+
+
+def _oracles_installed():
+    """``tests.conftest.oracles_installed``: every op swapped for its
+    oracle in the loaded ``repro`` modules."""
+    _oracles()
+    from tests.conftest import oracles_installed
+
+    return oracles_installed()
 
 
 def bench_grad_layers(num_graphs=32, emb_dim=32, num_layers=5, rounds=40,
@@ -555,7 +509,6 @@ def run_benchmark(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5, seed=0):
                                                  seed),
         "no_compiler": no_compiler,
         "plan_build": bench_plan_build(num_graphs, max(repeats // 2, 1), seed),
-        "dispatch_overhead": bench_dispatch_overhead(seed=seed),
         "compiled": bench_compiled(num_graphs, emb_dim, num_heads, repeats,
                                    seed),
         "grad_layers": bench_grad_layers(seed=seed, rounds=8 * repeats),
@@ -588,8 +541,6 @@ def test_segment_kernel_speedup_contract():
         scatter = leg["gather_backward"]
         assert scatter["scatter_speedup_plan_vs_legacy"] >= 2.0, scatter
         assert scatter["roundtrip_speedup_plan_vs_legacy"] >= 1.0, scatter
-    dispatch = results["dispatch_overhead"]
-    assert dispatch["overhead_pct"] < 2.0, dispatch
     if os.environ.get("REPRO_BENCH_WRITE") == "1":
         with open(RESULT_PATH, "w") as f:
             json.dump(results, f, indent=2)

@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
              "'serve-forever' (concurrent HTTP serving runtime), "
              "'serve-cluster' (multi-process sharded serving cluster), "
              "'lint' (static invariant analysis over src/repro) or "
-             "'backend-info' (kernel backends, fallback chains and the "
-             "compiled-kernel build status)",
+             "'backend-info' (the implementation behind each kernel op "
+             "and the compiled-kernel build status)",
     )
     parser.add_argument(
         "--tier", choices=["smoke", "bench"], default="bench",
@@ -218,28 +218,16 @@ def _run_lint(args) -> int:
 
 
 def _run_backend_info(args) -> int:
-    """``backend-info``: declared kernel backends with fallback chains,
-    the per-op direct-implementation table, and the compiled-kernel
-    JIT build status (compiler, cache, fallback reporting)."""
+    """``backend-info``: the one implementation behind each registered
+    op and the compiled-kernel JIT build status (compiler, cache,
+    fallback reporting)."""
     from .nn.compiled import compiled_status
     from .nn.ops import OP_REGISTRY
 
-    print("declared backends (fallback chains):")
-    for name in OP_REGISTRY.declared_backends():
-        chain = [name]
-        while True:
-            fallback = OP_REGISTRY.backend_info(chain[-1])["fallback"]
-            if fallback is None:
-                break
-            chain.append(fallback)
-        description = OP_REGISTRY.backend_info(name)["description"]
-        suffix = f"  -- {description}" if description else ""
-        print(f"  {' -> '.join(chain)}{suffix}")
-
-    print("\nper-op direct implementations:")
+    print("per-op implementations:")
     for op_name in OP_REGISTRY.ops():
-        entry = OP_REGISTRY.get(op_name)
-        print(f"  {op_name:<18} {', '.join(sorted(entry.impls))}")
+        impl = OP_REGISTRY.get(op_name).impl
+        print(f"  {op_name:<18} {impl.__module__}.{impl.__qualname__}")
 
     status = compiled_status()
     print("\ncompiled kernel status:")

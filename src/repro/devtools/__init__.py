@@ -2,8 +2,8 @@
 
 The concurrent serving stack (PR 5) made the repo's safety rest on
 hand-documented invariants: a ranked lock hierarchy, a simulated-clock
-rule for router logic, context-local grad/backend state, and a
-two-backend parity contract for every segment kernel.  This package
+rule for router logic, context-local grad state, and keeping the slow
+``ufunc.at`` scatters out of the kernel hot paths.  This package
 machine-checks those invariants over ``src/repro`` using only the stdlib
 ``ast`` module — the static counterpart of the tier-2 differential
 suite's numeric checks.
@@ -32,7 +32,7 @@ from .runtime import LockOrderGuard
 
 # Import for the registration side effect: each module adds its rules to
 # RULES at import time.
-from . import rules  # noqa: F401  (registers REP001..REP008)
+from . import rules  # noqa: F401  (registers REP001..REP007)
 
 __all__ = [
     "Finding",

@@ -42,23 +42,16 @@ class LintConfig:
         ("devtools/registry.py", "RULES"),
     })
 
-    #: files whose ops must satisfy the autograd contract (REP004); the
-    #: op registry's differentiable implementations must resolve into
-    #: this set.
+    #: files whose ops must satisfy the autograd contract (REP004); every
+    #: differentiable registered op must be defined in one of them
+    #: (``tests/nn/test_ops_registry.py`` imports the registry to check).
     autograd_modules: tuple = ("nn/tensor.py", "nn/segment.py", "nn/ops.py",
                                "nn/rnn.py", "nn/compiled/kernels.py")
-
-    #: the declarative op-registry module (REP004/REP005/REP008 parse its
-    #: register()/register_backend() calls statically via
-    #: :mod:`repro.devtools.opregs`).  Rules skip their registry checks
-    #: when the module is absent from the linted tree (fixtures).
-    ops_module: str = "nn/ops.py"
 
     #: hot-path files where hard-coded float64 (or dtype-less) allocations
     #: are banned (REP007): everything here must allocate in the active
     #: ExecutionPolicy dtype via repro.nn.policy.  The policy module
-    #: itself and the legacy reference backend (nn/tensor.py) are exempt
-    #: by omission.
+    #: itself and nn/tensor.py are exempt by omission.
     dtype_hot_modules: tuple = (
         "nn/segment.py",
         "nn/ops.py",
@@ -75,19 +68,9 @@ class LintConfig:
         "serve/cluster.py",
     )
 
-    #: backend-parity config (REP005)
-    parity_fast_module: str = "nn/segment.py"
+    #: the one file allowed np.add.at / np.maximum.at (REP005): the
+    #: runtime fallback scatters of nn/tensor.py.
     parity_reference_module: str = "nn/tensor.py"
-    #: test files (repo-relative) that must reference every *registered*
-    #: op; the suite check is skipped when none exist (fixtures).
-    parity_suite_files: tuple = (
-        "tests/serve/test_backend_differential.py",
-        "tests/gnn/test_segment_parity.py",
-        "tests/nn/test_segment.py",
-        "tests/nn/test_segment_fuzz.py",
-        "tests/nn/test_thread_state.py",
-        "tests/nn/test_ops_gradients.py",
-    )
 
     #: how attribute receivers map to lock-owning classes (REP001): an
     #: attribute access like ``self.service._lock`` or a bare global like

@@ -4,9 +4,8 @@ from . import lock_order      # noqa: F401  REP001 + REP006
 from . import wallclock       # noqa: F401  REP002
 from . import mutable_globals  # noqa: F401  REP003
 from . import autograd        # noqa: F401  REP004
-from . import backend_parity  # noqa: F401  REP005
+from . import ufunc_at        # noqa: F401  REP005
 from . import dtype           # noqa: F401  REP007
-from . import op_registry     # noqa: F401  REP008
 
 __all__ = ["lock_order", "wallclock", "mutable_globals", "autograd",
-           "backend_parity", "dtype", "op_registry"]
+           "ufunc_at", "dtype"]

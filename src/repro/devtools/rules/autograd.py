@@ -18,12 +18,6 @@ for.  Checks, per ``Tensor._result`` call:
 * every receiver of ``._accumulate(...)`` inside that closure appears in
   the parents tuple — directly by name, or as a loop variable drawn
   (possibly via ``zip``) from a collection passed as ``tuple(coll)``.
-
-Registry consistency: every *differentiable* implementation registered
-in the op table (``config.ops_module``, parsed via
-:mod:`repro.devtools.opregs`) must resolve to a named function defined
-in one of the autograd-checked modules — a lambda or an impl living
-outside ``autograd_modules`` would dodge the checks above.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import ast
 
 from ..findings import Finding
-from ..opregs import parse_ops_module, resolve_impl
 from ..registry import rule
 
 
@@ -154,51 +147,8 @@ def _check_op(info, func_node, findings):
                 "gradient would be dropped by the tape"))
 
 
-def _module_function_names(tree: ast.Module) -> set:
-    return {node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-
-def _check_registry_impls(project, config, findings):
-    """Registered differentiable impls must be named functions in the
-    autograd-checked modules (where the ``_result`` checks can see them)."""
-    ops_rel = getattr(config, "ops_module", None)
-    info = project.get(ops_rel) if ops_rel else None
-    if info is None:
-        return
-    model = parse_ops_module(info)
-    checked = {rel: project.get(rel) for rel in config.autograd_modules}
-    for reg in model.registrations:
-        if reg.dynamic_name or not reg.differentiable:
-            continue
-        for backend, ref in reg.backends.items():
-            if ref is None:
-                findings.append(Finding(
-                    info.rel, reg.lineno, "REP004",
-                    f"op '{reg.name}' backend '{backend}' implementation "
-                    "is not a named function — lambdas/expressions dodge "
-                    "the autograd completeness checks"))
-                continue
-            target_rel, func_name = resolve_impl(model, info.rel, ref)
-            target = checked.get(target_rel)
-            if target_rel not in checked:
-                findings.append(Finding(
-                    info.rel, reg.lineno, "REP004",
-                    f"op '{reg.name}' backend '{backend}' implementation "
-                    f"resolves to {target_rel or '<unknown module>'}, "
-                    "which is not in the autograd-checked modules"))
-            elif target is not None \
-                    and func_name not in _module_function_names(target.tree):
-                findings.append(Finding(
-                    info.rel, reg.lineno, "REP004",
-                    f"op '{reg.name}' backend '{backend}' implementation "
-                    f"'{func_name}' is not defined in {target_rel}"))
-
-
 @rule("REP004", "ops returning grad-tracked tensors must attach _backward "
-                "and list every accumulated-into tensor in _prev; "
-                "registered differentiable impls must live in the "
-                "autograd-checked modules")
+                "and list every accumulated-into tensor in _prev")
 def check_autograd(project, config):
     findings: list = []
     for rel in config.autograd_modules:
@@ -210,5 +160,4 @@ def check_autograd(project, config):
                 if node.name == "_result":
                     continue  # the constructor itself
                 _check_op(info, node, findings)
-    _check_registry_impls(project, config, findings)
     return findings

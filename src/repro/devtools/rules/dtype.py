@@ -9,9 +9,8 @@ float64 and defeating the policy.  A *dtype-less* ``np.zeros`` /
 ``np.empty`` is the same bug in disguise: numpy defaults to float64.
 
 The rule fires only in ``config.dtype_hot_modules``.  The policy module
-itself and the legacy reference backend (:mod:`repro.nn.tensor`) are
-exempt by omission — the reference ops define the float64 baseline the
-differential suite compares against.  Lines carrying a
+itself and :mod:`repro.nn.tensor` (whose allocations follow the operand
+dtypes) are exempt by omission.  Lines carrying a
 ``# repro: disable=REP007`` pragma are sanctioned (e.g. dataset-level
 labels that stay canonical float64 across policies).
 """

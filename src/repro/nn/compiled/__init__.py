@@ -1,14 +1,13 @@
-"""Compiled C kernels: the JIT-built data kernels of the ``reduceat`` backend.
+"""Compiled C kernels: the JIT-built data kernels of the fast kernel ops.
 
 :mod:`.csrc` holds the dtype-templated C source and ctypes signatures,
 :mod:`.build` compiles it at first use with the discovered system
 compiler and caches the shared object on disk, and :mod:`.kernels` wraps
-the symbols.  They are not a backend of their own: the plan-backed
-segment kernels in :mod:`repro.nn.segment` (``gin_message`` included)
-and the registered ``reduceat`` impls of ``scatter_add`` / ``lstm_scan``
-call them wherever the library loaded, and fall back per call to numpy
-otherwise.  Either
-way the results are bit-identical to the ``legacy`` reference.
+the symbols.  The plan-backed segment ops in :mod:`repro.nn.segment`
+(``gin_message`` included) and the ``scatter_add`` / ``lstm_scan`` ops
+of :mod:`.kernels` call them wherever the library loaded, and fall back
+per call to numpy otherwise.  Either way the results are bit-identical
+to the ``np.add.at`` references in ``tests/oracles.py``.
 
 Availability is observable through :func:`compiled_status` (also
 surfaced by ``InferenceService.stats()`` and the ``backend-info`` CLI

@@ -1,15 +1,15 @@
-"""C source templates + ctypes signatures for the compiled kernel backend.
+"""C source templates + ctypes signatures for the compiled kernels.
 
 One translation unit holds every kernel in float64 *and* float32
 variants (``@T@``/``@S@`` template substitution), so the build manager
 compiles exactly one shared object per (source, compiler, flags) key.
 
-Exactness contract — these kernels are *bit-identical* to the reduceat /
-legacy reference implementations, not merely close:
+Exactness contract — these kernels are *bit-identical* to the numpy
+kernels and the ``np.add.at`` references, not merely close:
 
 * The segment kernels walk the plan's stable ``order``/``indptr`` layout
   and accumulate each segment **sequentially in appearance order** —
-  the same association the legacy ``np.add.at`` / ``np.add.reduceat``
+  the same association the ``np.add.at`` / ``np.add.reduceat``
   reference uses, so every partial sum rounds identically.
   ``gin_message`` does the same over per-edge messages ``h[src] + (t[a]
   + u[b])``, formed in the association of the composition it replaces.

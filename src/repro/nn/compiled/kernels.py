@@ -1,4 +1,4 @@
-"""ctypes wrappers: the C kernels behind the ``reduceat`` backend.
+"""ctypes wrappers: the C kernels behind the fast kernel ops.
 
 * :func:`segment_reduce` is the data kernel of the plan-backed segment
   ops: :mod:`repro.nn.segment` calls it from ``_reduce_sum_data`` /
@@ -7,15 +7,16 @@
 * :func:`gin_message_forward` is the forward of the plan-backed
   ``gin_message`` op, and :func:`scatter_rows` its adjoint's three
   scatters (``out[index[i]] += g[rows[i]]``).
-* :func:`_scatter_add_compiled` and :func:`_lstm_scan_compiled` are the
-  registered ``reduceat`` implementations of ``scatter_add`` and
-  ``lstm_scan``; the scan's C forward is :func:`lstm_scan_forward`.
+* :func:`scatter_add` and :func:`lstm_scan` are the registered
+  ``scatter_add`` and ``lstm_scan`` ops; the scan's C forward is
+  :func:`lstm_scan_forward`.
 
-Every entry is **bit-identical** to the ``legacy`` reference (the C
-loops accumulate in the reference order, see :mod:`.csrc`), so the
-registered tolerances stay ``0.0``.  Each falls back per call to its
-numpy kernel whenever the library is unavailable (no compiler, failed
-build) or the dtype/layout is one the C side does not cover.
+Every entry is **bit-identical** to its ``np.add.at`` / numpy reference
+in ``tests/oracles.py`` (the C loops accumulate in the reference order,
+see :mod:`.csrc`), so the registered tolerances stay ``0.0``.  Each
+falls back per call to its numpy kernel whenever the library is
+unavailable (no compiler, failed build) or the dtype/layout is one the C
+side does not cover.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def segment_reduce(name, data, plan):
     return out.reshape((plan.num_segments,) + data.shape[1:])
 
 
-def _scatter_add_compiled(g, index, num_rows):
+def scatter_add(g, index, num_rows):
     """Sum rows of ``g`` into ``num_rows`` buckets selected by ``index``.
 
     The adjoint of a row gather: ``out[index[i]] += g[i]``, duplicate
@@ -130,7 +131,7 @@ def scatter_rows(g, rows, index, num_rows):
     ``index`` sums the rows with the plan's sequential CSR kernel — the
     same additions in the same order, 2-3x faster than ``np.add.at``
     even counting the plan build.  Layouts neither covers fall back to
-    the legacy ``np.add.at`` scatter: non-1-D indices, broadcasting
+    the ``np.add.at`` scatter: non-1-D indices, broadcasting
     payloads, dtypes other than float32/float64, or out-of-range/
     negative indices (which ``np.add.at`` wraps/raises but raw C would
     corrupt memory on)."""
@@ -145,7 +146,7 @@ def scatter_rows(g, rows, index, num_rows):
             or (g.shape[0] != n if rows is None
                 else np.ndim(rows) != 1 or len(rows) != n
                 or not _in_range(rows, g.shape[0]))):
-        return _tensor._legacy_scatter_add(
+        return _tensor._add_at_scatter(
             g if rows is None else g[rows], index, num_rows)
     kernel = _kernel("scatter_add", g.dtype)
     if kernel is None:
@@ -281,9 +282,8 @@ def _scan_forward(x, w_x, w_h, bias, h0, c0, keep=True):
     return _rnn.lstm_scan_numpy(x, w_x, w_h, bias, h0, c0, keep)
 
 
-def _lstm_scan_compiled(x, w_x, w_h, bias, h0=None, c0=None,
-                        return_state=False):
-    """The ``reduceat`` ``lstm_scan``: the one-node scan of
+def lstm_scan(x, w_x, w_h, bias, h0=None, c0=None, return_state=False):
+    """The ``lstm_scan`` op: the one-node scan of
     :func:`repro.nn.rnn.lstm_scan_node` over the fused C forward, with or
     without gradients; its adjoint is the shared numpy BPTT."""
     return _rnn.lstm_scan_node(x, w_x, w_h, bias, h0, c0, return_state,

@@ -1,25 +1,22 @@
-"""Unified op registry: one declarative table driving backend dispatch.
+"""Op registry: one table of every differentiable kernel op.
 
 Every differentiable kernel op of the nn layer — the segment family
 (``segment_sum/mean/max/softmax``, ``gather_segments``), the row ops
 (``gather``, ``scatter_add``), the one-node layer ops (``gin_message``,
-``lstm_scan``, ``linear``, ``batch_norm``) and the elementwise reference
-ops — is registered here exactly once, with:
+``lstm_scan``, ``linear``, ``batch_norm``) and the elementwise
+reference ops — is registered here exactly once, with:
 
-* its **per-backend implementations**: ``legacy`` = the ``np.add.at``
-  reference ops in :mod:`repro.nn.tensor` (and their one-node numpy
-  counterparts for ``gin_message`` / ``lstm_scan``), and ``reduceat`` =
-  the fast path — the plan-backed kernels in :mod:`repro.nn.segment`
-  plus the ``scatter_add`` / ``lstm_scan`` wrappers in
-  :mod:`repro.nn.compiled.kernels`, which run the JIT-built C kernels
-  wherever they built and fall back per call to numpy otherwise;
-* its **adjoint** (a one-line statement of the backward rule — consumed
-  by humans and by the REP008 lint, which refuses registrations without
-  one);
-* its **parity tolerances** (``tolerance`` for cross-backend forward/grad
-  comparison — 0.0 means bit-identical — plus ``gradcheck_tol`` for the
-  numeric-vs-analytic sweep and ``float32_tol`` for the serving-dtype
-  leg);
+* its **implementation** — the one function the public name is
+  (``repro.nn.segment_sum is OP_REGISTRY.get("segment_sum").impl``): the
+  plan-backed kernels of :mod:`repro.nn.segment`, the ``scatter_add`` /
+  ``lstm_scan`` wrappers of :mod:`repro.nn.compiled.kernels` (JIT-built
+  C kernels wherever they built, numpy otherwise) and the plain ops
+  defined here;
+* its **adjoint** (a one-line statement of the backward rule);
+* its **tolerances** — ``tolerance`` against the op's reference in
+  ``tests/oracles.py`` (0.0 means bit-identical), ``gradcheck_tol`` for
+  the numeric-vs-analytic sweep and ``float32_tol`` for the serving-dtype
+  leg;
 * deterministic **sample-input generators** covering the edge layouts the
   kernels must survive: empty index arrays, empty segments interleaved
   with large ones, single-segment batches, 1-D and matrix payloads,
@@ -27,48 +24,33 @@ ops — is registered here exactly once, with:
   generators take the dtype as an argument).  A sample's ``grad_args``
   extend the sweeps to weights, tables and initial states.
 
-The table is the single source of truth for three downstream layers:
-
-* **Dispatch** — the public ops (``repro.nn.segment_sum`` et al.) are
-  registry dispatchers: per-call cost is one ContextVar read and one dict
-  hit, the ``(op, active backend)`` resolution walks the declared
-  fallback chain (``reduceat`` -> ``legacy``) once and is cached.
-  ``BENCH_segment_kernels.json``'s ``dispatch_overhead`` section pins
-  the cost against a pinned-implementation loop.
-* **Testing** — ``tests/nn/test_ops_gradients.py`` sweeps the whole
-  database through gradcheck across every implemented backend and dtype;
-  the tier-2 differential suite parametrizes over
-  ``OP_REGISTRY.backends()``; the optional torch-parity suite replays the
-  same sample inputs through torch.
-* **Linting** — REP004/REP005/REP008 statically parse the registrations
-  (:mod:`repro.devtools.opregs`) instead of reverse-engineering op
-  structure from AST heuristics.  Keep each ``register(...)`` call a
-  literal (constant op name, dict-literal backends) so the lints can see
-  it.
-
-Registering a new backend is two lines (``register_backend`` + impl
-entries in the ``register`` calls of the ops it accelerates); every suite
-and lint picks it up from the table with no further wiring.
+The tests import the table: ``tests/nn/test_ops_gradients.py`` sweeps it
+through gradcheck on every kernel leg and dtype,
+``tests/nn/test_ops_registry.py`` checks that every public op is
+registered with an oracle, and ``tests/conftest.py``'s ``legacy`` leg
+swaps each registered op for its oracle.
 """
 
 from __future__ import annotations
 
-import contextvars
-
 import numpy as np
 
-from . import rnn as _rnn
-from . import segment as _segment
-from . import tensor as _tensor
-from .compiled import kernels as _kernels
-from .tensor import Tensor, as_tensor
+from .compiled.kernels import lstm_scan, scatter_add
+from .segment import (
+    gather_segments,
+    gin_message,
+    segment_max,
+    segment_mean,
+    segment_softmax,
+    segment_sum,
+)
+from .tensor import Tensor, as_tensor, concatenate, gather
 
 __all__ = [
     "OpRegistry",
     "OpEntry",
     "SampleInput",
     "OP_REGISTRY",
-    "use_backend",
     "active_backend",
     "segment_sum",
     "segment_mean",
@@ -111,99 +93,54 @@ class SampleInput:
         return f"SampleInput({self.label!r}, shape={self.data.shape})"
 
 
-class _BackendSpec:
-    __slots__ = ("name", "fallback", "description")
-
-    def __init__(self, name: str, fallback: str | None, description: str):
-        self.name = name
-        self.fallback = fallback
-        self.description = description
-
-
 class OpEntry:
-    """One registered op: implementations, adjoint, tolerances, samples."""
+    """One registered op: implementation, adjoint, tolerances, samples."""
 
-    __slots__ = ("name", "impls", "adjoint", "samples", "tolerance",
-                 "gradcheck_tol", "float32_tol", "differentiable", "waiver")
+    __slots__ = ("name", "impl", "adjoint", "samples", "tolerance",
+                 "gradcheck_tol", "float32_tol", "differentiable")
 
-    def __init__(self, name, impls, adjoint, samples, tolerance,
-                 gradcheck_tol, float32_tol, differentiable, waiver):
+    def __init__(self, name, impl, adjoint, samples, tolerance,
+                 gradcheck_tol, float32_tol, differentiable):
         self.name = name
-        self.impls = impls
+        self.impl = impl
         self.adjoint = adjoint
         self.samples = samples
         self.tolerance = tolerance
         self.gradcheck_tol = gradcheck_tol
         self.float32_tol = float32_tol
         self.differentiable = differentiable
-        self.waiver = waiver
 
     def __repr__(self) -> str:
-        return f"OpEntry({self.name!r}, backends={tuple(self.impls)})"
+        return f"OpEntry({self.name!r}, impl={self.impl.__qualname__})"
 
 
 class OpRegistry:
-    """Declarative op table + cached ``(op, backend)`` dispatch.
-
-    Backends form a fallback chain: resolving ``(op, backend)`` walks
-    ``backend -> fallback -> ...`` until an implementation is found, so a
-    partially-implemented backend (``reduceat`` has no ``gather`` or
-    elementwise impls) serves the ops it has and inherits the rest.
-    Resolution happens once per ``(op, backend)`` pair; dispatchers then
-    run on a plain dict hit.
-    """
+    """Declarative op table: one implementation per op name."""
 
     def __init__(self):
-        self._backends: dict[str, _BackendSpec] = {}
         self._ops: dict[str, OpEntry] = {}
-        self._dispatchers: dict = {}
 
-    # -- declaration ---------------------------------------------------
-    def register_backend(self, name: str, fallback: str | None = None,
-                         description: str = "") -> None:
-        """Declare a backend; ops name it in their ``register`` call."""
-        if name in self._backends:
-            raise ValueError(f"backend {name!r} already registered")
-        if fallback is not None and fallback not in self._backends:
-            raise ValueError(
-                f"backend {name!r} falls back to undeclared {fallback!r}")
-        self._backends[name] = _BackendSpec(name, fallback, description)
-
-    def register(self, name: str, backends: dict, adjoint: str,
-                 samples, tolerance: float = 0.0,
-                 gradcheck_tol: float = 1e-5, float32_tol: float = 1e-4,
-                 differentiable: bool = True,
-                 waiver: str | None = None) -> OpEntry:
-        """Register one op.  ``backends`` maps backend name -> impl.
-
-        Every op must declare an adjoint description and a sample-input
-        generator ``samples(dtype) -> [SampleInput, ...]``, and either
-        two backends or an explicit single-backend ``waiver`` — the
-        REP008 lint enforces the same contract statically.
-        """
+    def register(self, name: str, impl, adjoint: str, samples,
+                 tolerance: float = 0.0, gradcheck_tol: float = 1e-5,
+                 float32_tol: float = 1e-4,
+                 differentiable: bool = True) -> OpEntry:
+        """Register one op.  Every op must declare a callable ``impl``,
+        an adjoint description and a sample-input generator
+        ``samples(dtype) -> [SampleInput, ...]``."""
         if name in self._ops:
             raise ValueError(f"op {name!r} already registered")
-        if not backends:
-            raise ValueError(f"op {name!r} registered with no backends")
-        for backend in backends:
-            if backend not in self._backends:
-                raise ValueError(
-                    f"op {name!r} registered for undeclared backend "
-                    f"{backend!r}; declared: {self.declared_backends()}")
+        if not callable(impl):
+            raise ValueError(f"op {name!r} needs a callable impl")
         if not adjoint:
             raise ValueError(f"op {name!r} registered without an adjoint")
         if not callable(samples):
             raise ValueError(f"op {name!r} needs a samples(dtype) generator")
-        if len(backends) < 2 and waiver is None:
-            raise ValueError(
-                f"op {name!r} has a single backend and no waiver")
-        entry = OpEntry(name, dict(backends), adjoint, samples,
-                        float(tolerance), float(gradcheck_tol),
-                        float(float32_tol), bool(differentiable), waiver)
+        entry = OpEntry(name, impl, adjoint, samples, float(tolerance),
+                        float(gradcheck_tol), float(float32_tol),
+                        bool(differentiable))
         self._ops[name] = entry
         return entry
 
-    # -- introspection -------------------------------------------------
     def ops(self) -> tuple:
         """Registered op names, sorted."""
         return tuple(sorted(self._ops))
@@ -214,130 +151,22 @@ class OpRegistry:
             raise KeyError(f"unknown op {name!r}; registered: {self.ops()}")
         return entry
 
-    def declared_backends(self) -> tuple:
-        """Every declared backend name, in declaration order."""
-        return tuple(self._backends)
-
-    def backend_info(self, name: str) -> dict:
-        """Declared metadata of backend ``name``: fallback + description."""
-        spec = self._backends.get(name)
-        if spec is None:
-            raise ValueError(
-                f"unknown backend {name!r}; known: "
-                f"{self.declared_backends()}")
-        return {"fallback": spec.fallback, "description": spec.description}
-
-    def backends(self) -> tuple:
-        """Backends with at least one direct implementation (declaration
-        order) — what the parity/gradcheck suites iterate over.  A
-        declared backend with no impls would dispatch entirely through
-        its fallback and only duplicate its coverage, so it is left out."""
-        implemented = set()
-        for entry in self._ops.values():
-            implemented.update(entry.impls)
-        return tuple(b for b in self._backends if b in implemented)
-
-    # -- dispatch ------------------------------------------------------
-    def resolve(self, name: str, backend: str):
-        """The implementation serving ``(op, backend)`` via the fallback
-        chain.  Raises for unknown ops/backends and unreachable impls."""
-        entry = self.get(name)
-        if backend not in self._backends:
-            raise ValueError(
-                f"unknown backend {backend!r}; known: "
-                f"{self.declared_backends()}")
-        current: str | None = backend
-        while current is not None:
-            impl = entry.impls.get(current)
-            if impl is not None:
-                return impl
-            current = self._backends[current].fallback
-        raise LookupError(
-            f"op {name!r} has no implementation reachable from backend "
-            f"{backend!r}")
-
     def dispatcher(self, name: str):
-        """The cached public entry point for ``name``: resolves the
-        active backend once per ``(op, backend)`` pair, then dispatches
-        on a dict hit (zero resolution work on the hot path)."""
-        dispatch = self._dispatchers.get(name)
-        if dispatch is not None:
-            return dispatch
-        entry = self.get(name)
-        table: dict = {}
+        """The public function object of op ``name`` (its ``impl``).
 
-        def dispatch(*args, **kwargs):
-            backend = _ACTIVE_BACKEND.get()
-            impl = table.get(backend)
-            if impl is None:
-                impl = self.resolve(name, backend)
-                table[backend] = impl
-            return impl(*args, **kwargs)
-
-        primary = entry.impls.get("reduceat") or next(iter(entry.impls.values()))
-        dispatch.__name__ = name
-        dispatch.__qualname__ = name
-        dispatch.__doc__ = primary.__doc__
-        dispatch.__wrapped__ = primary
-        self._dispatchers[name] = dispatch
-        return dispatch
+        Exists for the perfbench layer table, which wraps every binding
+        of this object in the loaded modules."""
+        return self.get(name).impl
 
 
 #: The process-wide registry.  Populated below at import time (under the
 #: interpreter's module import lock); everything afterwards only reads.
 OP_REGISTRY = OpRegistry()
 
-OP_REGISTRY.register_backend(
-    "legacy",
-    description="np.add.at reference ops (repro.nn.tensor)")
-OP_REGISTRY.register_backend(
-    "reduceat", fallback="legacy",
-    description="fast path: JIT-built C kernels (repro.nn.compiled) where "
-                "they built, else SegmentPlan CSR matvec / vertical max")
-
-
-#: Context-local backend selection.  A ``ContextVar`` instead of a
-#: process-global stack makes ``use_backend`` compose across threads: a
-#: differential test pinning the legacy backend in one thread cannot
-#: reroute forwards running concurrently on serving workers.  Fresh
-#: threads start from the default ("reduceat") backend.
-_ACTIVE_BACKEND: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_segment_backend", default="reduceat")
-
 
 def active_backend() -> str:
-    """Name of the backend ops currently dispatch to (context-local)."""
-    return _ACTIVE_BACKEND.get()
-
-
-class use_backend:
-    """Context manager selecting the kernel-op backend.
-
-    ``"reduceat"`` (default) is the fast path (C kernels where they
-    built, plan-backed numpy otherwise); ``"legacy"`` routes through the
-    ``np.add.at`` reference implementations in :mod:`repro.nn.tensor` for
-    differential testing.  Any name must be declared in
-    :data:`OP_REGISTRY`.
-
-    The selection is context-local (``contextvars``), so it only affects
-    the entering thread; one instance may be re-entered / nested.
-    """
-
-    def __init__(self, name: str):
-        if name not in OP_REGISTRY.declared_backends():
-            raise ValueError(
-                f"unknown backend {name!r}; known: "
-                f"{OP_REGISTRY.declared_backends()}")
-        self.name = name
-        self._tokens: list[contextvars.Token] = []
-
-    def __enter__(self):
-        self._tokens.append(_ACTIVE_BACKEND.set(self.name))
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _ACTIVE_BACKEND.reset(self._tokens.pop())
-        return False
+    """Constant kernel label; exists for the perfbench layer table."""
+    return "fast"
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +404,7 @@ def _signed_elementwise_samples(seed):
 
 
 # ----------------------------------------------------------------------
-# Elementwise reference ops (single canonical implementation each)
+# Elementwise reference ops
 # ----------------------------------------------------------------------
 def _ew_exp(x):
     """exp(x); adjoint g * exp(x)."""
@@ -613,24 +442,24 @@ def _ew_abs(x):
 
 
 # ----------------------------------------------------------------------
-# Structural reference ops (matmul / concat)
+# Structural ops (matmul / concat)
 # ----------------------------------------------------------------------
-def _matmul_ref(x, other):
+def matmul(x, other):
     """x @ other; adjoints g @ other^T and x^T @ g (outer products in
     the 1-D cases)."""
     return as_tensor(x) @ as_tensor(other)
 
 
-def _concat_ref(x, other, axis=-1):
+def concat(x, other, axis=-1):
     """concatenate([x, other], axis); the adjoint splits g back at the
     operand boundary."""
-    return _tensor.concatenate([as_tensor(x), as_tensor(other)], axis=axis)
+    return concatenate([as_tensor(x), as_tensor(other)], axis=axis)
 
 
 # ----------------------------------------------------------------------
 # One-node layer ops (Linear / BatchNorm1d)
 # ----------------------------------------------------------------------
-def _linear(x, weight, bias=None):
+def linear(x, weight, bias=None):
     """``out = x @ weight; out += bias`` as one node — the arithmetic of
     the matmul + add composition it replaces.  Adjoints: ``g @
     weight^T`` (an outer product for 1-D ``g``), ``x^T @ g`` (``outer(x,
@@ -657,7 +486,7 @@ def _linear(x, weight, bias=None):
     return Tensor._result(out_data, (x, weight, bias), "linear", backward)
 
 
-def _batch_norm(x, mean, inv_std, gamma, beta):
+def batch_norm(x, mean, inv_std, gamma, beta):
     """``(x - mean) * inv_std * gamma + beta`` as one node, the statistics
     ``mean``/``inv_std`` held constant (cast to the active dtype).  Keeps
     only the normalized activations; adjoints ``g * gamma * inv_std``,
@@ -680,41 +509,31 @@ def _batch_norm(x, mean, inv_std, gamma, beta):
 
 
 # ----------------------------------------------------------------------
-# The op database.  One register(...) call per op; keep these literal
-# (constant names, dict-literal backends) — REP004/REP005/REP008 parse
-# them statically.
+# The op database: one register(...) call per op.
 # ----------------------------------------------------------------------
 OP_REGISTRY.register(
-    "segment_sum",
-    backends={"reduceat": _segment._segment_sum_plan,
-              "legacy": _segment._segment_sum_legacy},
+    "segment_sum", segment_sum,
     adjoint="dL/dx = g[segment_ids] — a pure row gather",
     samples=_segment_row_samples,
     tolerance=0.0,
 )
 
 OP_REGISTRY.register(
-    "segment_mean",
-    backends={"reduceat": _segment._segment_mean_plan,
-              "legacy": _segment._segment_mean_legacy},
+    "segment_mean", segment_mean,
     adjoint="dL/dx = (g / counts)[segment_ids] — gather of the scaled grad",
     samples=_segment_row_samples,
     tolerance=0.0,
 )
 
 OP_REGISTRY.register(
-    "segment_max",
-    backends={"reduceat": _segment._segment_max_plan,
-              "legacy": _segment._segment_max_legacy},
+    "segment_max", segment_max,
     adjoint="dL/dx = g[segment_ids] / ties where x == max(segment), else 0",
     samples=_segment_row_samples,
     tolerance=0.0,
 )
 
 OP_REGISTRY.register(
-    "segment_softmax",
-    backends={"reduceat": _segment._segment_softmax_plan,
-              "legacy": _segment._segment_softmax_legacy},
+    "segment_softmax", segment_softmax,
     adjoint="dL/dx = p * (g - sum_segment(g * p)) — composed from "
             "max/gather/exp/sum sub-adjoints",
     samples=_segment_score_samples,
@@ -723,18 +542,14 @@ OP_REGISTRY.register(
 )
 
 OP_REGISTRY.register(
-    "gather_segments",
-    backends={"reduceat": _segment._gather_segments_plan,
-              "legacy": _segment._gather_segments_legacy},
+    "gather_segments", gather_segments,
     adjoint="dL/dx = segment_sum(g) — scatter-add of g onto segments",
     samples=_gather_segment_samples,
     tolerance=0.0,
 )
 
 OP_REGISTRY.register(
-    "scatter_add",
-    backends={"reduceat": _kernels._scatter_add_compiled,
-              "legacy": _tensor._legacy_scatter_add},
+    "scatter_add", scatter_add,
     adjoint="linear map: the adjoint of scatter-add is the row gather "
             "(this op IS the gather adjoint; it is not itself taped)",
     samples=_scatter_add_samples,
@@ -743,105 +558,80 @@ OP_REGISTRY.register(
 )
 
 OP_REGISTRY.register(
-    "gather",
-    backends={"legacy": _tensor._gather},
+    "gather", gather,
     adjoint="dL/dx = scatter_add(g, index, num_rows) — duplicate indices "
             "accumulate in appearance order",
     samples=_gather_samples,
     tolerance=0.0,
-    waiver="backend-independent forward (x.data[index]); the adjoint "
-           "dispatches through the registered scatter_add",
 )
 
 OP_REGISTRY.register(
-    "exp",
-    backends={"legacy": _ew_exp},
+    "exp", _ew_exp,
     adjoint="dL/dx = g * exp(x)",
     samples=_elementwise_samples(-2.0, 2.0, 23),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "log",
-    backends={"legacy": _ew_log},
+    "log", _ew_log,
     adjoint="dL/dx = g / x",
     samples=_elementwise_samples(0.5, 3.0, 29),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "sqrt",
-    backends={"legacy": _ew_sqrt},
+    "sqrt", _ew_sqrt,
     adjoint="dL/dx = g / (2 sqrt(x)), clamped away from 0",
     samples=_elementwise_samples(0.5, 3.0, 31),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "tanh",
-    backends={"legacy": _ew_tanh},
+    "tanh", _ew_tanh,
     adjoint="dL/dx = g * (1 - tanh(x)^2)",
     samples=_elementwise_samples(-2.0, 2.0, 37),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "sigmoid",
-    backends={"legacy": _ew_sigmoid},
+    "sigmoid", _ew_sigmoid,
     adjoint="dL/dx = g * sigmoid(x) * (1 - sigmoid(x))",
     samples=_elementwise_samples(-3.0, 3.0, 41),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "relu",
-    backends={"legacy": _ew_relu},
+    "relu", _ew_relu,
     adjoint="dL/dx = g * (x > 0)",
     samples=_signed_elementwise_samples(43),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "abs",
-    backends={"legacy": _ew_abs},
+    "abs", _ew_abs,
     adjoint="dL/dx = g * sign(x)",
     samples=_signed_elementwise_samples(47),
     tolerance=0.0,
-    waiver="elementwise reference op; single canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "matmul",
-    backends={"legacy": _matmul_ref},
+    "matmul", matmul,
     adjoint="dL/dx = g @ other^T, dL/dother = x^T @ g (outer products "
             "in the 1-D cases)",
     samples=_matmul_samples,
     tolerance=0.0,
-    waiver="backend-independent BLAS matmul (Tensor.__matmul__); single "
-           "canonical implementation",
 )
 
 OP_REGISTRY.register(
-    "concat",
-    backends={"legacy": _concat_ref},
+    "concat", concat,
     adjoint="dL/dx, dL/dother = exact axis-slices of g, split at the "
             "operand boundary",
     samples=_concat_samples,
     tolerance=0.0,
-    waiver="backend-independent np.concatenate forward; single canonical "
-           "implementation",
 )
 
 OP_REGISTRY.register(
-    "lstm_scan",
-    backends={"reduceat": _kernels._lstm_scan_compiled,
-              "legacy": _rnn._lstm_scan_legacy},
+    "lstm_scan", lstm_scan,
     adjoint="one node; numpy BPTT over the saved per-step gates, shared "
             "by both forwards: per step in reverse, d_pre_i = dc*g*i*(1-i) "
             "etc., dx[t] = dgates @ w_x^T, dh = dgates @ w_h^T, dc = dc*f; "
@@ -854,53 +644,26 @@ OP_REGISTRY.register(
 )
 
 OP_REGISTRY.register(
-    "gin_message",
-    backends={"reduceat": _segment._gin_message_plan,
-              "legacy": _segment._gin_message_legacy},
+    "gin_message", gin_message,
     adjoint="with gm = g[dst]: dh = scatter_add(gm, src), dT = "
             "scatter_add(gm, a), dU = scatter_add(gm, b), each in edge "
-            "order (the reduceat legs scatter g[dst] rows without "
-            "materializing gm)",
+            "order (scattering g[dst] rows without materializing gm)",
     samples=_gin_message_samples,
     tolerance=0.0,
 )
 
 OP_REGISTRY.register(
-    "linear",
-    backends={"legacy": _linear},
+    "linear", linear,
     adjoint="dL/dx = g @ W^T, dL/dW = x^T @ g, dL/db = sum of g over the "
             "leading axes",
     samples=_linear_samples,
     tolerance=0.0,
-    waiver="backend-independent BLAS matmul + bias add; single canonical "
-           "implementation",
 )
 
 OP_REGISTRY.register(
-    "batch_norm",
-    backends={"legacy": _batch_norm},
+    "batch_norm", batch_norm,
     adjoint="statistics constant: dL/dx = g * gamma * inv_std, dL/dgamma "
             "= sum(g * normed), dL/dbeta = sum(g) over the rows",
     samples=_batch_norm_samples,
     tolerance=0.0,
-    waiver="backend-independent elementwise affine; single canonical "
-           "implementation",
 )
-
-
-# ----------------------------------------------------------------------
-# Public entry points: one cached registry dispatcher per op.
-# ----------------------------------------------------------------------
-segment_sum = OP_REGISTRY.dispatcher("segment_sum")
-segment_mean = OP_REGISTRY.dispatcher("segment_mean")
-segment_max = OP_REGISTRY.dispatcher("segment_max")
-segment_softmax = OP_REGISTRY.dispatcher("segment_softmax")
-gather_segments = OP_REGISTRY.dispatcher("gather_segments")
-scatter_add = OP_REGISTRY.dispatcher("scatter_add")
-gather = OP_REGISTRY.dispatcher("gather")
-matmul = OP_REGISTRY.dispatcher("matmul")
-concat = OP_REGISTRY.dispatcher("concat")
-lstm_scan = OP_REGISTRY.dispatcher("lstm_scan")
-gin_message = OP_REGISTRY.dispatcher("gin_message")
-linear = OP_REGISTRY.dispatcher("linear")
-batch_norm = OP_REGISTRY.dispatcher("batch_norm")

@@ -11,7 +11,7 @@ module makes the choice explicit:
 * :class:`ExecutionPolicy` — the dtype every new tensor / kernel output is
   materialized in, plus an optional :class:`WorkspacePool` of preallocated
   forward buffers.  The active policy lives on a ``ContextVar`` alongside
-  the existing ``no_grad`` / ``use_backend`` state, so it is context-local
+  the existing ``no_grad`` state, so it is context-local
   and thread-isolated: a serving worker running float32 forwards cannot
   perturb a float64 training loop in another thread.
 * :func:`use_dtype` / :func:`serving_policy` — the two entry points.
@@ -220,7 +220,7 @@ class ExecutionPolicy:
 
 #: Context-local active policy.  Fresh threads start from the default
 #: (float64, no workspace) — they do not inherit the spawning thread's
-#: serving policy, mirroring ``no_grad`` / ``use_backend`` semantics.
+#: serving policy, mirroring ``no_grad`` semantics.
 _DEFAULT_POLICY = ExecutionPolicy()
 _ACTIVE_POLICY: contextvars.ContextVar[ExecutionPolicy] = contextvars.ContextVar(
     "repro_execution_policy", default=_DEFAULT_POLICY)

@@ -148,13 +148,6 @@ def lstm_scan_node(x, w_x, w_h, bias, h0=None, c0=None, return_state=False,
     return out
 
 
-def _lstm_scan_legacy(x, w_x, w_h, bias, h0=None, c0=None,
-                      return_state=False):
-    """The ``lstm_scan`` reference: the one-node scan over the numpy
-    forward (:func:`lstm_scan_numpy`)."""
-    return lstm_scan_node(x, w_x, w_h, bias, h0, c0, return_state)
-
-
 class LSTMCell(Module):
     """A single LSTM step: ``(x, h, c) -> (h', c')``."""
 

@@ -2,10 +2,9 @@
 
 Every hot path of the reproduction — neighborhood aggregation in all conv
 candidates, ``segment_softmax`` (GAT, Set2Set), and every graph readout —
-bottoms out in segment reductions.  The legacy implementations in
-:mod:`repro.nn.tensor` use ``np.add.at`` / ``np.maximum.at``, which are an
-order of magnitude slower than sequential loops over sorted rows.  This
-module provides the fast (``reduceat``) backend:
+bottoms out in segment reductions.  ``np.add.at`` / ``np.maximum.at``
+are an order of magnitude slower than sequential loops over sorted rows,
+so this module provides plan-backed ops instead:
 
 * :class:`SegmentPlan` — a precomputed, reusable reduction plan for one
   index array: stable sort permutation, per-segment counts / start offsets
@@ -20,7 +19,7 @@ module provides the fast (``reduceat``) backend:
   ``op(x, segment_ids, num_segments)`` signature.
 * ``gin_message`` — GIN's gather + bond embeddings + add + sum over the
   destination plan as one autograd node (C forward where the kernel
-  library built), with a one-node ``np.add.at`` legacy counterpart.
+  library built).
 
 Kernel execution
 ----------------
@@ -56,15 +55,9 @@ for any tensor whose leading dimension equals ``plan.num_items``:
   reduced in their original relative order; plan-aware and plain-index
   call paths produce bit-identical outputs and gradients.
 
-The legacy ``np.add.at`` ops remain available as a reference backend for
-differential testing: ``with use_backend("legacy"): ...`` routes every op
-through :mod:`repro.nn.tensor`'s implementations.  Backend selection
-lives in :mod:`repro.nn.ops`: this module registers one plan-backed and
-one legacy implementation per segment op in the
-:data:`~repro.nn.ops.OP_REGISTRY` table, and the public names
-(``segment_sum`` et al., ``scatter_add``, ``use_backend``,
-``active_backend``) are re-exported registry dispatchers — there is no
-inline backend branching here.
+Each public op here is registered once in :data:`~repro.nn.ops.OP_REGISTRY`;
+the ``np.add.at`` references the tests compare them against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,7 +65,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as _sparse
 
-from . import tensor as _tensor
 from .compiled import kernels as _kernels
 from .policy import active_workspace, workspace_zeros
 from .tensor import Tensor, as_tensor
@@ -96,9 +88,7 @@ __all__ = [
     "segment_max",
     "segment_softmax",
     "gather_segments",
-    "scatter_add",
-    "use_backend",
-    "active_backend",
+    "gin_message",
 ]
 
 #: Above this within-segment rank count the vertical max (one pass per
@@ -235,15 +225,6 @@ def as_plan(index, num_segments: int | None = None) -> SegmentPlan:
     return SegmentPlan(index, num_segments)
 
 
-def _ids_of(index, num_segments: int | None) -> tuple[np.ndarray, int]:
-    """``(segment_ids, num_segments)`` from a plan or a plain index array."""
-    if isinstance(index, SegmentPlan):
-        return index.segment_ids, index.num_segments
-    if num_segments is None:
-        raise ValueError("num_segments is required when passing a plain index array")
-    return np.asarray(index, dtype=np.int64), int(num_segments)
-
-
 def _reduce_sum_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     """Per-segment sum of ``x_data`` rows (C loop, else CSR matvec).
 
@@ -323,11 +304,11 @@ def _reduce_max_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     return out
 
 
-def _segment_sum_plan(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+def segment_sum(x: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Sum rows of ``x`` per segment; ``index`` is a plan or an id array.
 
     Forward is the plan's C loop or cached CSR matvec; the adjoint is the
-    same pure gather ``g[segment_ids]`` as the legacy op.
+    pure gather ``g[segment_ids]``.
     """
     x = as_tensor(x)
     plan = as_plan(index, num_segments)
@@ -340,13 +321,7 @@ def _segment_sum_plan(x: Tensor, index, num_segments: int | None = None) -> Tens
     return Tensor._result(out_data, (x,), "segment_sum", backward)
 
 
-def _segment_sum_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
-    """Legacy ``np.add.at`` segment sum (plan-or-ids calling convention)."""
-    ids, n = _ids_of(index, num_segments)
-    return _tensor._legacy_segment_sum(as_tensor(x), ids, n)
-
-
-def _segment_mean_plan(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+def segment_mean(x: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Mean-pool rows per segment (empty segments yield zeros).
 
     The count reciprocals come precomputed from the plan, so repeated calls
@@ -372,17 +347,11 @@ def _segment_mean_plan(x: Tensor, index, num_segments: int | None = None) -> Ten
     return Tensor._result(out_data, (x,), "segment_mean", backward)
 
 
-def _segment_mean_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
-    """Legacy segment mean (plan-or-ids calling convention)."""
-    ids, n = _ids_of(index, num_segments)
-    return _tensor._legacy_segment_mean(as_tensor(x), ids, n)
-
-
-def _segment_max_plan(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+def segment_max(x: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Max-pool rows per segment (empty segments yield zeros).
 
-    Gradient splits evenly between ties inside each segment, exactly like
-    the legacy op; the tie counts are themselves one plan sum.
+    Gradient splits evenly between ties inside each segment; the tie
+    counts are themselves one plan sum.
     """
     x = as_tensor(x)
     plan = as_plan(index, num_segments)
@@ -400,13 +369,7 @@ def _segment_max_plan(x: Tensor, index, num_segments: int | None = None) -> Tens
     return Tensor._result(out_data, (x,), "segment_max", backward)
 
 
-def _segment_max_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
-    """Legacy ``np.maximum.at`` segment max (plan-or-ids calling convention)."""
-    ids, n = _ids_of(index, num_segments)
-    return _tensor._legacy_segment_max(as_tensor(x), ids, n)
-
-
-def _gather_segments_plan(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+def gather_segments(x: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Row-gather ``x[segment_ids]`` with a plan-backed scatter adjoint.
 
     Forward is identical to the plain row gather; the adjoint — a
@@ -427,13 +390,7 @@ def _gather_segments_plan(x: Tensor, index, num_segments: int | None = None) -> 
     return Tensor._result(out_data, (x,), "gather_segments", backward)
 
 
-def _gather_segments_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
-    """Legacy gather_segments: the plain row gather with np.add.at adjoint."""
-    ids, _ = _ids_of(index, num_segments)
-    return _tensor._gather(as_tensor(x), ids)
-
-
-def _segment_softmax_plan(scores: Tensor, index, num_segments: int | None = None) -> Tensor:
+def segment_softmax(scores: Tensor, index, num_segments: int | None = None) -> Tensor:
     """Softmax of ``scores`` grouped by segment (per-destination attention).
 
     Canonical implementation for GAT, Set2Set and any attention fusion: the
@@ -444,21 +401,11 @@ def _segment_softmax_plan(scores: Tensor, index, num_segments: int | None = None
     """
     scores = as_tensor(scores)
     plan = as_plan(index, num_segments)
-    seg_max = _segment_max_plan(scores, plan).detach()
-    shifted = scores - _gather_segments_plan(seg_max, plan)
+    seg_max = segment_max(scores, plan).detach()
+    shifted = scores - gather_segments(seg_max, plan)
     exp = shifted.exp()
-    denom = _segment_sum_plan(exp, plan)
-    return exp / (_gather_segments_plan(denom, plan) + 1e-16)
-
-
-def _segment_softmax_legacy(scores: Tensor, index, num_segments: int | None = None) -> Tensor:
-    """Legacy segment softmax: the same composition over the legacy sub-ops."""
-    scores = as_tensor(scores)
-    seg_max = _segment_max_legacy(scores, index, num_segments).detach()
-    shifted = scores - _gather_segments_legacy(seg_max, index, num_segments)
-    exp = shifted.exp()
-    denom = _segment_sum_legacy(exp, index, num_segments)
-    return exp / (_gather_segments_legacy(denom, index, num_segments) + 1e-16)
+    denom = segment_sum(exp, plan)
+    return exp / (gather_segments(denom, plan) + 1e-16)
 
 
 def _gin_indices(h, edge_index, edge_attr, type_table, tag_table):
@@ -484,7 +431,7 @@ def _gin_indices(h, edge_index, edge_attr, type_table, tag_table):
     return edge_index[0], edge_index[1], attr
 
 
-def _gin_message_plan(h: Tensor, edge_index, edge_attr, type_table,
+def gin_message(h: Tensor, edge_index, edge_attr, type_table,
                       tag_table, plan: SegmentPlan | None = None) -> Tensor:
     """GIN aggregation ``out[v] = sum_{e->v} h[src_e] + (T[a_e] + U[b_e])``
     as one node, ``(a_e, b_e) = edge_attr[e]`` indexing the bond-type and
@@ -513,29 +460,10 @@ def _gin_message_plan(h: Tensor, edge_index, edge_attr, type_table,
                      _kernels.scatter_rows)
 
 
-def _gin_message_legacy(h: Tensor, edge_index, edge_attr, type_table,
-                        tag_table, plan: SegmentPlan | None = None) -> Tensor:
-    """Legacy ``gin_message``: one node over the ``np.add.at`` reference
-    scatters (``plan`` is accepted and ignored)."""
-    h, type_table, tag_table = (as_tensor(t) for t in (h, type_table,
-                                                        tag_table))
-    src, dst, attr = _gin_indices(h, edge_index, edge_attr, type_table,
-                                  tag_table)
-    out_data = _tensor._legacy_scatter_add(
-        _gin_messages(h, type_table, tag_table, src, attr), dst, h.shape[0])
-    return _gin_node(out_data, h, type_table, tag_table, src, dst, attr,
-                     _legacy_scatter_rows)
-
-
 def _gin_messages(h, type_table, tag_table, src, attr):
     """The per-edge messages ``h[src] + (T[a] + U[b])`` (E x d)."""
     return h.data[src] + (type_table.data[attr[:, 0]]
                           + tag_table.data[attr[:, 1]])
-
-
-def _legacy_scatter_rows(g, rows, index, num_rows):
-    """``np.add.at`` scatter of ``g[rows]`` into ``num_rows`` rows."""
-    return _tensor._legacy_scatter_add(g[rows], index, num_rows)
 
 
 def _gin_node(out_data, h, type_table, tag_table, src, dst, attr, scatter):
@@ -553,20 +481,3 @@ def _gin_node(out_data, h, type_table, tag_table, src, dst, attr, scatter):
 
     return Tensor._result(out_data, (h, type_table, tag_table),
                           "gin_message", backward)
-
-
-#: Public op surface served by the registry dispatchers in
-#: :mod:`repro.nn.ops` (PEP 562 lazy re-export — importing ``ops`` here
-#: eagerly would be circular: ops registers the implementations above).
-_OPS_FORWARDED = frozenset({
-    "segment_sum", "segment_mean", "segment_max", "segment_softmax",
-    "gather_segments", "scatter_add", "use_backend", "active_backend",
-})
-
-
-def __getattr__(name):
-    if name in _OPS_FORWARDED:
-        from . import ops as _ops
-
-        return getattr(_ops, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

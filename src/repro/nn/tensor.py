@@ -40,9 +40,6 @@ __all__ = [
     "stack",
     "where",
     "gather",
-    "segment_sum",
-    "segment_mean",
-    "segment_max",
 ]
 
 
@@ -559,9 +556,8 @@ def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarra
     The adjoint of ``x[index]`` / :func:`gather`.  The index kind picks
     the path; all three are bit-identical to ``np.add.at`` over zeros:
 
-    * a 1-D integer array dispatches through the registered
-      ``scatter_add`` op (:mod:`repro.nn.ops`), so the active backend's
-      kernel handles repeated rows;
+    * a 1-D integer array goes through the ``scatter_add`` op
+      (:mod:`repro.nn.ops`), whose kernel handles repeated rows;
     * a basic index (int, slice, or a tuple of these) or a boolean mask
       selects every element at most once, so ``full[index] += g`` is the
       exact sum and skips ``np.add.at``'s per-element loop;
@@ -631,12 +627,12 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     return Tensor._result(out_data, (a, b), "where", backward)
 
 
-def _gather(x: Tensor, index: np.ndarray) -> Tensor:
+def gather(x: Tensor, index: np.ndarray) -> Tensor:
     """Row-gather ``x[index]``; the adjoint is a scatter-add.
 
     This is the core primitive of message passing: source node features are
-    gathered along ``edge_index[0]`` before aggregation.  Public name:
-    ``repro.nn.gather`` — the registered entry in :mod:`repro.nn.ops`.
+    gathered along ``edge_index[0]`` before aggregation.  Registered as the
+    ``gather`` op in :mod:`repro.nn.ops`.
     """
     index = np.asarray(index, dtype=np.int64)
     out_data = x.data[index]
@@ -648,67 +644,12 @@ def _gather(x: Tensor, index: np.ndarray) -> Tensor:
     return Tensor._result(out_data, (x,), "gather", backward)
 
 
-def _legacy_segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets; adjoint is a gather.
+def _add_at_scatter(g, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """``np.add.at`` scatter: ``out[index[i]] += g[i]`` over zeros.
 
-    Used both for neighborhood aggregation (segments = target nodes) and
-    graph readout (segments = graph ids in a batch).
-
-    This ``np.add.at`` implementation is the *legacy reference backend*,
-    registered in :mod:`repro.nn.ops`; the hot-path ops live in
-    :mod:`repro.nn.segment` (plan-backed ``reduceat``) and the public
-    ``segment_sum`` dispatches here under ``use_backend("legacy")`` for
-    differential testing.
-    """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = workspace_zeros((num_segments,) + x.data.shape[1:],
-                               x.data.dtype)
-    np.add.at(out_data, segment_ids, x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[segment_ids])
-
-    return Tensor._result(out_data, (x,), "segment_sum", backward)
-
-
-def _legacy_segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Mean-pool rows of ``x`` per segment (empty segments yield zeros)."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(x.data.dtype)
-    counts = np.maximum(counts, 1.0)
-    total = _legacy_segment_sum(x, segment_ids, num_segments)
-    return total * Tensor(1.0 / counts).reshape((num_segments,) + (1,) * (x.ndim - 1))
-
-
-def _legacy_segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Max-pool rows of ``x`` per segment (empty segments yield zeros)."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = np.full((num_segments,) + x.data.shape[1:], -np.inf,
-                       dtype=x.data.dtype)
-    np.maximum.at(out_data, segment_ids, x.data)
-    empty = ~np.isin(np.arange(num_segments), segment_ids)
-    out_data[empty] = 0.0
-    winners = (x.data == out_data[segment_ids])
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        # Split gradient among ties within each segment.
-        tie_counts = np.zeros_like(out_data)
-        np.add.at(tie_counts, segment_ids, winners.astype(out_data.dtype))
-        tie_counts = np.maximum(tie_counts, 1.0)
-        x._accumulate(np.where(winners, g[segment_ids] / tie_counts[segment_ids], 0.0))
-
-    return Tensor._result(out_data, (x,), "segment_max", backward)
-
-
-def _legacy_scatter_add(g, index: np.ndarray, num_rows: int) -> np.ndarray:
-    """Plain ``np.add.at`` scatter: ``out[index[i]] += g[i]`` over zeros.
-
-    The legacy reference entry for the registered ``scatter_add`` op —
-    duplicate indices accumulate in appearance order, which the C
-    scatter loop of the ``reduceat`` backend reproduces bit-identically.
+    The fallback of :func:`repro.nn.compiled.kernels.scatter_rows` for
+    the layouts its C and plan kernels reject; duplicate indices
+    accumulate in appearance order, as in those kernels.
     """
     g = np.asarray(g)
     if g.dtype.kind != "f":
@@ -717,21 +658,3 @@ def _legacy_scatter_add(g, index: np.ndarray, num_rows: int) -> np.ndarray:
     out = workspace_zeros((num_rows,) + g.shape[index.ndim:], g.dtype)
     np.add.at(out, index, g)
     return out
-
-
-#: Registered public ops whose canonical entry points are the registry
-#: dispatchers in :mod:`repro.nn.ops` (PEP 562 lazy re-export: importing
-#: ``ops`` eagerly here would be circular — ops registers the legacy
-#: implementations above).  ``from repro.nn.tensor import segment_sum``
-#: therefore returns the *same* function object as ``repro.nn.segment_sum``.
-_OPS_FORWARDED = frozenset({
-    "segment_sum", "segment_mean", "segment_max", "gather",
-})
-
-
-def __getattr__(name):
-    if name in _OPS_FORWARDED:
-        from . import ops as _ops
-
-        return getattr(_ops, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

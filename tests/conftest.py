@@ -1,21 +1,27 @@
 """Shared fixtures: tiny deterministic datasets, encoders, and RNGs."""
 
 import contextlib
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro.gnn import GNNEncoder
 from repro.graph import Batch, MoleculeGenerator, load_dataset
-from repro.nn import use_backend
 from repro.nn.compiled import build as compiled_build
+from repro.nn.ops import OP_REGISTRY
+from tests.oracles import ORACLES
 
-#: The kernel legs the parity suites compare against ``legacy``:
-#: ``reduceat`` is the fast backend with the C kernel library forced off
-#: (its numpy kernels), ``compiled`` the same backend running the C
-#: kernels — present only where a C compiler is discoverable.
+#: The kernel legs the parity suites compare: ``legacy`` runs every op's
+#: reference from ``tests/oracles.py``, ``reduceat`` the registered ops
+#: with the C kernel library forced off (their numpy kernels), and
+#: ``compiled`` the same ops running the C kernels — present only where
+#: a C compiler is discoverable.
 KERNEL_LEGS = ("legacy", "reduceat") + (
     ("compiled",) if compiled_build.find_compiler() is not None else ())
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 @contextlib.contextmanager
@@ -37,11 +43,49 @@ def kernel_library(enabled: bool):
 
 
 @contextlib.contextmanager
+def oracles_installed():
+    """Run the body with every registered op replaced by its oracle.
+
+    Each binding of an op's function object in a loaded ``repro``
+    module or test module (``from repro.nn import segment_sum`` copies
+    the object into the importer) is rebound to
+    ``tests.oracles.ORACLES``'s entry for it, and restored afterwards.
+    """
+    swap = {}
+    for name, oracle in ORACLES.items():
+        impl = OP_REGISTRY.get(name).impl
+        if oracle is not impl:
+            swap[id(impl)] = oracle
+    patches = []
+    for mod_name, module in list(sys.modules.items()):
+        if module is None or not (
+                mod_name.split(".")[0] == "repro"
+                or (getattr(module, "__file__", None) or "").startswith(
+                    TESTS_DIR)):
+            continue
+        for attr, value in list(vars(module).items()):
+            oracle = swap.get(id(value))
+            if oracle is not None:
+                patches.append((module, attr, value))
+                setattr(module, attr, oracle)
+    try:
+        yield
+    finally:
+        for module, attr, value in reversed(patches):
+            setattr(module, attr, value)
+
+
+@contextlib.contextmanager
 def kernel_leg(leg: str):
     """Select one of :data:`KERNEL_LEGS` for the body."""
-    backend = "legacy" if leg == "legacy" else "reduceat"
-    with use_backend(backend), kernel_library(leg != "reduceat"):
+    oracles = oracles_installed() if leg == "legacy" else contextlib.nullcontext()
+    with oracles, kernel_library(leg != "reduceat"):
         yield
+
+
+def leg_op(leg: str, name: str):
+    """The function op ``name`` runs as on kernel leg ``leg``."""
+    return ORACLES[name] if leg == "legacy" else OP_REGISTRY.get(name).impl
 
 
 def sample_tensors(sample):

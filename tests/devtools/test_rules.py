@@ -40,11 +40,8 @@ def fixture_config(**overrides) -> LintConfig:
         lock_hierarchy=FIXTURE_HIERARCHY,
         wallclock_allowlist=frozenset(),
         globals_allowlist=frozenset(),
-        autograd_modules=("bad_autograd.py", "bad_opreg.py"),
-        ops_module="bad_opreg.py",
-        parity_fast_module="bad_parity.py",
+        autograd_modules=("bad_autograd.py",),
         parity_reference_module="parity_reference.py",  # absent on purpose
-        parity_suite_files=(),
         attr_bindings={"inner": "Inner"},
         dtype_hot_modules=("bad_dtype.py",),
     )
@@ -131,54 +128,29 @@ class TestREP004Autograd:
         assert any("accumulates into 'y'" in m for m in found)
         assert sum("no _backward" in m for m in found) == 2
 
-    def test_registry_impl_violations_caught(self):
-        found = messages(run("REP004"), "bad_opreg.py")
-        assert len(found) == 3
-        assert any("'gather_segments'" in m and "not a named function" in m
-                   for m in found)
-        assert any("'scatter_add'" in m and "resolves to elsewhere.py" in m
-                   for m in found)
-        assert any("'phantom_op' is not defined in bad_autograd.py" in m
-                   for m in found)
-
     def test_complete_op_is_clean(self):
         found = run("REP004")
         assert not any("good_add" in f.message for f in found)
-        # non-differentiable registrations are exempt from impl checks
-        assert not any("'histogram'" in f.message for f in found)
 
 
-class TestREP005BackendParity:
-    def test_fast_module_violations_caught(self):
-        found = messages(run("REP005"), "bad_parity.py")
-        assert len(found) == 5
-        assert any("'segment_mean'" in m and "not registered" in m
-                   for m in found)
-        assert any("inline backend branch comparing against 'fast'" in m
-                   for m in found)
-        assert sum("scatter outside the legacy reference ops" in m
-                   for m in found) == 3  # add.at x2 + maximum.at
+class TestREP005UfuncAt:
+    def test_fixture_violations_caught(self):
+        found = messages(run("REP005"), "bad_ufunc_at.py")
+        assert len(found) == 3  # add.at x2 + maximum.at
+        assert sum("np.add.at scatter outside" in m for m in found) == 2
+        assert sum("np.maximum.at scatter outside" in m for m in found) == 1
 
-    def test_missing_reference_backend_caught(self):
-        found = messages(run("REP005"), "bad_opreg.py")
-        assert len(found) == 2
-        assert all("no reference-backend implementation" in m for m in found)
-        assert any("'segment_max'" in m for m in found)
-        assert any("'gather_segments'" in m for m in found)
-
-    def test_scatter_fallback_in_fast_module_is_flagged(self):
-        # No function of the fast module is exempt from the ufunc.at ban:
-        # a fallback scatter calls the legacy reference op instead.
-        source = fixture_project().get("bad_parity.py").source
+    def test_scatter_fallback_is_flagged(self):
+        # No function is exempt from the ufunc.at ban outside the one
+        # allowed module: a fallback scatter there is flagged too.
+        source = fixture_project().get("bad_ufunc_at.py").source
         line = next(i for i, text in enumerate(source.splitlines(), start=1)
                     if "no exempt fallback" in text)
         assert line in {f.line for f in run("REP005")}
 
-    def test_registered_exports_are_clean(self):
-        found = run("REP005")
-        for name in ("'segment_sum'", "'scatter_add'"):
-            assert not any(name in m and "not registered" in m
-                           for m in (f.message for f in found))
+    def test_allowed_module_is_exempt(self):
+        config = fixture_config(parity_reference_module="bad_ufunc_at.py")
+        assert run("REP005", config=config) == []
 
 
 class TestREP006LockCensus:
@@ -231,40 +203,6 @@ class TestREP007Dtype:
         assert run("REP007", config=config) == []
 
 
-class TestREP008OpRegistry:
-    def test_fixture_violations_caught(self):
-        found = messages(run("REP008"), "bad_opreg.py")
-        assert len(found) == 8
-        assert any("backend 'warp' falls back to undeclared 'quantum'" in m
-                   for m in found)
-        assert any("non-literal op name" in m for m in found)
-        assert any("op 'segment_sum' registered twice" in m for m in found)
-        assert any("'segment_max' registered without an adjoint" in m
-                   for m in found)
-        assert any("'segment_max' registered without a samples generator" in m
-                   for m in found)
-        assert any("'segment_max' declares a single backend with no waiver"
-                   in m for m in found)
-        assert any("'gather_segments' registered for undeclared backend "
-                   "'quantum'" in m for m in found)
-        assert any("use_backend('cuda') names an undeclared backend" in m
-                   for m in found)
-
-    def test_waivered_single_backend_is_clean(self):
-        found = run("REP008")
-        assert not any("'histogram'" in f.message for f in found)
-
-    def test_declared_use_backend_literal_is_clean(self):
-        source = fixture_project().get("bad_opreg.py").source
-        line = next(i for i, text in enumerate(source.splitlines(), start=1)
-                    if 'use_backend("fast")' in text)
-        assert line not in {f.line for f in run("REP008")}
-
-    def test_absent_ops_module_skips_the_rule(self):
-        config = fixture_config(ops_module="absent.py")
-        assert run("REP008", config=config) == []
-
-
 class TestSuppressionMachinery:
     def test_baseline_suppresses_by_location(self, tmp_path):
         findings = run("REP002")
@@ -303,9 +241,9 @@ class TestSuppressionMachinery:
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         assert sorted(RULES) == ["REP001", "REP002", "REP003", "REP004",
-                                 "REP005", "REP006", "REP007", "REP008"]
+                                 "REP005", "REP006", "REP007"]
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(ValueError, match="unknown rule ids: REP999"):

@@ -1,7 +1,8 @@
 """Differential tests: every conv/readout/fusion candidate under the
-plan-backed reduceat kernels must match the legacy ``np.add.at`` backend to
-<= 1e-9 in values and parameter/input gradients, and the plan-aware call
-path (ctx / node plan) must be bit-identical to the plain-index path.
+plan-backed kernels must match the ``np.add.at`` oracles (the ``legacy``
+kernel leg) to <= 1e-9 in values and parameter/input gradients, and the
+plan-aware call path (ctx / node plan) must be bit-identical to the
+plain-index path.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.gnn import (
     make_readout,
 )
 from repro.graph import Batch
-from repro.nn import Tensor, use_backend
+from repro.nn import Tensor
+from tests.conftest import kernel_leg
 
 
 def _run_conv(conv, h_data, batch, ctx=None):
@@ -49,7 +51,7 @@ class TestConvBackendParity:
         conv = make_conv(conv_type, 16, np.random.default_rng(1))
         h_data = rng.normal(size=(batch.num_nodes, 16))
         out_new, hg_new, pg_new = _run_conv(conv, h_data, batch, ctx=batch)
-        with use_backend("legacy"):
+        with kernel_leg("legacy"):
             out_ref, hg_ref, pg_ref = _run_conv(conv, h_data, batch)
         _assert_close(out_new, out_ref)
         _assert_close(hg_new, hg_ref)
@@ -75,7 +77,7 @@ class TestConvBackendParity:
         conv = make_conv(conv_type, 8, np.random.default_rng(2))
         h_data = rng.normal(size=(2, 8))
         out_new = _run_conv(conv, h_data, batch, ctx=batch)
-        with use_backend("legacy"):
+        with kernel_leg("legacy"):
             out_ref = _run_conv(conv, h_data, batch)
         _assert_close(out_new[0], out_ref[0])
         _assert_close(out_new[1], out_ref[1])
@@ -88,7 +90,7 @@ class TestReadoutBackendParity:
         ids = np.repeat(np.arange(3), [5, 1, 6])
         h_data = rng.normal(size=(12, 8))
         out_new, hg_new, pg_new = _run_readout(readout, h_data, ids, 3)
-        with use_backend("legacy"):
+        with kernel_leg("legacy"):
             out_ref, hg_ref, pg_ref = _run_readout(readout, h_data, ids, 3)
         _assert_close(out_new, out_ref)
         _assert_close(hg_new, hg_ref)
@@ -148,7 +150,7 @@ class TestFusionBackendParity:
             return out.data.copy(), grads, pgrads
 
         out_new, lg_new, pg_new = run()
-        with use_backend("legacy"):
+        with kernel_leg("legacy"):
             out_ref, lg_ref, pg_ref = run()
         _assert_close(out_new, out_ref)
         for a, b in zip(lg_new, lg_ref):

@@ -1,12 +1,12 @@
 """The compiled C kernels (``repro.nn.compiled``) inside the fast backend.
 
-The C kernels are the data kernels of the ``reduceat`` backend, not a
-backend of their own.  Four contracts:
+The C kernels are the data kernels of the registered fast ops.  Four
+contracts:
 
 * **parity, library loaded** — with the kernel library built, every
   C-backed op (the segment family, ``scatter_add``, ``lstm_scan``,
-  ``gin_message``) is bit-identical to the same backend with the
-  library forced off and to the ``legacy`` reference, in float64 and
+  ``gin_message``) is bit-identical to the same op with the library
+  forced off and to its ``tests/oracles.py`` reference, in float64 and
   float32, forward and every gradient, on every sample layout
   (including the long-segment one); a spy on the loaded library proves
   the C symbols actually ran;
@@ -17,7 +17,8 @@ backend of their own.  Four contracts:
   object into the cache directory, and a reset + reload is a disk-cache
   hit;
 * **surfacing** — ``InferenceService.stats()`` and the CLI
-  ``backend-info`` target expose the build status.
+  ``backend-info`` target expose the build status (and the CLI the one
+  implementation behind each op).
 """
 
 import collections
@@ -35,9 +36,9 @@ from repro.nn import (
 )
 from repro.nn.compiled import build, compiled_status
 from repro.nn.compiled import kernels as _kernels
-from repro.nn.ops import OP_REGISTRY, OpRegistry
+from repro.nn.ops import OP_REGISTRY
 from repro.serve import InferenceService
-from tests.conftest import kernel_leg, sample_tensors
+from tests.conftest import kernel_leg, leg_op, sample_tensors
 from tests.oracles import lstm_reference, lstm_scan_reference
 
 HAVE_CC = build.find_compiler() is not None
@@ -45,7 +46,7 @@ HAVE_CC = build.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC,
                               reason="no C compiler discovered")
 
-#: Ops whose reduceat impl runs a C kernel when the library is loaded.
+#: Ops that run a C kernel when the library is loaded.
 C_BACKED_OPS = ("segment_sum", "segment_mean", "segment_max",
                 "segment_softmax", "gather_segments", "scatter_add",
                 "lstm_scan", "gin_message")
@@ -55,7 +56,7 @@ def _run(op_name, leg, sample):
     """Forward (+ gradients of the sum w.r.t. the payload and every grad
     arg, for differentiable ops) of one sample on one kernel leg; plain
     arrays out, grads None otherwise."""
-    dispatch = OP_REGISTRY.dispatcher(op_name)
+    dispatch = leg_op(leg, op_name)
     entry = OP_REGISTRY.get(op_name)
     with kernel_leg(leg):
         if not entry.differentiable:
@@ -76,29 +77,11 @@ def _same(got, want):
 
 def _run_forward(op_name, leg, sample):
     """Forward only of one sample on one kernel leg; plain array out."""
-    dispatch = OP_REGISTRY.dispatcher(op_name)
+    dispatch = leg_op(leg, op_name)
     with kernel_leg(leg):
         if not OP_REGISTRY.get(op_name).differentiable:
             return np.asarray(dispatch(sample.data.copy(), *sample.args))
         return dispatch(Tensor(sample.data.copy()), *sample.args).data
-
-
-class TestLateBackendFill:
-    """The kernel library is loaded inside the ``reduceat`` impls, never
-    filled into the registry after the fact: a backend is declared once,
-    and only on top of a fallback that is already declared."""
-
-    def test_redeclare_without_impls_rejected(self):
-        registry = OpRegistry()
-        registry.register_backend("legacy")
-        registry.register_backend("reduceat", fallback="legacy")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register_backend("reduceat", fallback="legacy")
-
-    def test_declaring_with_undeclared_fallback_rejected(self):
-        registry = OpRegistry()
-        with pytest.raises(ValueError, match="undeclared"):
-            registry.register_backend("reduceat", fallback="legacy")
 
 
 @pytest.fixture
@@ -215,9 +198,9 @@ class _SpyLibrary:
 class TestCompiledKernelParity:
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
     def test_forward_bitwise_vs_reduceat_and_legacy(self, dtype_name):
-        # "compiled" = reduceat with the library loaded, "reduceat" = the
-        # same backend with it forced off (CSR matvec / vertical max /
-        # np.add.at scatter / tape scan).
+        # "compiled" = the ops with the library loaded, "reduceat" = the
+        # same ops with it forced off (CSR matvec / vertical max / plan
+        # scatter / numpy scan), "legacy" = the oracles.
         dtype = np.dtype(dtype_name).type
         labels = set()
         for op_name in C_BACKED_OPS:
@@ -269,7 +252,7 @@ class TestCompiledKernelParity:
             dtype = np.dtype(dtype_name).type
             for sample in entry.samples(dtype):
                 with no_grad(), use_dtype(dtype_name):
-                    out_c, h_c, c_c = _kernels._lstm_scan_compiled(
+                    out_c, h_c, c_c = _kernels.lstm_scan(
                         Tensor(sample.data.copy()), *sample.args,
                         return_state=True)
                     out_r, h_r, c_r = lstm_scan_reference(
@@ -315,8 +298,10 @@ class TestSurfacing:
         from repro.cli import main
         assert main(["backend-info"]) == 0
         captured = capsys.readouterr().out
-        assert "declared backends (fallback chains):" in captured
-        assert "reduceat -> legacy" in captured
+        assert "fallback" not in captured
         assert "compiled kernel status:" in captured
+        lines = captured.splitlines()
         for op_name in OP_REGISTRY.ops():
-            assert op_name in captured
+            impl = OP_REGISTRY.get(op_name).impl
+            line = f"{op_name:<18} {impl.__module__}.{impl.__qualname__}"
+            assert sum(text.strip() == line for text in lines) == 1, line

@@ -1,33 +1,26 @@
-"""Registry-driven gradcheck sweep: the whole op database, every backend.
+"""Registry-driven gradcheck sweep: the whole op database, every leg.
 
-``repro.nn.ops.OP_REGISTRY`` declares each op once — implementations per
-backend, adjoint, tolerances and deterministic sample inputs.  This suite
-is the registry's consumer contract:
+``repro.nn.ops.OP_REGISTRY`` declares each op once — its one
+implementation, adjoint, tolerances and deterministic sample inputs.
+This suite is the registry's consumer contract:
 
-* **completeness pin** — the registered op and backend sets are asserted
-  literally, so adding an op without samples/adjoint (or losing one) is
-  a test failure here and a REP008 finding, not silent shrinkage.  The
-  literal names double as the REP005 suite-coverage witnesses:
-  segment_sum, segment_mean, segment_max, segment_softmax,
-  gather_segments, scatter_add, gather, exp, log, sqrt, tanh, sigmoid,
-  relu, abs, matmul, concat, lstm_scan, gin_message, linear, batch_norm.
+* **completeness pin** — the registered op set is asserted literally, so
+  adding an op without samples/adjoint (or losing one) is a test failure
+  here, not silent shrinkage;
 * **numeric-vs-analytic gradcheck** over every differentiable op ×
   kernel leg × sample input (float64, the policy default), for the
   payload and for every argument a sample marks in ``grad_args``
   (weights, embedding tables, initial LSTM states).  The legs
-  (``tests.conftest.KERNEL_LEGS``) are the ``legacy`` reference, the
-  ``reduceat`` backend with the C kernel library forced off, and — where
-  a C compiler exists — the same backend running the C kernels
-  (``compiled``);
+  (``tests.conftest.KERNEL_LEGS``) are the ``legacy`` reference (the
+  oracles of ``tests/oracles.py``), the registered ops with the C kernel
+  library forced off (``reduceat``), and — where a C compiler exists —
+  the same ops running the C kernels (``compiled``);
 * **float32 policy leg** — the same samples under ``use_dtype`` must
   track the float64 run within each op's declared ``float32_tol``;
-* **cross-backend parity on the samples** within each op's declared
+* **parity with the oracle on the samples** within each op's declared
   ``tolerance`` (0.0 = bit-identical), forward and gradient;
-* **fallback chain** — the ``reduceat`` backend must resolve to its own
-  implementation where it registered one and to the ``legacy``
-  implementation everywhere else;
 * a small **hypothesis leg** replaying adversarial segment layouts
-  through the registry dispatchers on every kernel leg.
+  through every kernel leg.
 """
 
 import contextlib
@@ -37,9 +30,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, use_backend, use_dtype
+from repro.nn import Tensor, use_dtype
 from repro.nn.ops import OP_REGISTRY
-from tests.conftest import KERNEL_LEGS, gradcheck, kernel_leg, sample_tensors
+from tests.conftest import (
+    KERNEL_LEGS,
+    gradcheck,
+    kernel_leg,
+    leg_op,
+    sample_tensors,
+)
 
 pytestmark = pytest.mark.gradcheck_sweep
 
@@ -61,17 +60,17 @@ class TestRegistryCompleteness:
         assert set(OP_REGISTRY.ops()) == EXPECTED_OPS
 
     def test_backend_sets(self):
-        # One reference and one fast path, with or without a C compiler:
-        # the C kernels live inside the reduceat impls.
-        assert OP_REGISTRY.backends() == ("legacy", "reduceat")
-        assert OP_REGISTRY.declared_backends() == ("legacy", "reduceat")
+        # The oracles and the numpy kernels always; the C kernels (inside
+        # the same registered ops) only where a compiler exists.
+        assert KERNEL_LEGS[:2] == ("legacy", "reduceat")
+        assert set(KERNEL_LEGS) <= {"legacy", "reduceat", "compiled"}
 
     def test_every_entry_is_complete(self):
         for name in OP_REGISTRY.ops():
             entry = OP_REGISTRY.get(name)
             assert entry.adjoint, name
             assert callable(entry.samples), name
-            assert len(entry.impls) >= 2 or entry.waiver, name
+            assert callable(entry.impl), name
             for dtype in (np.float64, np.float32):
                 samples = entry.samples(dtype)
                 assert samples, (name, dtype)
@@ -90,7 +89,7 @@ class TestRegistryCompleteness:
 def _run_sample(op_name, backend, sample, dtype_ctx=None):
     """Forward + backward of one sample; returns (out, grads) arrays,
     ``grads`` holding the payload's gradient then each grad arg's."""
-    dispatch = OP_REGISTRY.dispatcher(op_name)
+    dispatch = leg_op(backend, op_name)
     with kernel_leg(backend), (dtype_ctx or contextlib.nullcontext)():
         x, args, tracked = sample_tensors(sample)
         out = dispatch(x, *args)
@@ -124,7 +123,7 @@ class TestGradcheckSweep:
     @pytest.mark.parametrize("op_name", DIFFERENTIABLE)
     def test_float64_gradcheck(self, op_name, backend):
         entry = OP_REGISTRY.get(op_name)
-        dispatch = OP_REGISTRY.dispatcher(op_name)
+        dispatch = leg_op(backend, op_name)
         for sample in entry.samples(np.float64):
             with kernel_leg(backend):
                 _gradcheck_sample(dispatch, sample, entry.gradcheck_tol)
@@ -152,7 +151,7 @@ class TestGradcheckSweep:
 
 
 class TestBackendParityOnSamples:
-    """Every backend against the reference, within declared tolerance."""
+    """Every kernel leg against the oracle, within declared tolerance."""
 
     @pytest.mark.parametrize("op_name", DIFFERENTIABLE)
     def test_differentiable_ops(self, op_name):
@@ -175,10 +174,10 @@ class TestBackendParityOnSamples:
     def test_scatter_add_forward_parity(self):
         entry = OP_REGISTRY.get("scatter_add")
         assert not entry.differentiable
-        dispatch = OP_REGISTRY.dispatcher("scatter_add")
         for sample in entry.samples(np.float64):
             results = {}
             for backend in BACKENDS:
+                dispatch = leg_op(backend, "scatter_add")
                 with kernel_leg(backend):
                     # Call twice with the *same* index array object: a
                     # repeated index must scatter the same bits again.
@@ -190,30 +189,6 @@ class TestBackendParityOnSamples:
             for backend in BACKENDS[1:]:
                 assert np.array_equal(results[backend], reference), \
                     sample.label
-
-
-class TestFallbackChain:
-    def test_reduceat_resolves_direct_impl_or_legacy(self):
-        for op_name in OP_REGISTRY.ops():
-            entry = OP_REGISTRY.get(op_name)
-            resolved = OP_REGISTRY.resolve(op_name, "reduceat")
-            if "reduceat" in entry.impls:
-                assert resolved is entry.impls["reduceat"], op_name
-            else:
-                assert resolved is entry.impls["legacy"], op_name
-
-    def test_reduceat_backend_runs_the_fallback(self):
-        # gather has no reduceat impl: the reduceat backend must run the
-        # legacy one, forward and adjoint.
-        assert "reduceat" not in OP_REGISTRY.get("gather").impls
-        sample = OP_REGISTRY.get("gather").samples(np.float64)[0]
-        out_ref, grad_ref = _run_sample("gather", "legacy", sample)
-        with use_backend("reduceat"):
-            x = Tensor(sample.data.copy(), requires_grad=True)
-            out = OP_REGISTRY.dispatcher("gather")(x, *sample.args)
-            out.backward(np.ones_like(out.data))
-        assert np.array_equal(out.data, out_ref)
-        assert np.array_equal(x.grad, grad_ref[0])
 
 
 @st.composite
@@ -238,9 +213,9 @@ class TestFuzzedLayoutsThroughRegistry:
             return
         data = np.random.default_rng(seed).normal(size=(ids.size, 2))
         for op_name in ("segment_sum", "segment_mean", "segment_max"):
-            dispatch = OP_REGISTRY.dispatcher(op_name)
             tol = OP_REGISTRY.get(op_name).gradcheck_tol
             for backend in BACKENDS:
+                dispatch = leg_op(backend, op_name)
                 with kernel_leg(backend):
                     gradcheck(lambda x: dispatch(x, ids, n).sum(),
                               data, tol=tol)

@@ -8,7 +8,7 @@ the serving stack builds on:
   pre-policy stack, so training and the differential suite are untouched;
 * ``use_dtype`` / ``serving_policy`` policies are re-entrant context
   managers, restore on exception unwind, and are thread-isolated exactly
-  like ``no_grad`` / ``use_backend`` (fresh threads get the defaults;
+  like ``no_grad`` (fresh threads get the defaults;
   one policy *instance* may be entered concurrently from many threads);
 * :class:`WorkspacePool` leases per-thread keyed buffers: distinct
   buffers within one pass, the *same* buffers across passes (hits), and
@@ -105,7 +105,7 @@ class TestPolicyThreadIsolation:
     def test_fresh_thread_gets_default_policy(self):
         with serving_policy():
             assert active_dtype() == np.float32
-            # Spawned threads mirror no_grad/use_backend: defaults, not
+            # Spawned threads mirror no_grad: defaults, not
             # the spawner's nesting.
             assert run_in_thread(active_dtype) == np.float64
             assert run_in_thread(active_workspace) is None

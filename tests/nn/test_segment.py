@@ -1,7 +1,7 @@
 """Tests for the plan-backed segment kernel layer (repro.nn.segment).
 
-Covers the SegmentPlan contract, differential testing of the reduceat
-backend against the legacy ``np.add.at`` reference (values *and* gradients,
+Covers the SegmentPlan contract, differential testing of the plan-backed
+ops against their ``np.add.at`` oracles (values *and* gradients,
 including empty segments, ties in max, single-segment and zero-item
 inputs), and the property that plan-aware and plain-index call paths are
 bit-identical.
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.nn import (
     SegmentPlan,
     Tensor,
-    active_backend,
     as_plan,
     gather,
     gather_segments,
@@ -23,10 +22,9 @@ from repro.nn import (
     segment_mean,
     segment_softmax,
     segment_sum,
-    use_backend,
 )
-from repro.nn import tensor as legacy
 from tests.conftest import gradcheck
+from tests.oracles import ORACLES
 
 OPS = [segment_sum, segment_mean, segment_max, segment_softmax]
 
@@ -83,20 +81,9 @@ class TestSegmentPlan:
         with pytest.raises(ValueError):
             as_plan(np.array([0, 1]))  # index array needs num_segments
 
-    def test_backend_switch(self):
-        assert active_backend() == "reduceat"
-        with use_backend("legacy"):
-            assert active_backend() == "legacy"
-            with use_backend("reduceat"):
-                assert active_backend() == "reduceat"
-            assert active_backend() == "legacy"
-        assert active_backend() == "reduceat"
-        with pytest.raises(ValueError):
-            use_backend("cuda")
-
 
 class TestBackendParity:
-    """reduceat kernels must match the np.add.at reference to <= 1e-9."""
+    """The plan-backed ops must match their np.add.at oracles to <= 1e-9."""
 
     @pytest.mark.parametrize("case", sorted(_ids_cases()))
     @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
@@ -109,8 +96,7 @@ class TestBackendParity:
         x_new = Tensor(data.copy(), requires_grad=True)
         x_ref = Tensor(data.copy(), requires_grad=True)
         out_new = op(x_new, ids, n)
-        with use_backend("legacy"):
-            out_ref = op(x_ref, ids, n)
+        out_ref = ORACLES[op.__name__](x_ref, ids, n)
         assert np.abs(out_new.data - out_ref.data).max(initial=0.0) <= 1e-9
         seed = np.cos(np.arange(out_new.size, dtype=np.float64)).reshape(out_new.shape)
         out_new.backward(seed)
@@ -123,8 +109,7 @@ class TestBackendParity:
         x_new = Tensor(data.copy(), requires_grad=True)
         x_ref = Tensor(data.copy(), requires_grad=True)
         segment_max(x_new, ids, 2).sum().backward()
-        with use_backend("legacy"):
-            legacy.segment_max(x_ref, ids, 2).sum().backward()
+        ORACLES["segment_max"](x_ref, ids, 2).sum().backward()
         assert np.array_equal(x_new.grad, x_ref.grad)
         # Ties split evenly inside each segment.
         assert np.allclose(x_new.grad.ravel(), [0.5, 0.5, 0.0, 0.5, 0.5])
@@ -159,8 +144,7 @@ class TestBackendParity:
         x_new = Tensor(data.copy(), requires_grad=True)
         x_ref = Tensor(data.copy(), requires_grad=True)
         out_new = segment_max(x_new, ids, 3)
-        with use_backend("legacy"):
-            out_ref = segment_max(x_ref, ids, 3)
+        out_ref = ORACLES["segment_max"](x_ref, ids, 3)
         assert np.abs(out_new.data - out_ref.data).max() <= 1e-9
         out_new.sum().backward()
         out_ref.sum().backward()
@@ -185,8 +169,7 @@ class TestBackendParity:
     def test_gather_segments_legacy_backend_routes_to_gather(self):
         ids = np.array([1, 0, 1])
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        with use_backend("legacy"):
-            out = gather_segments(x, ids, 3)
+        out = ORACLES["gather_segments"](x, ids, 3)
         out.sum().backward()
         assert np.array_equal(out.data, x.data[ids])
         assert np.array_equal(x.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))

@@ -6,8 +6,8 @@ interleaved with large ones, zero-length index arrays, single-segment
 batches, non-contiguous segment ids with leading/trailing gaps — and
 asserts, for every plan-backed op:
 
-* values and input gradients match the legacy ``np.add.at`` backend
-  bit-for-bit (sum/mean/max/gather) or to 1e-12 (softmax, whose
+* values and input gradients match the ``np.add.at`` oracles
+  (``tests/oracles.py``) bit-for-bit (sum/mean/max/gather) or to 1e-12 (softmax, whose
   normalizer arithmetic is shared but exponent-order-sensitive);
 * the plan's structural invariants hold (counts/offsets/indptr are
   consistent, the stable-sort permutation is a permutation);
@@ -28,12 +28,12 @@ from repro.nn import (
     segment_softmax,
     segment_sum,
     serving_policy,
-    use_backend,
     use_dtype,
 )
 from tests.conftest import gradcheck
+from tests.oracles import ORACLES
 
-#: Ops over per-item rows, claimed bit-identical to the legacy backend.
+#: Ops over per-item rows, claimed bit-identical to their oracles.
 EXACT_OPS = [segment_sum, segment_mean, segment_max]
 
 
@@ -74,8 +74,7 @@ class TestFuzzBackendParity:
         plan = SegmentPlan(ids, n)
         for op in EXACT_OPS:
             out_new, grad_new = _run(op, data, plan, None)
-            with use_backend("legacy"):
-                out_ref, grad_ref = _run(op, data, ids, n)
+            out_ref, grad_ref = _run(ORACLES[op.__name__], data, ids, n)
             assert np.array_equal(out_new, out_ref), op.__name__
             assert np.array_equal(grad_new, grad_ref), op.__name__
 
@@ -87,8 +86,7 @@ class TestFuzzBackendParity:
         ids, n, seed = layout
         data = np.random.default_rng(seed).normal(size=(n, 3))
         out_new, grad_new = _run(gather_segments, data, SegmentPlan(ids, n), None)
-        with use_backend("legacy"):
-            out_ref, grad_ref = _run(gather_segments, data, ids, n)
+        out_ref, grad_ref = _run(ORACLES["gather_segments"], data, ids, n)
         assert np.array_equal(out_new, out_ref)
         assert np.array_equal(grad_new, grad_ref)
 
@@ -100,8 +98,7 @@ class TestFuzzBackendParity:
             return  # softmax over zero rows is vacuous
         data = np.random.default_rng(seed).normal(size=ids.size)
         out_new, grad_new = _run(segment_softmax, data, SegmentPlan(ids, n), None)
-        with use_backend("legacy"):
-            out_ref, grad_ref = _run(segment_softmax, data, ids, n)
+        out_ref, grad_ref = _run(ORACLES["segment_softmax"], data, ids, n)
         assert np.abs(out_new - out_ref).max(initial=0.0) <= 1e-12
         assert np.abs(grad_new - grad_ref).max(initial=0.0) <= 1e-12
 
@@ -221,15 +218,13 @@ class TestNamedEdgeCases:
         plan = SegmentPlan(ids, n)
         for op in EXACT_OPS:
             out_new, grad_new = _run(op, data, plan, None)
-            with use_backend("legacy"):
-                out_ref, grad_ref = _run(op, data, ids, n)
+            out_ref, grad_ref = _run(ORACLES[op.__name__], data, ids, n)
             assert out_new.shape == out_ref.shape, op.__name__
             assert np.array_equal(out_new, out_ref), op.__name__
             assert np.array_equal(grad_new, grad_ref), op.__name__
         seg_data = rng.normal(size=(n, 4))
         out_new, grad_new = _run(gather_segments, seg_data, plan, None)
-        with use_backend("legacy"):
-            out_ref, grad_ref = _run(gather_segments, seg_data, ids, n)
+        out_ref, grad_ref = _run(ORACLES["gather_segments"], seg_data, ids, n)
         assert np.array_equal(out_new, out_ref)
         assert np.array_equal(grad_new, grad_ref)
 

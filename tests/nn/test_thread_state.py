@@ -1,19 +1,19 @@
-"""Context-local execution state: ``no_grad`` / ``use_backend`` across threads.
+"""Context-local execution state: ``no_grad`` across threads.
 
-PR 5 replaced the process-global list-stacks behind ``is_grad_enabled`` and
-``active_backend`` with ``contextvars.ContextVar`` state.  These tests pin
-the semantics the concurrent serving runtime depends on:
+``is_grad_enabled`` reads ``contextvars.ContextVar`` state rather than a
+process-global stack.  These tests pin the semantics the concurrent
+serving runtime depends on:
 
-* thread isolation — entering ``no_grad`` / ``use_backend`` in one thread
-  never changes what another thread observes;
-* fresh threads start from the defaults (grad enabled, fast backend) —
-  they do *not* inherit the spawning thread's nesting;
+* thread isolation — entering ``no_grad`` in one thread never changes
+  what another thread observes;
+* fresh threads start from the default (grad enabled) — they do *not*
+  inherit the spawning thread's nesting;
 * the public single-thread behaviour (nesting, exception unwind, reuse of
   one context-manager instance) is unchanged.
 
 Plus the ``scatter_add`` op behind ``gather`` / ``__getitem__``
 adjoints: bit-identical to ``np.add.at`` on every kernel leg (C scatter
-loop, forced-off library, legacy), including strided index views,
+loop, forced-off library, the oracle), including strided index views,
 negative indices, index arrays mutated between calls, and concurrent
 callers.
 """
@@ -25,12 +25,10 @@ import pytest
 
 from repro.nn import (
     Tensor,
-    active_backend,
     gather,
     is_grad_enabled,
     no_grad,
     scatter_add,
-    use_backend,
 )
 from tests.conftest import KERNEL_LEGS, kernel_leg
 
@@ -133,43 +131,6 @@ class TestGradStateThreadIsolation:
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
         assert is_grad_enabled()
-
-
-class TestBackendStateThreadIsolation:
-    def test_fresh_thread_defaults_to_fast_backend(self):
-        with use_backend("legacy"):
-            assert active_backend() == "legacy"
-            assert run_in_thread(active_backend) == "reduceat"
-        assert active_backend() == "reduceat"
-
-    def test_legacy_thread_does_not_reroute_others(self):
-        entered = threading.Event()
-        release = threading.Event()
-
-        def worker():
-            with use_backend("legacy"):
-                entered.set()
-                release.wait(timeout=10)
-                return active_backend()
-
-        box = {}
-        t = threading.Thread(target=lambda: box.update(r=worker()))
-        t.start()
-        assert entered.wait(timeout=10)
-        assert active_backend() == "reduceat"
-        release.set()
-        t.join()
-        assert box["r"] == "legacy"
-
-    def test_single_instance_reentrant_and_nesting(self):
-        guard = use_backend("legacy")
-        with guard:
-            with use_backend("reduceat"):
-                assert active_backend() == "reduceat"
-                with guard:
-                    assert active_backend() == "legacy"
-            assert active_backend() == "legacy"
-        assert active_backend() == "reduceat"
 
 
 class TestScatterAdd:

@@ -22,11 +22,12 @@ except ImportError:  # pragma: no cover - exercised only without torch
 
 pytestmark = pytest.mark.skipif(torch is None, reason="torch not installed")
 
-from repro.nn import Tensor, use_backend  # noqa: E402
+from repro.nn import Tensor  # noqa: E402
 from repro.nn.ops import OP_REGISTRY  # noqa: E402
+from tests.conftest import KERNEL_LEGS, kernel_leg, leg_op  # noqa: E402
 
 #: forward/grad agreement threshold in float64 (beyond the op's own
-#: declared cross-backend tolerance, which is 0 for the exact ops).
+#: declared oracle tolerance, which is 0 for the exact ops).
 ATOL = 1e-9
 
 
@@ -91,8 +92,8 @@ def _torch_args(args):
 
 
 def _run_repro(op_name, backend, sample):
-    dispatch = OP_REGISTRY.dispatcher(op_name)
-    with use_backend(backend):
+    dispatch = leg_op(backend, op_name)
+    with kernel_leg(backend):
         x = Tensor(sample.data.copy(), requires_grad=True)
         out = dispatch(x, *sample.args)
         out.backward(np.ones_like(out.data))
@@ -112,7 +113,7 @@ class TestTorchParity:
                       if OP_REGISTRY.get(name).differentiable}
         assert registered == set(_TORCH_OPS)
 
-    @pytest.mark.parametrize("backend", OP_REGISTRY.backends())
+    @pytest.mark.parametrize("backend", KERNEL_LEGS)
     @pytest.mark.parametrize("op_name", DIFFERENTIABLE)
     def test_forward_and_gradient_match(self, op_name, backend):
         entry = OP_REGISTRY.get(op_name)
@@ -125,12 +126,12 @@ class TestTorchParity:
             assert np.abs(grad_repro - grad_torch).max(initial=0.0) <= tol, \
                 (op_name, backend, sample.label)
 
-    @pytest.mark.parametrize("backend", OP_REGISTRY.backends())
+    @pytest.mark.parametrize("backend", KERNEL_LEGS)
     def test_scatter_add_forward_matches(self, backend):
         entry = OP_REGISTRY.get("scatter_add")
-        dispatch = OP_REGISTRY.dispatcher("scatter_add")
+        dispatch = leg_op(backend, "scatter_add")
         for sample in entry.samples(np.float64):
-            with use_backend(backend):
+            with kernel_leg(backend):
                 out_repro = dispatch(sample.data, *sample.args)
             ids, n = sample.args
             out_torch = _torch_segment_sum(

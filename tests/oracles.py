@@ -1,14 +1,21 @@
-"""Tape-composition oracles for the one-node layer ops.
+"""Reference implementations the fast ops are tested against.
 
-Each function rebuilds a layer the way it ran before it became a single
-tape node — one tape node per matmul, add, slice, sigmoid and tanh — so
-the bit-identity tests can compare the fused op's forward and every
-gradient against it at tolerance 0.0.
+Two kinds live here:
+
+* the ``np.add.at`` / ``np.maximum.at`` references of the registered
+  kernel ops, collected in :data:`ORACLES` — ``kernel_leg("legacy")``
+  (``tests/conftest.py``) runs each of them in place of its op;
+* tape-composition oracles for the one-node layer ops: each rebuilds a
+  layer the way it ran before it became a single tape node — one tape
+  node per matmul, add, slice, sigmoid and tanh — so the bit-identity
+  tests can compare the fused op's forward and every gradient against
+  it at tolerance 0.0.
 """
 
 import numpy as np
 
 from repro.nn import (
+    SegmentPlan,
     Tensor,
     as_tensor,
     concatenate,
@@ -17,7 +24,152 @@ from repro.nn import (
     segment_sum,
     stack,
 )
+from repro.nn import tensor as _tensor
 from repro.nn.functional import softmax
+from repro.nn.ops import OP_REGISTRY
+from repro.nn.policy import workspace_zeros
+from repro.nn.rnn import lstm_scan_node
+from repro.nn.segment import _gin_indices, _gin_messages, _gin_node
+
+
+# ----------------------------------------------------------------------
+# np.add.at references of the kernel ops
+# ----------------------------------------------------------------------
+def _legacy_segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Sum rows of ``x`` into ``num_segments`` buckets; adjoint is a gather.
+
+    The ``np.add.at`` reference of ``segment_sum`` (index-array calling
+    convention).
+    """
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    out_data = workspace_zeros((num_segments,) + x.data.shape[1:],
+                               x.data.dtype)
+    np.add.at(out_data, segment_ids, x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g[segment_ids])
+
+    return Tensor._result(out_data, (x,), "segment_sum", backward)
+
+
+def _legacy_segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Mean-pool rows of ``x`` per segment (empty segments yield zeros)."""
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(x.data.dtype)
+    counts = np.maximum(counts, 1.0)
+    total = _legacy_segment_sum(x, segment_ids, num_segments)
+    return total * Tensor(1.0 / counts).reshape((num_segments,) + (1,) * (x.ndim - 1))
+
+
+def _legacy_segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Max-pool rows of ``x`` per segment (empty segments yield zeros)."""
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    out_data = np.full((num_segments,) + x.data.shape[1:], -np.inf,
+                       dtype=x.data.dtype)
+    np.maximum.at(out_data, segment_ids, x.data)
+    empty = ~np.isin(np.arange(num_segments), segment_ids)
+    out_data[empty] = 0.0
+    winners = (x.data == out_data[segment_ids])
+
+    def backward(g):
+        if not x.requires_grad:
+            return
+        # Split gradient among ties within each segment.
+        tie_counts = np.zeros_like(out_data)
+        np.add.at(tie_counts, segment_ids, winners.astype(out_data.dtype))
+        tie_counts = np.maximum(tie_counts, 1.0)
+        x._accumulate(np.where(winners, g[segment_ids] / tie_counts[segment_ids], 0.0))
+
+    return Tensor._result(out_data, (x,), "segment_max", backward)
+
+
+def _ids_of(index, num_segments: int | None) -> tuple[np.ndarray, int]:
+    """``(segment_ids, num_segments)`` from a plan or a plain index array."""
+    if isinstance(index, SegmentPlan):
+        return index.segment_ids, index.num_segments
+    if num_segments is None:
+        raise ValueError("num_segments is required when passing a plain index array")
+    return np.asarray(index, dtype=np.int64), int(num_segments)
+
+
+def _segment_sum_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+    """Legacy ``np.add.at`` segment sum (plan-or-ids calling convention)."""
+    ids, n = _ids_of(index, num_segments)
+    return _legacy_segment_sum(as_tensor(x), ids, n)
+
+
+def _segment_mean_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+    """Legacy segment mean (plan-or-ids calling convention)."""
+    ids, n = _ids_of(index, num_segments)
+    return _legacy_segment_mean(as_tensor(x), ids, n)
+
+
+def _segment_max_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+    """Legacy ``np.maximum.at`` segment max (plan-or-ids calling convention)."""
+    ids, n = _ids_of(index, num_segments)
+    return _legacy_segment_max(as_tensor(x), ids, n)
+
+
+def _gather_segments_legacy(x: Tensor, index, num_segments: int | None = None) -> Tensor:
+    """Legacy gather_segments: the plain row gather with np.add.at adjoint."""
+    ids, _ = _ids_of(index, num_segments)
+    return _tensor.gather(as_tensor(x), ids)
+
+
+def _segment_softmax_legacy(scores: Tensor, index, num_segments: int | None = None) -> Tensor:
+    """Legacy segment softmax: the same composition over the legacy sub-ops."""
+    scores = as_tensor(scores)
+    seg_max = _segment_max_legacy(scores, index, num_segments).detach()
+    shifted = scores - _gather_segments_legacy(seg_max, index, num_segments)
+    exp = shifted.exp()
+    denom = _segment_sum_legacy(exp, index, num_segments)
+    return exp / (_gather_segments_legacy(denom, index, num_segments) + 1e-16)
+
+
+def _gin_message_legacy(h: Tensor, edge_index, edge_attr, type_table,
+                        tag_table, plan: SegmentPlan | None = None) -> Tensor:
+    """Legacy ``gin_message``: one node over the ``np.add.at`` reference
+    scatters (``plan`` is accepted and ignored)."""
+    h, type_table, tag_table = (as_tensor(t) for t in (h, type_table,
+                                                        tag_table))
+    src, dst, attr = _gin_indices(h, edge_index, edge_attr, type_table,
+                                  tag_table)
+    out_data = _tensor._add_at_scatter(
+        _gin_messages(h, type_table, tag_table, src, attr), dst, h.shape[0])
+    return _gin_node(out_data, h, type_table, tag_table, src, dst, attr,
+                     _legacy_scatter_rows)
+
+
+def _legacy_scatter_rows(g, rows, index, num_rows):
+    """``np.add.at`` scatter of ``g[rows]`` into ``num_rows`` rows."""
+    return _tensor._add_at_scatter(g[rows], index, num_rows)
+
+
+#: Registered ops with a single implementation: each is its own reference.
+SELF_REFERENCED = ("gather", "exp", "log", "sqrt", "tanh", "sigmoid", "relu",
+                   "abs", "matmul", "concat", "linear", "batch_norm")
+
+#: op name -> the reference ``kernel_leg("legacy")`` runs in its place.
+#: ``scatter_add``'s is the ``np.add.at`` scatter the fast kernel falls
+#: back to for layouts it rejects; ``lstm_scan``'s the one-node scan over
+#: the numpy forward.
+ORACLES = {
+    "segment_sum": _segment_sum_legacy,
+    "segment_mean": _segment_mean_legacy,
+    "segment_max": _segment_max_legacy,
+    "segment_softmax": _segment_softmax_legacy,
+    "gather_segments": _gather_segments_legacy,
+    "scatter_add": _tensor._add_at_scatter,
+    "gin_message": _gin_message_legacy,
+    "lstm_scan": lstm_scan_node,
+    **{name: OP_REGISTRY.get(name).impl for name in SELF_REFERENCED},
+}
+
+
+# ----------------------------------------------------------------------
+# Tape-composition oracles of the one-node layer ops
+# ----------------------------------------------------------------------
 
 
 def lstm_step(x, h, c, w_x, w_h, bias):

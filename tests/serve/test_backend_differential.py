@@ -1,16 +1,16 @@
-"""End-to-end differential test of the segment-op backends.
+"""End-to-end differential test of the kernel legs.
 
-PR 2 promised that the legacy ``np.add.at`` ops stay available as a
-*reference backend* for the plan-backed kernels.  The unit parity tests
-(`tests/nn/test_segment.py`, `tests/gnn/test_segment_parity.py`) cover
-individual ops and modules; this suite pins the promise down end to end:
-a complete search + fine-tune + serve run on every kernel leg
-(``tests.conftest.KERNEL_LEGS``: the ``reduceat`` backend with its C
-kernel library forced off, and — where a C compiler exists — running
-the C kernels as ``compiled``) must be
-**bit-identical** to the legacy reference — identical search histories,
-derived specs, training losses, validation trajectories, scores and
-served logits.
+The ``np.add.at`` references of the kernel ops live in
+``tests/oracles.py``; the ``legacy`` kernel leg runs every op as its
+reference.  The unit parity tests (`tests/nn/test_segment.py`,
+`tests/gnn/test_segment_parity.py`) cover individual ops and modules;
+this suite checks them end to end: a complete search +
+fine-tune + serve run on every other kernel leg
+(``tests.conftest.KERNEL_LEGS``: the registered ops with the C kernel
+library forced off as ``reduceat``, and — where a C compiler exists —
+running the C kernels as ``compiled``) must be **bit-identical** to the
+legacy leg — identical search histories, derived specs, training losses,
+validation trajectories, scores and served logits.
 
 Bit-identity (not just tolerance) holds because every fast kernel
 accumulates in the same order as its legacy counterpart: the plans' stable
