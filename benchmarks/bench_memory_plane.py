@@ -3,8 +3,8 @@
 PR 7 gave the serve stack an execution policy (``repro.nn.policy``):
 float32 compute with preallocated forward workspaces.  This benchmark
 measures what that buys on the steady-state serving path — repeated
-``InferenceService.predict`` requests over a warmed batch cache, response
-memoization off so every request pays the real forward — and emits
+``InferenceService.predict`` requests over a warmed batch cache, each
+paying the real forward — and emits
 ``BENCH_memory_plane.json``:
 
 * **steady-state throughput** at float64 (the historical default policy)
@@ -54,10 +54,9 @@ def smoke_mode() -> bool:
 def _build_service(cfg, policy, seed=0):
     """A serving stack under ``policy`` over one deterministic supernet.
 
-    Response memoization is off (``logit_cache_size=0``): the benchmark
-    measures the forward path, not the LRU.  Both policies build their
-    supernet from the same seeds, so the float32 service serves a cast of
-    the exact weights the float64 service serves.
+    Both policies build their supernet from the same seeds, so the
+    float32 service serves a cast of the exact weights the float64
+    service serves.
     """
     from repro.core import DEFAULT_SPACE
     from repro.core.supernet import S2PGNNSupernet
@@ -77,7 +76,7 @@ def _build_service(cfg, policy, seed=0):
     service = InferenceService(encoder_factory, dataset.num_tasks,
                                supernet=supernet,
                                batch_size=cfg["batch_size"], seed=seed,
-                               logit_cache_size=0, policy=policy)
+                               policy=policy)
     spec = DEFAULT_SPACE.random_spec(cfg["num_layers"],
                                      np.random.default_rng((seed, 55)))
     return dataset, service, spec

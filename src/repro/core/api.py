@@ -144,14 +144,13 @@ class S2PGNNFineTuner:
         split the fine-tune phase already collated) never re-collate.
         Cached batches snapshot collation-time values — if you mutate
         graphs between calls, run ``self.batch_cache.invalidate(graphs)``
-        first to re-collate.  The model's previous train/eval mode is
-        restored afterwards — predicting mid-training no longer silently
-        flips an eval-mode model back to training.
+        first to re-collate.  The forward runs under
+        :class:`~repro.nn.inference`, so the model's train/eval mode is
+        never touched — not even by a forward that raises.
         """
         from ..serve.service import _eval_logits
 
         if self.model_ is None:
             raise RuntimeError("call fit() before predict()")
-        return _eval_logits(self.model_,
-                            self.batch_cache.loader(graphs, batch_size),
+        return _eval_logits(self.batch_cache.loader(graphs, batch_size),
                             self.model_, self.model_.num_tasks)

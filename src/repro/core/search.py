@@ -27,7 +27,7 @@ from ..gnn.encoder import GNNEncoder
 from ..graph.datasets import MolecularDataset
 from ..graph.loader import DataLoader
 from ..metrics import higher_is_better, multitask_score_or_fallback
-from ..nn import Adam, clip_grad_norm, no_grad
+from ..nn import Adam, clip_grad_norm, inference
 from .controller import StrategyController
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import DerivedModel, S2PGNNSupernet
@@ -295,14 +295,11 @@ class S2PGNNSearcher:
         one_hots = _spec_to_onehots(spec, self.space, self.supernet.encoder.num_layers)
         loader = loader if loader is not None else self._eval_loader(graphs)
         preds, trues = [], []
-        was_training = self.supernet.training
-        self.supernet.eval()
-        with no_grad():
+        with inference():
             for batch in loader:
                 outputs = self.supernet.forward_full(batch, one_hots)
                 preds.append(outputs["logits"].data.copy())
                 trues.append(batch.y.copy())
-        self.supernet.train(was_training)
         return multitask_score_or_fallback(
             np.concatenate(trues), np.concatenate(preds), self.dataset.info.metric
         )

@@ -9,7 +9,7 @@ tier-1 test asserts every entry is named there.
 
 Ranks are ordered coarse-to-fine: a thread may only acquire locks of
 strictly increasing rank (same-rank re-acquisition is allowed for RLocks
-only).  ``level`` groups ranks into the six documented tiers of the
+only).  ``level`` groups ranks into the five documented tiers of the
 serve stack's prose table (cluster front end above server internals,
 leaf registries at the bottom).
 """
@@ -30,7 +30,7 @@ class LockSpec:
     rank:
         Total acquisition order — acquire strictly increasing ranks only.
     level:
-        Documented tier (1-6) in the :mod:`repro.serve.service` prose.
+        Documented tier (1-5) in the :mod:`repro.serve.service` prose.
     module:
         Defining file, relative to ``src/repro`` (e.g. ``serve/router.py``).
     owner:
@@ -41,10 +41,6 @@ class LockSpec:
         ``"Lock"`` or ``"RLock"``.
     description:
         What the lock guards (one line, rendered into the table).
-    acquire_names:
-        Extra callable names whose *call result* is this lock — e.g.
-        ``InferenceService._model_lock(model)`` returns a per-model
-        execution lock, so ``with self._model_lock(m):`` acquires rank 40.
     guards:
         Module-global names whose mutation this lock licenses (consumed
         by rule REP003).
@@ -57,7 +53,6 @@ class LockSpec:
     name: str
     kind: str
     description: str
-    acquire_names: tuple = ()
     guards: tuple = field(default_factory=tuple)
 
     @property
@@ -76,29 +71,24 @@ LOCK_HIERARCHY: tuple[LockSpec, ...] = (
     LockSpec(20, 3, "serve/router.py", "BatchingRouter", "_lock", "RLock",
              "buckets, seq counter, drain window; flush executes unlocked"),
     LockSpec(30, 4, "serve/service.py", "InferenceService", "_lock", "RLock",
-             "response LRU, counters, default-router slot, model-lock table"),
-    LockSpec(40, 5, "serve/service.py", "InferenceService", "_model_locks",
-             "RLock",
-             "per-model execution locks (weakref-keyed); serialize the "
-             "train/eval mode flip around each forward",
-             acquire_names=("_model_lock",)),
-    LockSpec(50, 6, "serve/registry.py", "ModelRegistry", "_lock", "RLock",
+             "forward-sweep counter, default-router slot"),
+    LockSpec(50, 5, "serve/registry.py", "ModelRegistry", "_lock", "RLock",
              "model map, pin set, counters; cache-miss build runs under it"),
-    LockSpec(51, 6, "serve/cache.py", "BatchCacheRegistry", "_lock", "RLock",
+    LockSpec(51, 5, "serve/cache.py", "BatchCacheRegistry", "_lock", "RLock",
              "loader entry map and hit/miss counters"),
-    LockSpec(52, 6, "graph/loader.py", "DataLoader", "_cache_lock", "Lock",
+    LockSpec(52, 5, "graph/loader.py", "DataLoader", "_cache_lock", "Lock",
              "double-checked one-time batch materialization"),
-    LockSpec(53, 6, "graph/graph.py", "Batch", "_plan_lock", "Lock",
+    LockSpec(53, 5, "graph/graph.py", "Batch", "_plan_lock", "Lock",
              "lazy per-batch segment-plan and degree-norm builds"),
-    LockSpec(54, 6, "graph/datasets.py", None, "_dataset_cache_lock", "Lock",
+    LockSpec(54, 5, "graph/datasets.py", None, "_dataset_cache_lock", "Lock",
              "process-wide synthetic dataset cache",
              guards=("_DATASET_CACHE",)),
-    LockSpec(56, 6, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
+    LockSpec(56, 5, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
              "submit/result ticket window"),
-    LockSpec(57, 6, "nn/policy.py", "WorkspacePool", "_lock", "Lock",
+    LockSpec(57, 5, "nn/policy.py", "WorkspacePool", "_lock", "Lock",
              "workspace arena registry (stats/reset aggregation only; "
              "leases run lock-free on per-thread arenas)"),
-    LockSpec(58, 6, "nn/compiled/build.py", None, "_build_lock", "Lock",
+    LockSpec(58, 5, "nn/compiled/build.py", None, "_build_lock", "Lock",
              "one-time JIT build/load of the compiled kernel library "
              "(compiler discovery result, loaded handle, build counters)",
              guards=("_STATE",)),

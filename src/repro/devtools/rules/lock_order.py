@@ -14,12 +14,10 @@ then flags:
 
 Resolution is name-based and deliberately conservative: ``self._lock``
 resolves through the enclosing class, ``self.service._lock`` through the
-config's attribute bindings, module globals by name, and accessor calls
-like ``self._model_lock(model)`` through a spec's ``acquire_names``.
-Locks bound to a local (``lock = self._model_lock(m)``) are tracked
-through single-name assignments.  Nested functions and lambdas execute
-later, so their bodies are analyzed separately with an empty held set
-and their acquisitions do not count at the definition site.
+config's attribute bindings, and module globals by name.  Nested
+functions and lambdas execute later, so their bodies are analyzed
+separately with an empty held set and their acquisitions do not count at
+the definition site.
 
 REP006 cross-checks creation sites against the hierarchy table in both
 directions: every ``threading.Lock/RLock()`` constructed in the tree
@@ -176,14 +174,6 @@ def _spec_module_global(hierarchy, module: str, name: str):
     return None
 
 
-def _spec_acquire_name(hierarchy, owner: str | None, method: str):
-    for spec in hierarchy:
-        if method in spec.acquire_names and (owner is None
-                                             or spec.owner == owner):
-            return spec
-    return None
-
-
 # ----------------------------------------------------------------------
 # the flow analysis
 # ----------------------------------------------------------------------
@@ -196,7 +186,6 @@ class _Ctx:
     classes: dict
     hierarchy: tuple
     trans: dict | None = None        # set in the reporting pass
-    local_locks: dict = field(default_factory=dict)
     nested: list = field(default_factory=list)
 
 
@@ -227,22 +216,11 @@ def _receiver_class(expr, ctx: _Ctx) -> str | None:
 def _resolve_lock(expr, ctx: _Ctx):
     """The LockSpec an expression evaluates to, or None."""
     if isinstance(expr, ast.Name):
-        if expr.id in ctx.local_locks:
-            return ctx.local_locks[expr.id]
         return _spec_module_global(ctx.hierarchy, ctx.rel, expr.id)
     if isinstance(expr, ast.Attribute):
         owner = _receiver_class(expr.value, ctx)
         if owner is not None:
             return _spec_owner_attr(ctx.hierarchy, owner, expr.attr)
-        return None
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if isinstance(func, ast.Attribute):
-            return _spec_acquire_name(ctx.hierarchy,
-                                      _receiver_class(func.value, ctx),
-                                      func.attr)
-        if isinstance(func, ast.Name):
-            return _spec_acquire_name(ctx.hierarchy, None, func.id)
     return None
 
 
@@ -358,13 +336,6 @@ def _scan_stmt(stmt, held, ctx: _Ctx, sink: _Sink):
                 _check_acquire(spec, inner, stmt, ctx, sink)
                 inner.append(spec)
         _scan_block(stmt.body, inner, ctx, sink)
-        return
-    if isinstance(stmt, ast.Assign):
-        _scan_expr(stmt.value, held, ctx, sink)
-        if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
-            spec = _resolve_lock(stmt.value, ctx)
-            if spec is not None:
-                ctx.local_locks[stmt.targets[0].id] = spec
         return
     for _, value in ast.iter_fields(stmt):
         if isinstance(value, list):

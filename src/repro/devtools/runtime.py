@@ -167,8 +167,8 @@ def guard_serving_stack(server=None, service=None,
     Wraps the server lock, its router, the service lock, the model /
     batch-cache registries, and the module-global kernel-build lock —
     every table entry reachable from live objects without intercepting
-    per-instance lazy locks (per-model, per-batch, per-loader), which
-    are created after wrapping time.  Call before starting worker
+    per-instance lazy locks (per-batch, per-loader), which are created
+    after wrapping time.  Call before starting worker
     threads; ``unwrap`` (or the context manager) restores everything.
     """
     from ..nn.compiled import build as _build

@@ -21,7 +21,7 @@ from ..graph.datasets import DatasetInfo, MolecularDataset
 from ..graph.graph import Batch, Graph
 from ..graph.loader import DataLoader
 from ..metrics import UndefinedMetricError, higher_is_better, multitask_score
-from ..nn import Adam, Module, Tensor, clip_grad_norm, no_grad
+from ..nn import Adam, Module, Tensor, clip_grad_norm, inference
 from ..nn.functional import binary_cross_entropy_with_logits
 
 __all__ = [
@@ -97,21 +97,19 @@ def evaluate_model(model: Module, graphs: list[Graph], info: DatasetInfo,
     serves the graphs from shared pre-collated batches — per-epoch
     validation then collates the split once per run instead of once per
     epoch, and reuses batches the search phase already built.  The
-    model's previous train/eval mode is restored on exit.
+    forward runs under :class:`~repro.nn.inference`, so the model's
+    train/eval mode is never touched.
     """
-    was_training = model.training
-    model.eval()
     preds, trues = [], []
     if batch_cache is not None:
         loader = batch_cache.loader(graphs, batch_size)
     else:
         loader = DataLoader(graphs, batch_size=batch_size, shuffle=False)
-    with no_grad():
+    with inference():
         for batch in loader:
             logits = model(batch)
             preds.append(logits.data.copy())
             trues.append(batch.y.copy())
-    model.train(was_training)
     y_pred = np.concatenate(preds, axis=0)
     y_true = np.concatenate(trues, axis=0)
     try:

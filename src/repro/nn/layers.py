@@ -19,7 +19,7 @@ from . import init
 from .functional import dropout as dropout_fn
 from .module import Module, Parameter
 from .ops import batch_norm, linear
-from .tensor import Tensor, gather
+from .tensor import Tensor, gather, is_inference
 
 __all__ = [
     "Linear",
@@ -109,7 +109,8 @@ class Dropout(Module):
         self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
-        return dropout_fn(x, self.p, self.rng, training=self.training)
+        return dropout_fn(x, self.p, self.rng,
+                          training=self.training and not is_inference())
 
 
 class BatchNorm1d(Module):
@@ -130,7 +131,7 @@ class BatchNorm1d(Module):
                           self.beta)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training and x.shape[0] > 1:
+        if self.training and not is_inference() and x.shape[0] > 1:
             batch_mean = x.data.mean(axis=0)
             batch_var = x.data.var(axis=0)
             self.set_buffer(
@@ -163,7 +164,7 @@ class StochNorm1d(BatchNorm1d):
         self.rng = rng or np.random.default_rng(0)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training or x.shape[0] <= 1:
+        if not self.training or is_inference() or x.shape[0] <= 1:
             return self._normalize(x, self.running_mean, self.running_var)
         batch_mean = x.data.mean(axis=0)
         batch_var = x.data.var(axis=0)

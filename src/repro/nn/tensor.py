@@ -36,6 +36,8 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
+    "inference",
+    "is_inference",
     "concatenate",
     "stack",
     "where",
@@ -81,6 +83,37 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradients (context-local)."""
     return _GRAD_ENABLED.get()
+
+
+#: Context-local inference flag, set only by :class:`inference`.
+_INFERENCE: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_inference", default=False)
+
+
+class inference(no_grad):
+    """Eval-mode forwards without touching any module's ``training`` flag.
+
+    Inside the scope grad recording is off (as under :class:`no_grad`)
+    and Dropout, BatchNorm and StochNorm behave as in eval mode.  Nothing
+    is written to the model, so nothing has to be restored: a forward
+    that raises leaves its model exactly as it found it, and threads can
+    run one shared model concurrently.  Context-local and re-entrant like
+    :class:`no_grad`.
+    """
+
+    def __enter__(self):
+        self._tokens.append(_INFERENCE.set(True))
+        return super().__enter__()
+
+    def __exit__(self, exc_type, exc, tb):
+        super().__exit__(exc_type, exc, tb)
+        _INFERENCE.reset(self._tokens.pop())
+        return False
+
+
+def is_inference() -> bool:
+    """Return whether an :class:`inference` scope is active (context-local)."""
+    return _INFERENCE.get()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -366,7 +366,6 @@ class ShardServiceConfig:
     emb_dim: int = 12
     batch_size: int = 8
     seed: int = 0
-    logit_cache_size: int = 256
 
     def __call__(self):
         from ..gnn import GNNEncoder
@@ -381,8 +380,7 @@ class ShardServiceConfig:
                               seed=self.seed)
 
         return InferenceService(encoder_factory, data.num_tasks,
-                                batch_size=self.batch_size, seed=self.seed,
-                                logit_cache_size=self.logit_cache_size)
+                                batch_size=self.batch_size, seed=self.seed)
 
 
 def _shard_main(service_factory, server_kwargs: dict, host: str,

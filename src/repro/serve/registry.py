@@ -156,11 +156,7 @@ class ModelRegistry:
         spec retired from serving): without it, ``_pinned`` only ever grew
         and a stale pinned spec lingered forever, silently exempting a
         dead entry from bookkeeping.  Returns whether a model was
-        registered.  Callers serving memoized responses for the removed
-        model should also
-        :meth:`~repro.serve.service.InferenceService.invalidate_logits`
-        (the service prunes dead models from its response cache on the
-        next miss regardless).
+        registered.  The next request for ``spec`` builds a fresh model.
         """
         with self._lock:
             self._pinned.discard(spec)
@@ -176,12 +172,12 @@ class ModelRegistry:
         training run and re-served later.  The load is dtype-preserving
         end to end: a float32-cast serving checkpoint reloads as float32
         (no silent re-upcast), and a dtype-set registry casts whatever
-        loads to its serving dtype at the closing ``add``.  A fresh model object is built
-        and registered (replacing any cached one) rather than mutating an
-        already served model in place, so response caches keyed by the old
-        object are naturally orphaned instead of silently serving stale
-        pre-checkpoint logits; pinning keeps the checkpoint weights safe
-        from LRU eviction.
+        loads to its serving dtype at the closing ``add``.  A fresh model
+        object is built and registered (replacing any cached one) rather
+        than mutating an already served model in place, so a forward
+        running on the old model finishes on the old weights and every
+        later request sees the checkpoint; pinning keeps the checkpoint
+        weights safe from LRU eviction.
         """
         from ..nn.serialization import load_state_dict
 
@@ -206,11 +202,6 @@ class ModelRegistry:
         return path
 
     # ------------------------------------------------------------------
-    def live_models(self):
-        """The currently registered models (LRU order, oldest first)."""
-        with self._lock:
-            return list(self._models.values())
-
     def __contains__(self, spec) -> bool:
         with self._lock:
             return spec in self._models

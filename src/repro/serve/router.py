@@ -67,11 +67,9 @@ micro-batch (:attr:`RoutedRequest.batch_graphs` /
 :attr:`RoutedRequest.batch_index`) so the reference is always
 reconstructible — the concurrency stress tests replay it serially.
 
-Because micro-batches run through the service, they inherit the whole
-cache stack: repeated identical micro-batches (polling traffic) hit the
-response-memoization LRU, repeated graph sets hit the batch/plan cache,
-and :meth:`InferenceService.invalidate_logits` reaches routed responses
-exactly as it reaches list requests.
+Because micro-batches run through ``service.predict``, they see exactly
+what list requests see: repeated graph sets hit the batch/plan cache, and
+every micro-batch runs the forward on the model's current weights.
 """
 
 from __future__ import annotations
@@ -359,7 +357,7 @@ class BatchingRouter:
 
         One disjoint-union collation + one forward for the whole
         micro-batch: ``batch_size=len(graphs)`` makes the shared loader
-        yield a single batch, and the service's batch/plan/response caches
+        yield a single batch, and the service's batch/plan caches
         apply to it like to any list request.  A failed forward resolves
         every ticket with the error instead of leaving waiters hanging."""
         graphs = [request.graph for request in bucket]

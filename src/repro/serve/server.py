@@ -24,12 +24,12 @@ counterpart:
 
 Where the parallelism comes from: eval forwards spend most of their time
 in BLAS / numpy kernels that release the GIL, so on a multi-core host N
-workers genuinely overlap distinct micro-batches (different specs run on
-different models and don't even share a per-model lock).  In a deployment
-whose forward is offloaded (an accelerator, a remote shard), the worker
-thread blocks on the device instead and the pool hides that latency the
-same way — ``pre_execute`` exists so benchmarks can emulate exactly that
-interval on hosts without one.
+workers genuinely overlap distinct micro-batches (forwards take no model
+lock, so even two micro-batches of one spec run in parallel).  In a
+deployment whose forward is offloaded (an accelerator, a remote shard),
+the worker thread blocks on the device instead and the pool hides that
+latency the same way — ``pre_execute`` exists so benchmarks can emulate
+exactly that interval on hosts without one.
 
 Lock order (see :mod:`repro.serve.service` for the full table): server
 internals sit *above* the router — the executor hook only enqueues, and

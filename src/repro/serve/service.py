@@ -20,19 +20,12 @@ cache (PR 2) were built for: a long-lived process that answers
   a :class:`~repro.serve.router.BatchingRouter` that assembles them into
   server-side micro-batches (dynamic batching) before touching the model.
 
-Both paths restore the model's previous train/eval mode and produce
-logits bit-identical to a cold forward (fresh model + fresh uncached
-loader) — see ``tests/serve/test_service.py``.
-
-On top of the batch cache sits a **logit cache**: an eval-mode forward is
-a pure function of (model, spec, graph set, batch size) — models served
-here are frozen and batches are immutable after collation — so repeated
-identical requests (the dominant serving pattern: polling dashboards,
-re-ranking sweeps over overlapping candidate sets) are answered from a
-bounded LRU of previous responses without touching the model.  Callers
-that *do* mutate a served model's weights (continued fine-tuning) must
-call :meth:`InferenceService.invalidate_logits` afterwards, mirroring the
-segment-plan layer's immutable-after-collation contract.
+Every forward runs under :class:`repro.nn.inference` — grad off, Dropout
+and normalization in eval behaviour — without writing any model's
+``training`` flag, and produces logits bit-identical to a cold forward
+(fresh model + fresh uncached loader) — see ``tests/serve/test_service.py``.
+Responses are not memoized: each request runs the forward on the model's
+current weights, so a mutated model is served as it now is.
 
 Thread safety and lock order
 ----------------------------
@@ -57,25 +50,20 @@ this prose and the table in sync; edit the table first.
 3. ``BatchingRouter._lock`` (rank 20) — buckets, seq counter, drain
    window; the flush path calls into the service with **no router lock
    held**;
-4. ``InferenceService._lock`` (rank 30) — response LRU, counters,
-   default-router slot, model-lock table — held only for dict
-   bookkeeping, never across a forward;
-5. per-model execution locks — ``InferenceService._model_locks`` via
-   ``_model_lock(model)`` (rank 40) — serialize the train/eval mode flip
-   around each eval sweep, so one model serves one request at a time
-   while *different* models run fully in parallel;
-6. leaf locks (nothing serve-layer is acquired while one is held):
+4. ``InferenceService._lock`` (rank 30) — forward-sweep counter and
+   default-router slot — never held across a forward;
+5. leaf locks (nothing serve-layer is acquired while one is held):
    ``ModelRegistry._lock`` (rank 50), ``BatchCacheRegistry._lock``
    (rank 51), ``DataLoader._cache_lock`` (rank 52), ``Batch._plan_lock``
    (rank 53), ``graph.datasets._dataset_cache_lock`` (rank 54),
    ``ServingProtocol._lock`` (rank 56), ``WorkspacePool._lock``
    (rank 57) and ``nn.compiled.build._build_lock`` (rank 58).
 
-Eval-mode forwards mutate nothing (no autograd state under ``no_grad``,
-no BatchNorm buffer updates in eval), and grad/backend/policy flags are
-context-local (:mod:`repro.nn.tensor` / :mod:`repro.nn.segment` /
-:mod:`repro.nn.policy`), so the only per-model critical section is the
-mode flip in ``_eval_logits``.
+Forwards under :class:`repro.nn.inference` mutate nothing (no autograd
+state, no BatchNorm buffer updates, no mode flag), and the inference,
+grad and policy flags are context-local (:mod:`repro.nn.tensor` /
+:mod:`repro.nn.policy`), so threads run one shared model concurrently
+with no per-model lock.
 
 Execution policy (the inference memory plane)
 ---------------------------------------------
@@ -96,13 +84,12 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..metrics import multitask_score_or_fallback
+from ..nn import inference
 from ..nn.compiled import compiled_status
 from ..nn.policy import ExecutionPolicy, active_dtype, active_workspace, serving_policy
 from .cache import BatchCacheRegistry
@@ -111,10 +98,10 @@ from .registry import ModelRegistry
 __all__ = ["InferenceService", "SpecScore"]
 
 
-def _eval_logits(model, loader, forward, num_tasks: int) -> np.ndarray:
-    """Eval-mode sweep: ``forward(batch)`` logits over ``loader``, with the
-    model's previous train/eval mode restored.  Zero batches (an empty
-    graph list) yield a correctly shaped ``(0, num_tasks)`` array.
+def _eval_logits(loader, forward, num_tasks: int) -> np.ndarray:
+    """Eval-mode sweep: ``forward(batch)`` logits over ``loader`` under
+    :class:`~repro.nn.inference`.  Zero batches (an empty graph list)
+    yield a correctly shaped ``(0, num_tasks)`` array.
 
     Runs under whatever execution policy the caller has active.  With a
     workspace pool installed, each batch forward is one workspace *pass*:
@@ -122,18 +109,13 @@ def _eval_logits(model, loader, forward, num_tasks: int) -> np.ndarray:
     each logits array is what moves results out of workspace-owned memory
     before the next pass reuses it.
     """
-    from ..nn import no_grad
-
     pool = active_workspace()
-    was_training = model.training
-    model.eval()
     preds = []
-    with no_grad():
+    with inference():
         for batch in loader:
             if pool is not None:
                 pool.begin_pass()
             preds.append(forward(batch).data.copy())
-    model.train(was_training)
     if not preds:
         return np.zeros((0, num_tasks), dtype=active_dtype())
     return np.concatenate(preds, axis=0)
@@ -170,10 +152,6 @@ class InferenceService:
         search + fine-tuning); fresh ones are created when omitted.
     batch_size:
         Default serving batch size (overridable per call).
-    logit_cache_size:
-        Capacity of the response-memoization LRU (0 disables it).  Served
-        models are frozen, so identical requests return cached logits;
-        call :meth:`invalidate_logits` after mutating a served model.
     policy:
         Optional serving :class:`~repro.nn.policy.ExecutionPolicy`, or a
         dtype string (``"float32"`` builds the standard serving preset:
@@ -189,7 +167,6 @@ class InferenceService:
                  models: ModelRegistry | None = None,
                  batch_cache: BatchCacheRegistry | None = None,
                  batch_size: int = 64, seed: int = 0,
-                 logit_cache_size: int = 256,
                  policy: "ExecutionPolicy | str | None" = None):
         self.supernet = supernet
         if isinstance(policy, str):
@@ -205,24 +182,11 @@ class InferenceService:
         self.models = models
         self.batch_cache = batch_cache if batch_cache is not None else BatchCacheRegistry()
         self.batch_size = batch_size
-        self.logit_cache_size = logit_cache_size
-        # key: (model, spec, batch_size, member-id tuple) -> (graphs, logits).
-        # The key pins the model and the value pins the graphs, so neither
-        # can be garbage-collected into an id()-aliasing stale hit.
-        self._logit_cache: "OrderedDict" = OrderedDict()
-        self.logit_hits = 0
-        self.logit_misses = 0
+        self._sweeps = 0
         self._default_router = None
-        # Service lock (level 3 in the documented order): response LRU,
-        # counters, default-router slot, model-lock table.  Never held
-        # across a forward.
+        # Service lock (level 4 in the documented order): sweep counter
+        # and default-router slot.  Never held across a forward.
         self._lock = threading.RLock()
-        # Per-model execution locks (level 4), keyed weakly by the model
-        # itself: a lock lives exactly as long as its model, so an entry
-        # can never be pruned out from under a thread that is mid-forward
-        # (that thread's reference keeps the model — and thus the shared
-        # lock — alive), and evicted models leak nothing.
-        self._model_locks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     @classmethod
     def from_tuner(cls, tuner, batch_size: int = 64) -> "InferenceService":
@@ -274,82 +238,19 @@ class InferenceService:
             self.batch_cache.warm(graphs, batch_size or self.batch_size)
 
     # ------------------------------------------------------------------
-    def _model_lock(self, model) -> threading.RLock:
-        """The per-model execution lock (created on first use)."""
+    def _sweep(self, graphs, batch_size, forward, num_tasks: int) -> np.ndarray:
+        """One counted forward sweep over ``graphs`` under the policy."""
         with self._lock:
-            lock = self._model_locks.get(model)
-            if lock is None:
-                lock = self._model_locks[model] = threading.RLock()
-            return lock
-
-    def _memoized(self, model, spec, graphs, batch_size, compute) -> np.ndarray:
-        """Serve ``compute()``'s logits through the response LRU.
-
-        Hits return a copy (callers may mutate their response); the
-        stored array is private to the cache.  The service lock guards
-        only the LRU bookkeeping — ``compute()`` runs outside it, under
-        the model's own execution lock, so a long forward on one model
-        never blocks cache hits (or other models' forwards).  Two threads
-        missing on the same key both compute; the results are bit-identical
-        by the serving-parity contract, so the duplicate insert is benign.
-        """
-        if self.logit_cache_size <= 0:
-            with self._model_lock(model):
-                return compute()
-        key = (model, spec, batch_size, tuple(id(g) for g in graphs))
-        with self._lock:
-            entry = self._logit_cache.get(key)
-            if entry is not None:
-                self._logit_cache.move_to_end(key)
-                self.logit_hits += 1
-                return entry[1].copy()
-            self.logit_misses += 1
-        with self._model_lock(model):
-            logits = compute()
-        with self._lock:
-            self._prune_dead_models()
-            while len(self._logit_cache) >= self.logit_cache_size:
-                self._logit_cache.popitem(last=False)
-            self._logit_cache[key] = (list(graphs), logits.copy())
-        return logits
-
-    def _prune_dead_models(self) -> None:
-        """Drop responses of models no longer served.
-
-        Memoization keys pin their model; without this, a model evicted
-        from the :class:`ModelRegistry` (or a detached supernet) would
-        stay alive until its entries churned out of the response LRU.
-        (Execution locks need no pruning: the weak-keyed table drops a
-        lock with its model.)  Callers hold ``self._lock``.
-        """
-        live = {id(m) for m in self.models.live_models()}
-        live.add(id(self.supernet))
-        for key in [k for k in self._logit_cache if id(k[0]) not in live]:
-            del self._logit_cache[key]
-
-    def invalidate_logits(self) -> None:
-        """Drop memoized responses — required after mutating the weights
-        of any model this service serves."""
-        with self._lock:
-            self._logit_cache.clear()
+            self._sweeps += 1
+        with self._policy_scope():
+            return _eval_logits(self.batch_cache.loader(graphs, batch_size),
+                                forward, num_tasks)
 
     def predict(self, graphs, spec, batch_size: int | None = None) -> np.ndarray:
-        """Logits for ``graphs`` under ``spec`` from the persistent model.
-
-        Repeated identical requests are served from the response cache;
-        otherwise the model's train/eval mode is restored afterwards, so
-        serving never perturbs a model that is also being trained.
-        """
-        batch_size = batch_size or self.batch_size
-        model = self.model_for(spec)
-
-        def compute():
-            with self._policy_scope():
-                return _eval_logits(
-                    model, self.batch_cache.loader(graphs, batch_size),
-                    model, self.models.num_tasks)
-
-        return self._memoized(model, spec, graphs, batch_size, compute)
+        """Logits for ``graphs`` under ``spec`` from the persistent model,
+        whose train/eval mode is never touched."""
+        return self._sweep(graphs, batch_size or self.batch_size,
+                           self.model_for(spec), self.models.num_tasks)
 
     def predict_spec_onehot(self, graphs, spec,
                             batch_size: int | None = None) -> np.ndarray:
@@ -364,19 +265,14 @@ class InferenceService:
 
         if self.supernet is None:
             raise RuntimeError("one-hot scoring needs an attached supernet")
-        batch_size = batch_size or self.batch_size
         supernet = self.supernet
-
-        def compute():
-            with self._policy_scope():
-                one_hots = _spec_to_onehots(spec, supernet.space,
-                                            supernet.encoder.num_layers)
-                return _eval_logits(
-                    supernet, self.batch_cache.loader(graphs, batch_size),
-                    lambda batch: supernet.forward_full(batch, one_hots)["logits"],
-                    supernet.num_tasks)
-
-        return self._memoized(supernet, spec, graphs, batch_size, compute)
+        with self._policy_scope():
+            one_hots = _spec_to_onehots(spec, supernet.space,
+                                        supernet.encoder.num_layers)
+        return self._sweep(
+            graphs, batch_size or self.batch_size,
+            lambda batch: supernet.forward_full(batch, one_hots)["logits"],
+            supernet.num_tasks)
 
     def score_specs(self, specs, graphs, metric: str = "roc_auc",
                     batch_size: int | None = None,
@@ -481,16 +377,12 @@ class InferenceService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Combined registry + batch-cache + response-cache counters
-        (plus the default router's, once one exists) and the compiled
-        kernel backend's availability/build state."""
+        """Combined registry + batch-cache + forward-sweep counters (plus
+        the default router's, once one exists) and the compiled kernel
+        backend's availability/build state."""
         with self._lock:
-            logits = {
-                "entries": len(self._logit_cache),
-                "capacity": self.logit_cache_size,
-                "hits": self.logit_hits,
-                "misses": self.logit_misses,
-            }
+            # perfbench's score_batch._counters and serve_wire._ratio read these.
+            logits = {"hits": 0, "misses": self._sweeps}
             router = self._default_router
         stats = {
             "models": self.models.stats(),

@@ -7,6 +7,7 @@ section mirrors the machine-readable table.
 
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,9 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.strip() == render_lock_table().strip()
         assert "_build_lock" in out
+        rows = out.strip().splitlines()[2:]
+        assert len(rows) == len(LOCK_HIERARCHY) == 12
+        assert {int(row.split()[1]) for row in rows} == {1, 2, 3, 4, 5}
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -82,6 +86,10 @@ class TestLockTableDocstringSync:
 
     def test_every_registered_lock_is_documented(self):
         doc = repro.serve.service.__doc__
+        tiers = re.findall(r"^(\d+)\. ", doc, re.MULTILINE)
+        assert tiers == [str(level) for level in
+                         sorted({spec.level for spec in LOCK_HIERARCHY})]
+        assert tiers == ["1", "2", "3", "4", "5"]
         for spec in LOCK_HIERARCHY:
             label = f"{spec.owner}.{spec.name}" if spec.owner else spec.name
             assert label in doc, f"{spec.qualified} missing from the prose"

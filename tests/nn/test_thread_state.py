@@ -1,11 +1,13 @@
-"""Context-local execution state: ``no_grad`` across threads.
+"""Context-local execution state: ``no_grad`` and ``inference`` across threads.
 
-``is_grad_enabled`` reads ``contextvars.ContextVar`` state rather than a
-process-global stack.  These tests pin the semantics the concurrent
+``is_grad_enabled`` / ``is_inference`` read ``contextvars.ContextVar``
+state rather than a process-global stack.  These tests pin the semantics the concurrent
 serving runtime depends on:
 
-* thread isolation — entering ``no_grad`` in one thread never changes
-  what another thread observes;
+* thread isolation — entering ``no_grad`` or ``inference`` in one thread
+  never changes what another thread observes (grad mode, and for
+  ``inference`` the Dropout / BatchNorm behaviour of a shared module);
+* ``inference`` gives eval behaviour without writing ``Module.training``;
 * fresh threads start from the default (grad enabled) — they do *not*
   inherit the spawning thread's nesting;
 * the public single-thread behaviour (nesting, exception unwind, reuse of
@@ -24,9 +26,14 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    BatchNorm1d,
+    Dropout,
+    StochNorm1d,
     Tensor,
     gather,
+    inference,
     is_grad_enabled,
+    is_inference,
     no_grad,
     scatter_add,
 )
@@ -131,6 +138,76 @@ class TestGradStateThreadIsolation:
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
         assert is_grad_enabled()
+
+
+class TestInferenceScope:
+    @staticmethod
+    def _bn():
+        bn = BatchNorm1d(3, momentum=0.5)
+        bn.set_buffer("running_mean", np.array([1.0, 2.0, 3.0]))
+        bn.set_buffer("running_var", np.array([4.0, 4.0, 4.0]))
+        return bn
+
+    def test_eval_behaviour_without_writing_training(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(6, 3)),
+                   requires_grad=True)
+        bn, sn = self._bn(), StochNorm1d(3, p=0.5)
+        drop = Dropout(0.5, np.random.default_rng(0))
+        reference = self._bn().eval()
+        with inference():
+            assert not is_grad_enabled() and is_inference()
+            out = bn(x)
+            assert np.array_equal(out.data, reference(x).data)
+            assert not out.requires_grad
+            assert np.array_equal(drop(x).data, x.data)
+            assert np.array_equal(sn(x).data, StochNorm1d(3).eval()(x).data)
+        assert bn.training and drop.training and sn.training
+        assert np.array_equal(bn.running_mean, [1.0, 2.0, 3.0])
+        assert is_grad_enabled() and not is_inference()
+
+    def test_inference_in_thread_does_not_leak_out(self):
+        bn = self._bn()
+        drop = Dropout(0.5, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(6, 3)))
+        entered = threading.Event()
+        release = threading.Event()
+        observed = {}
+
+        def worker():
+            with inference():
+                entered.set()
+                release.wait(timeout=10)
+                observed["inside"] = (is_grad_enabled(), is_inference(),
+                                      bool(np.array_equal(drop(x).data, x.data)))
+
+        t = threading.Thread(target=worker)
+        t.start()
+        assert entered.wait(timeout=10)
+        # Main thread: the shared modules still train while the worker
+        # sits inside inference().
+        assert is_grad_enabled() and not is_inference()
+        assert not np.array_equal(drop(x).data, x.data)
+        bn(x)
+        assert not np.array_equal(bn.running_mean, [1.0, 2.0, 3.0])
+        release.set()
+        t.join()
+        assert observed["inside"] == (False, True, True)
+
+    def test_fresh_thread_defaults_outside_inference(self):
+        with inference():
+            assert run_in_thread(lambda: (is_grad_enabled(), is_inference())) \
+                == (True, False)
+
+    def test_nesting_reentry_and_exception_unwind(self):
+        scope = inference()
+        with pytest.raises(RuntimeError):
+            with scope:
+                with no_grad():
+                    with scope:
+                        assert is_inference() and not is_grad_enabled()
+                    assert is_inference() and not is_grad_enabled()
+                    raise RuntimeError("boom")
+        assert is_grad_enabled() and not is_inference()
 
 
 class TestScatterAdd:

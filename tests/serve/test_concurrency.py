@@ -11,6 +11,7 @@ These are the *unit-level* concurrency pins behind the ``InferenceServer``
 * **registry coherence** — ``ModelRegistry.get`` races build exactly one
   model per spec; ``BatchCacheRegistry.loader`` races collate each split
   exactly once; stats counters stay consistent (hits + misses == calls);
+  threads share one model's forward with no lock and get the serial bits;
 * **ticket wait semantics** — ``RoutedRequest.wait(timeout)`` blocks,
   times out while queued, and resolves across threads.
 """
@@ -179,22 +180,27 @@ class TestRegistryCoherence:
         assert stats["misses"] == 1
         assert stats["collations"] == 3  # 24 graphs / batch_size 8, built once
 
-    def test_memoization_lru_consistent_under_threads(self, tiny_dataset):
+    def test_same_model_predict_unlocked_under_threads(self, tiny_dataset):
+        """Threads share one persistent model with no lock around its
+        forward: every concurrent ``predict`` of one spec is bit-identical
+        to the serial result, and the model is never flipped out of the
+        train mode it was left in."""
         service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   batch_size=8, seed=0, logit_cache_size=16)
-        graphs = tiny_dataset.graphs[:8]
-        reference = InferenceService(factory, tiny_dataset.num_tasks,
-                                     batch_size=8, seed=0, logit_cache_size=0)
-        expected = reference.predict(graphs, SPEC_A)
+                                   batch_size=8, seed=0)
+        graphs = tiny_dataset.graphs[:16]
+        model = service.model_for(SPEC_A)
+        model.train()
+        expected = service.predict(graphs, SPEC_A)
+        barrier = threading.Barrier(6, timeout=10)
 
         def caller(_tid):
+            barrier.wait()
             for _ in range(10):
                 assert np.array_equal(service.predict(graphs, SPEC_A), expected)
 
         run_threads(6, caller)
-        stats = service.stats()["logits"]
-        assert stats["hits"] + stats["misses"] == 60
-        assert stats["hits"] >= 50  # at most a few racing first misses
+        assert model.training
+        assert service.stats()["logits"] == {"hits": 0, "misses": 61}
 
 
 class TestTicketWait:

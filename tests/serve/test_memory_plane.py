@@ -57,10 +57,10 @@ def supernet(tiny_dataset):
                           num_tasks=tiny_dataset.num_tasks, seed=0)
 
 
-def make_service(tiny_dataset, supernet, policy=None, **kwargs):
+def make_service(tiny_dataset, supernet, policy=None):
     return InferenceService(factory, tiny_dataset.num_tasks,
                             supernet=supernet, batch_size=8, seed=0,
-                            policy=policy, **kwargs)
+                            policy=policy)
 
 
 class TestRegistryDtypeCasting:
@@ -191,10 +191,9 @@ class TestServingPolicyParity:
 
 class TestWorkspaceSteadyState:
     def test_repeat_requests_allocate_nothing(self, tiny_dataset, supernet):
-        # logit_cache_size=0: every predict recomputes the forward, which
-        # is exactly what must hit the workspace instead of allocating.
-        service = make_service(tiny_dataset, supernet, policy="float32",
-                               logit_cache_size=0)
+        # Every predict recomputes the forward, which is exactly what must
+        # hit the workspace instead of allocating.
+        service = make_service(tiny_dataset, supernet, policy="float32")
         graphs = tiny_dataset.graphs[:20]
         service.warm(graphs)
         pool = service.policy.workspace
@@ -212,8 +211,7 @@ class TestWorkspaceSteadyState:
 
     def test_held_bytes_stay_bounded_across_requests(self, tiny_dataset,
                                                      supernet):
-        service = make_service(tiny_dataset, supernet, policy="float32",
-                               logit_cache_size=0)
+        service = make_service(tiny_dataset, supernet, policy="float32")
         graphs = tiny_dataset.graphs[:16]
         service.predict(graphs, SPECS[0])
         held = service.policy.workspace.stats()["held_bytes"]

@@ -6,13 +6,13 @@ The load-bearing contracts:
   ``InferenceService.predict`` on the same graphs (the assembled
   micro-batch; for a single-request flush, the one graph itself), for
   several specs and both flush triggers.  The reference service is an
-  *independent* instance sharing only the supernet, so the comparison
-  cannot be satisfied by response memoization alone.
+  *independent* instance sharing only the supernet.
 * **order preservation** — ``drain()`` yields completed requests in
   global submission order even when specs interleave, and every ticket
   carries the row of *its own* graph.
-* **cache integration** — ``InferenceService.invalidate_logits`` reaches
-  routed responses exactly as it reaches list requests.
+
+That a weight mutation reaches the next routed response is pinned in
+``tests/serve/test_service.py``.
 """
 
 import numpy as np
@@ -271,25 +271,3 @@ class TestServiceFacade:
         assert isinstance(router, BatchingRouter)
         assert service.default_router is router
         assert "router" in service.stats()
-
-    def test_invalidate_logits_reaches_routed_responses(self, tiny_dataset):
-        """Routed micro-batches flow through the service's response LRU:
-        repeated identical single requests are memoized, and
-        ``invalidate_logits`` is the same escape hatch list requests use
-        after weight mutation."""
-        graphs = tiny_dataset.graphs[:4]
-        service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   batch_size=8, seed=0)
-        first = service.predict_one(graphs[0], SPEC_A)
-        hits_before = service.logit_hits
-        again = service.predict_one(graphs[0], SPEC_A)
-        assert service.logit_hits == hits_before + 1
-        assert np.array_equal(first, again)
-
-        model = service.model_for(SPEC_A)
-        model.head.weight.data = model.head.weight.data + 1.0
-        # Frozen-model contract: still the memoized response...
-        assert np.array_equal(service.predict_one(graphs[0], SPEC_A), first)
-        # ...until invalidation, which reaches routed responses too.
-        service.invalidate_logits()
-        assert not np.array_equal(service.predict_one(graphs[0], SPEC_A), first)

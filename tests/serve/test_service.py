@@ -1,9 +1,9 @@
 """Serving-layer tests: parity, cache registries, model registry, service.
 
 The load-bearing contract is *serving parity*: logits served through the
-persistent-model / shared-cache / memoized paths must be bit-identical to
-a fresh ``DerivedModel`` + uncached ``DataLoader`` forward — across
-several specs and batch sizes.
+persistent-model / shared-cache paths must be bit-identical to a fresh
+``DerivedModel`` + uncached ``DataLoader`` forward — across several specs
+and batch sizes.
 """
 
 import numpy as np
@@ -59,6 +59,17 @@ def cold_logits(supernet, spec, graphs, num_tasks, batch_size):
     return np.concatenate(preds, axis=0)
 
 
+def copy_logits(model, spec, graphs, num_tasks, batch_size):
+    """Reference path for a mutated model: a fresh model holding a copy of
+    ``model``'s weights, run over a fresh uncached loader."""
+    fresh = DerivedModel(factory(), spec, num_tasks, seed=0)
+    fresh.load_state_dict(model.state_dict())
+    fresh.eval()
+    with no_grad():
+        return np.concatenate([fresh(batch).data.copy() for batch in
+                               DataLoader(graphs, batch_size=batch_size)])
+
+
 class TestServingParity:
     @pytest.mark.parametrize("batch_size", [8, 64])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
@@ -68,7 +79,7 @@ class TestServingParity:
         ref = cold_logits(supernet, spec, graphs, tiny_dataset.num_tasks,
                           batch_size)
         assert np.array_equal(service.predict(graphs, spec, batch_size), ref)
-        # Second (memoized) request must serve the same bits.
+        # A repeated request runs the forward again and serves the same bits.
         assert np.array_equal(service.predict(graphs, spec, batch_size), ref)
 
     @pytest.mark.parametrize("batch_size", [8, 64])
@@ -148,50 +159,31 @@ class TestServiceBehavior:
         service.predict_spec_onehot(graphs, SPECS[0], 32)
         assert not model.training and not supernet.training
 
-    def test_memoization_and_invalidation(self, served, tiny_dataset):
-        graphs, supernet, service = served
-        spec = SPECS[1]
+    def test_weight_mutation_reaches_next_response(self, served, tiny_dataset):
+        """Responses are never memoized: after a weight mutation, the next
+        list request and the next routed request both serve the new
+        weights, with no invalidation call."""
+        graphs, supernet, _ = served
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   supernet=supernet, batch_size=8, seed=0)
+        spec, num_tasks = SPECS[1], tiny_dataset.num_tasks
         first = service.predict(graphs, spec, 16)
-        hits_before = service.logit_hits
-        second = service.predict(graphs, spec, 16)
-        assert service.logit_hits == hits_before + 1
-        assert np.array_equal(first, second)
-        # Responses are private copies: mutating one doesn't poison the cache.
-        second += 1e9
-        assert np.array_equal(service.predict(graphs, spec, 16), first)
-        # Weight mutation requires explicit invalidation (frozen-model
-        # contract); after it, responses reflect the new weights.
+        first_one = service.predict_one(graphs[0], spec)
+        # Responses are private arrays: mutating one changes nothing.
+        expected = first.copy()
+        first += 1e9
+        assert np.array_equal(service.predict(graphs, spec, 16), expected)
+
         model = service.model_for(spec)
         model.head.weight.data = model.head.weight.data + 1.0
-        assert np.array_equal(service.predict(graphs, spec, 16), first)
-        service.invalidate_logits()
-        assert not np.array_equal(service.predict(graphs, spec, 16), first)
-        # Restore for other tests sharing the module-scoped fixture.
-        model.head.weight.data = model.head.weight.data - 1.0
-        service.invalidate_logits()
-
-    def test_evicted_models_pruned_from_logit_cache(self, tiny_dataset):
-        """Memoization keys pin their model; once the registry evicts a
-        model, its responses must not keep it alive until LRU churn."""
-        graphs = tiny_dataset.graphs[:8]
-        models = ModelRegistry(factory, tiny_dataset.num_tasks, capacity=2)
-        service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   models=models, batch_size=8)
-        for spec in SPECS:  # capacity 2: SPECS[0]'s model gets evicted
-            service.predict(graphs, spec)
-        cached_models = {id(key[0]) for key in service._logit_cache}
-        live = {id(m) for m in models.live_models()} | {id(service.supernet)}
-        assert cached_models <= live
-        assert len(service._logit_cache) == 2
-
-    def test_logit_cache_disabled(self, served):
-        graphs, supernet, service = served
-        off = InferenceService(factory, 1, supernet=supernet,
-                               batch_cache=service.batch_cache,
-                               logit_cache_size=0)
-        off.predict(graphs, SPECS[0], 16)
-        off.predict(graphs, SPECS[0], 16)
-        assert off.logit_hits == 0 and len(off._logit_cache) == 0
+        mutated = service.predict(graphs, spec, 16)
+        mutated_one = service.predict_one(graphs[0], spec)
+        assert not np.array_equal(mutated, expected)
+        assert not np.array_equal(mutated_one, first_one)
+        assert np.array_equal(
+            mutated, copy_logits(model, spec, graphs, num_tasks, 16))
+        assert np.array_equal(
+            mutated_one, copy_logits(model, spec, graphs[:1], num_tasks, 1)[0])
 
     def test_stats_shape(self, served):
         _, _, service = served
@@ -339,9 +331,9 @@ class TestModelRegistry:
 
     def test_load_checkpoint_replaces_and_pins(self, tmp_path):
         """Checkpoint loading must register a *new pinned* model object —
-        in-place mutation of an already served model would leave stale
-        memoized responses live, and an unpinned one could be evicted and
-        silently rebuilt without the checkpoint weights."""
+        in-place mutation would change weights under a forward already
+        running on the served model, and an unpinned one could be evicted
+        and silently rebuilt without the checkpoint weights."""
         registry = ModelRegistry(factory, num_tasks=1, capacity=2)
         served_before = registry.get(SPECS[0])
         served_before.head.weight.data = served_before.head.weight.data + 3.0

@@ -79,9 +79,9 @@ def hammer(server, graphs, collect):
 
 def test_batch_of_one_server_is_bit_identical_to_serial_predict(tiny_dataset):
     service = InferenceService(factory, tiny_dataset.num_tasks, batch_size=8,
-                               seed=0, logit_cache_size=0)
+                               seed=0)
     reference = InferenceService(factory, tiny_dataset.num_tasks, batch_size=8,
-                                 seed=0, logit_cache_size=0)
+                                 seed=0)
     graphs = tiny_dataset.graphs
     serial = {(id(g), spec): reference.predict([g], spec, batch_size=1)[0]
               for g in graphs for spec in SPECS}
@@ -123,9 +123,9 @@ def test_batch_of_one_server_is_bit_identical_to_serial_predict(tiny_dataset):
 
 def test_batching_server_matches_serial_replay_of_each_micro_batch(tiny_dataset):
     service = InferenceService(factory, tiny_dataset.num_tasks, batch_size=8,
-                               seed=0, logit_cache_size=0)
+                               seed=0)
     reference = InferenceService(factory, tiny_dataset.num_tasks, batch_size=8,
-                                 seed=0, logit_cache_size=0)
+                                 seed=0)
     graphs = tiny_dataset.graphs
 
     results = []
