@@ -11,8 +11,8 @@ The load-bearing contracts:
   global submission order even when specs interleave, and every ticket
   carries the row of *its own* graph.
 
-That a weight mutation reaches the next routed response is pinned in
-``tests/serve/test_service.py``.
+* **freshness** — responses are never memoized, so a weight mutation
+  reaches the next routed response with no invalidation call.
 """
 
 import numpy as np
@@ -271,3 +271,22 @@ class TestServiceFacade:
         assert isinstance(router, BatchingRouter)
         assert service.default_router is router
         assert "router" in service.stats()
+
+    def test_weight_mutation_reaches_routed_responses(self, tiny_dataset):
+        """After a weight mutation, the next ``predict_one`` and the next
+        flushed ticket serve the new weights, with no invalidation call."""
+        graphs = tiny_dataset.graphs[:4]
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   batch_size=8, seed=0)
+        first = service.predict_one(graphs[0], SPEC_A)
+        assert np.array_equal(service.predict_one(graphs[0], SPEC_A), first)
+
+        model = service.model_for(SPEC_A)
+        model.head.weight.data = model.head.weight.data + 1.0
+        expected = service.predict([graphs[0]], SPEC_A, 1)[0]
+        mutated = service.predict_one(graphs[0], SPEC_A)
+        assert not np.array_equal(mutated, first)
+        assert np.array_equal(mutated, expected)
+        ticket = service.submit(graphs[0], SPEC_A)
+        service.flush()
+        assert np.array_equal(ticket.result(), expected)
