@@ -91,33 +91,34 @@ def _best_of(fn, repeats):
 def bench_routed_requests(cfg, seed=0):
     """Routed single-request stream vs per-request batch-of-one forwards."""
     from repro.graph import DataLoader
-    from repro.nn import no_grad
+    from repro.nn import inference
+    from repro.serve import BatchingRouter
 
     dataset, service, specs, stream = _build(cfg, seed)
     models = {spec: service.model_for(spec) for spec in specs}
 
     def route_stream():
-        router = service.router(max_batch_size=cfg["max_batch_size"],
+        router = BatchingRouter(service, max_batch_size=cfg["max_batch_size"],
                                 max_delay=4)
         tickets = [router.submit(graph, spec) for graph, spec in stream]
         router.flush()
-        return tickets
+        return router, tickets
 
     def single_stream():
+        # inference() gives the eval forward without writing the
+        # persistent models' training flag.
         out = []
-        with no_grad():
+        with inference():
             for graph, spec in stream:
-                model = models[spec]
-                model.eval()
                 for batch in DataLoader([graph], batch_size=1):
-                    out.append(model(batch).data.copy())
+                    out.append(models[spec](batch).data.copy())
         return out
 
     # Parity first (also warms the routed path's batch/plan caches).
-    tickets, singles = route_stream(), single_stream()
+    (router, tickets), singles = route_stream(), single_stream()
     parity = max(float(np.abs(t.result() - s[0]).max())
                  for t, s in zip(tickets, singles))
-    router_stats = service.default_router.stats()
+    router_stats = router.stats()
 
     routed_s = _best_of(route_stream, cfg["repeats"])
     single_s = _best_of(single_stream, cfg["repeats"])

@@ -5,17 +5,18 @@
 single-graph requests, each far too small to amortize a forward pass.
 This walkthrough shows the ``BatchingRouter`` that closes the gap:
 
-1. search a strategy as usual and stand up a service over the run's
-   shared batch cache;
+1. search a strategy as usual, stand up a service over the run's shared
+   batch cache, and build a ``BatchingRouter(service, ...)`` over it;
 2. ``submit`` single-graph requests — the router buckets them *by spec*
    and flushes a server-side micro-batch (one collation + one forward)
    when a bucket reaches ``max_batch_size``;
 3. drive the router's **simulated clock** with ``tick`` — a bucket whose
    oldest request has waited ``max_delay`` ticks is flushed even when
    half-empty, bounding trickle-traffic latency;
-4. use ``predict_one`` when a caller needs an answer synchronously, and
-   check the parity guarantee: routed logits are exactly the request's
-   row of ``service.predict`` over the assembled micro-batch.
+4. use the router's ``predict_one`` when a caller needs an answer
+   synchronously, and check the parity guarantee: routed logits are
+   exactly the request's row of ``service.predict`` over the assembled
+   micro-batch.
 
 Run:  python examples/routing.py
 """
@@ -25,7 +26,7 @@ import numpy as np
 from repro import InferenceService, S2PGNNSearcher, SearchConfig
 from repro.gnn import GNNEncoder
 from repro.graph import load_dataset
-from repro.serve import BatchCacheRegistry
+from repro.serve import BatchCacheRegistry, BatchingRouter
 
 
 def main():
@@ -49,7 +50,7 @@ def main():
     rng = np.random.default_rng(7)
     spec_a = result.spec
     spec_b = searcher.space.random_spec(3, rng)
-    router = service.router(max_batch_size=8, max_delay=3)
+    router = BatchingRouter(service, max_batch_size=8, max_delay=3)
 
     tickets = [router.submit(g, spec_a if i % 2 == 0 else spec_b)
                for i, g in enumerate(test_graphs[:14])]
@@ -64,7 +65,7 @@ def main():
 
     # -- 4. synchronous single requests + the parity guarantee -------------
     probe = test_graphs[-1]
-    logits = service.predict_one(probe, spec_a)
+    logits = router.predict_one(probe, spec_a)
     reference = service.predict([probe], spec_a)[0]
     assert np.array_equal(logits, reference)
     print(f"\npredict_one parity vs predict([g]): exact "

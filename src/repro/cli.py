@@ -338,6 +338,7 @@ def _run_router(args) -> int:
 
     from .graph import DataLoader
     from .nn import inference
+    from .serve import BatchingRouter
 
     dataset, searcher, result, service = _serving_context(args)
     _, _, test_graphs = dataset.split()
@@ -358,7 +359,7 @@ def _run_router(args) -> int:
                 singles.append(models[spec](batch).data.copy())
     single_s = time.perf_counter() - start
 
-    router = service.router(max_batch_size=args.max_batch_size,
+    router = BatchingRouter(service, max_batch_size=args.max_batch_size,
                             max_delay=args.max_delay)
     start = time.perf_counter()
     tickets = [router.submit(graph, spec) for graph, spec in stream]

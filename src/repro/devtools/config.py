@@ -78,8 +78,6 @@ class LintConfig:
     attr_bindings: dict = field(default_factory=lambda: {
         "service": "InferenceService",
         "router": "BatchingRouter",
-        "default_router": "BatchingRouter",
-        "_default_router": "BatchingRouter",
         "models": "ModelRegistry",
         "registry": "ModelRegistry",
         "batch_cache": "BatchCacheRegistry",

@@ -69,9 +69,9 @@ LOCK_HIERARCHY: tuple[LockSpec, ...] = (
     LockSpec(10, 2, "serve/server.py", "InferenceServer", "_lock", "RLock",
              "server lifecycle flags, worker bookkeeping, error ring"),
     LockSpec(20, 3, "serve/router.py", "BatchingRouter", "_lock", "RLock",
-             "buckets, seq counter, drain window; flush executes unlocked"),
+             "buckets, seq counter, flush counters; flush executes unlocked"),
     LockSpec(30, 4, "serve/service.py", "InferenceService", "_lock", "RLock",
-             "forward-sweep counter, default-router slot"),
+             "forward-sweep counter"),
     LockSpec(50, 5, "serve/registry.py", "ModelRegistry", "_lock", "RLock",
              "model map, pin set, counters; cache-miss build runs under it"),
     LockSpec(51, 5, "serve/cache.py", "BatchCacheRegistry", "_lock", "RLock",

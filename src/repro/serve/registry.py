@@ -140,28 +140,6 @@ class ModelRegistry:
             if pin:
                 self._pinned.add(spec)
 
-    def unpin(self, spec) -> bool:
-        """Make ``spec``'s model evictable again (inverse of a pinned
-        :meth:`add`).  Returns whether the spec was pinned.  The model (if
-        any) stays registered; it simply rejoins the LRU order."""
-        with self._lock:
-            was_pinned = spec in self._pinned
-            self._pinned.discard(spec)
-            return was_pinned
-
-    def remove(self, spec) -> bool:
-        """Drop ``spec``'s model *and* its pinned status.
-
-        This is the external-invalidation path (a checkpoint superseded, a
-        spec retired from serving): without it, ``_pinned`` only ever grew
-        and a stale pinned spec lingered forever, silently exempting a
-        dead entry from bookkeeping.  Returns whether a model was
-        registered.  The next request for ``spec`` builds a fresh model.
-        """
-        with self._lock:
-            self._pinned.discard(spec)
-            return self._models.pop(spec, None) is not None
-
     # ------------------------------------------------------------------
     def load_checkpoint(self, spec, path: str):
         """Register a *pinned* model for ``spec`` with ``path``'s weights.
@@ -212,9 +190,9 @@ class ModelRegistry:
 
     def stats(self) -> dict:
         # ``_pinned`` is a subset of the registered specs by construction:
-        # every path that drops a spec (``remove``; eviction skips pinned
-        # entries) also clears its pinned status, so the count is exact
-        # without re-deriving the intersection.
+        # a spec is pinned only when registered, and eviction skips pinned
+        # entries, so the count is exact without re-deriving the
+        # intersection.
         with self._lock:
             return {
                 "models": len(self._models),

@@ -8,7 +8,7 @@ single-graph requests, each too small to amortize a forward on its own.
 * :meth:`~BatchingRouter.submit` accepts one graph + one strategy spec and
   returns a :class:`RoutedRequest` ticket immediately;
 * pending requests are **bucketed by spec** (mixed-spec queues never share
-  a forward — each spec routes to its own model / one-hot configuration)
+  a forward — each spec routes to its own persistent model)
   and accumulated in a bounded queue;
 * a bucket is flushed into a **micro-batch** when it reaches
   ``max_batch_size`` (flush-on-size), when its oldest request has waited
@@ -30,16 +30,16 @@ background ticker thread does.
 
 Thread safety and execution modes
 ---------------------------------
-All router state (ticket sequence counter, buckets, counters, drain
-window) is guarded by one ``RLock``; in particular **ticket allocation
-and bucket insert are atomic**, so concurrent submitters get unique,
-strictly increasing ``seq`` numbers and :meth:`drain` preserves global
-submission order.  Micro-batch execution runs in one of two modes:
+All router state (ticket sequence counter, buckets, counters) is guarded
+by one ``RLock``; in particular **ticket allocation and bucket insert are
+atomic**, so concurrent submitters get unique, strictly increasing
+``seq`` numbers.  The router keeps no completed tickets: whoever holds a
+ticket owns its result.  Micro-batch execution runs in one of two modes:
 
 * **inline** (default, ``executor=None``) — the flushing call executes
   the forward itself, holding no router lock during the service call
   except for final bookkeeping.  ``submit`` that fills a bucket returns
-  an already-``done`` ticket, exactly as before.
+  an already-``done`` ticket.
 * **executor** — ``executor`` is a callable receiving a zero-argument
   job; the router dispatches flushed micro-batches to it and returns
   without waiting.  :class:`~repro.serve.server.InferenceServer` passes
@@ -92,10 +92,10 @@ class RoutedRequest:
     seq:
         Global submission index — unique and strictly increasing even
         under concurrent submitters (allocation happens under the router
-        lock), and the order :meth:`BatchingRouter.drain` preserves.
+        lock).
     submitted_tick:
         Router clock value at submission (deadline flushes fire when
-        ``now - submitted_tick >= max_delay``).
+        ``clock - submitted_tick >= max_delay``).
     batch_graphs / batch_index:
         Set at completion: the tuple of graphs that formed this request's
         micro-batch and this request's row position in it.  Together they
@@ -180,45 +180,26 @@ class BatchingRouter:
         Bound on the total queue across all buckets.  A submit that would
         exceed it first flushes the bucket holding the globally oldest
         request (backpressure by serving, never by dropping).
-    max_undrained:
-        Bound on the completed-but-undrained window behind :meth:`drain`.
-        Callers that hold their tickets never need ``drain``, so the
-        router must not retain every served request (graph + logits row)
-        on their behalf forever; once the window overflows, the oldest
-        completed entries silently age out of ``drain``'s view (the
-        tickets themselves stay valid for whoever holds them).
-    onehot:
-        Route micro-batches through the supernet's one-hot fast path
-        (:meth:`InferenceService.predict_spec_onehot`) instead of
-        persistent derived models — no per-spec model build, useful when
-        the spec mix is wide.  Requires the service to have a supernet
-        attached.
     executor:
         Optional callable receiving a zero-argument job per flushed
         micro-batch (see module docstring).  ``None`` executes inline.
     """
 
     def __init__(self, service, max_batch_size: int = 32, max_delay: int = 4,
-                 max_pending: int = 1024, max_undrained: int = 4096,
-                 onehot: bool = False, executor=None):
+                 max_pending: int = 1024, executor=None):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_delay < 1:
             raise ValueError("max_delay must be >= 1 tick")
         if max_pending < max_batch_size:
             raise ValueError("max_pending must be >= max_batch_size")
-        if max_undrained < 1:
-            raise ValueError("max_undrained must be >= 1")
         self.service = service
         self.max_batch_size = max_batch_size
         self.max_delay = max_delay
         self.max_pending = max_pending
-        self.max_undrained = max_undrained
-        self.onehot = onehot
         self.executor = executor
         self._lock = threading.RLock()
         self._buckets: "OrderedDict[object, list[RoutedRequest]]" = OrderedDict()
-        self._completed: list[RoutedRequest] = []
         self._tick = 0
         self._seq = 0
         self.served = 0
@@ -226,11 +207,6 @@ class BatchingRouter:
         self.flushes = {"size": 0, "deadline": 0, "forced": 0, "backpressure": 0}
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulated-clock value."""
-        return self._tick
-
     @property
     def pending(self) -> int:
         """Requests queued across all spec buckets."""
@@ -242,8 +218,8 @@ class BatchingRouter:
 
         Ticket allocation (the ``seq`` counter) and the bucket insert are
         one atomic step under the router lock, so concurrent submitters —
-        including submits racing a reconfiguring service or a mid-flush
-        worker — cannot interleave sequence numbers or lose requests.
+        including submits racing a mid-flush worker — cannot interleave
+        sequence numbers or lose requests.
 
         Flush-on-size fires from this call: without an executor the
         micro-batch runs inline and the returned ticket is already
@@ -299,21 +275,6 @@ class BatchingRouter:
             completed.extend(self._flush_bucket(s, "forced"))
         return sorted(completed, key=lambda r: r.seq)
 
-    def drain(self) -> list[RoutedRequest]:
-        """Completed-but-undrained requests, in submission order.
-
-        Each completed request is returned exactly once across successive
-        ``drain`` calls — the consumption side of the ticket API for
-        callers that poll instead of holding tickets.  Submission order is
-        preserved within a drain (``seq`` is allocated under the router
-        lock, so the order is well-defined even under concurrent
-        submitters).  The window is bounded by ``max_undrained``: entries
-        older than that have aged out (ticket holders are unaffected)."""
-        with self._lock:
-            out = sorted(self._completed, key=lambda r: r.seq)
-            self._completed = []
-        return out
-
     def predict_one(self, graph, spec) -> np.ndarray:
         """Synchronous convenience: submit, force completion, return logits.
 
@@ -362,12 +323,7 @@ class BatchingRouter:
         every ticket with the error instead of leaving waiters hanging."""
         graphs = [request.graph for request in bucket]
         try:
-            if self.onehot:
-                logits = self.service.predict_spec_onehot(graphs, spec,
-                                                          batch_size=len(graphs))
-            else:
-                logits = self.service.predict(graphs, spec,
-                                              batch_size=len(graphs))
+            logits = self.service.predict(graphs, spec, batch_size=len(graphs))
         except BaseException as err:  # resolve waiters, then bookkeeping
             for request in bucket:
                 request._error = err
@@ -381,12 +337,6 @@ class BatchingRouter:
             request._event.set()
         with self._lock:
             self.served += len(bucket)
-            self._completed.extend(bucket)
-            if len(self._completed) > self.max_undrained:
-                # Bound the drain window: a caller that holds its tickets
-                # and never drains must not make the router retain every
-                # served graph + logits row for the life of the process.
-                del self._completed[:len(self._completed) - self.max_undrained]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -60,6 +60,15 @@ __all__ = ["InferenceServer"]
 
 _SENTINEL = object()
 
+#: :meth:`InferenceServer.request`'s wait bound when the caller gives none.
+DEFAULT_TIMEOUT_S = 60.0
+
+#: Capacity of :attr:`InferenceServer.worker_errors`.  Tickets already
+#: carry their own error, so the server keeps only the last few for
+#: diagnostics — under sustained micro-batch failure an unbounded list
+#: would grow (with full tracebacks pinned) for the life of the process.
+MAX_WORKER_ERRORS = 64
+
 
 class InferenceServer:
     """Threaded serving front end over one :class:`InferenceService`.
@@ -69,11 +78,11 @@ class InferenceServer:
     service:
         The :class:`~repro.serve.service.InferenceService` to serve.  The
         service (and the whole stack under it) is thread-safe; the server
-        owns a *private* router rather than the service's default one, so
-        an embedded synchronous router and a server can coexist.
+        owns a *private* router, so other routers over the same service
+        can coexist with it.
     num_workers:
         Worker threads executing micro-batches.
-    max_batch_size / max_delay / max_pending / max_undrained / onehot:
+    max_batch_size / max_delay:
         Router parameters (see :class:`~repro.serve.router.BatchingRouter`);
         ``max_delay`` is in ticks.
     tick_interval_s:
@@ -89,40 +98,27 @@ class InferenceServer:
         Optional zero-argument callable run by a worker immediately
         before each micro-batch — telemetry, rate limiting, or (in
         benchmarks) emulating a blocked-on-device interval.
-    default_timeout_s:
-        :meth:`predict`'s default wait bound.
-    max_worker_errors:
-        Capacity of the :attr:`worker_errors` ring.  Tickets already
-        carry their own error, so the server keeps only the last K for
-        diagnostics — under sustained micro-batch failure an unbounded
-        list would grow (with full tracebacks pinned) for the life of
-        the process.  :attr:`worker_error_total` counts every failure
-        monotonically and is what ``stats()`` reports.
+
+    :attr:`worker_errors` keeps the last :data:`MAX_WORKER_ERRORS`
+    micro-batch failures; :attr:`worker_error_total` counts every failure
+    monotonically and is what ``stats()`` reports.
     """
 
     def __init__(self, service, num_workers: int = 2, max_batch_size: int = 32,
-                 max_delay: int = 4, max_pending: int = 1024,
-                 max_undrained: int = 4096, onehot: bool = False,
-                 tick_interval_s: float | None = 0.002, queue_size: int = 64,
-                 pre_execute=None, default_timeout_s: float = 60.0,
-                 max_worker_errors: int = 64):
+                 max_delay: int = 4, tick_interval_s: float | None = 0.002,
+                 queue_size: int = 64, pre_execute=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if tick_interval_s is not None and tick_interval_s <= 0:
             raise ValueError("tick_interval_s must be positive (or None)")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        if max_worker_errors < 1:
-            raise ValueError("max_worker_errors must be >= 1")
         self.service = service
         self.num_workers = num_workers
         self.tick_interval_s = tick_interval_s
         self.pre_execute = pre_execute
-        self.default_timeout_s = default_timeout_s
-        self.router = BatchingRouter(
-            service, max_batch_size=max_batch_size, max_delay=max_delay,
-            max_pending=max_pending, max_undrained=max_undrained,
-            onehot=onehot, executor=self._enqueue)
+        self.router = BatchingRouter(service, max_batch_size=max_batch_size,
+                                     max_delay=max_delay, executor=self._enqueue)
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._lock = threading.RLock()
         self._stop_event = threading.Event()
@@ -135,7 +131,7 @@ class InferenceServer:
         # the waiting tickets own the errors that matter, the server
         # must not accumulate every exception of a failing deployment.
         self.worker_errors: "deque[BaseException]" = deque(
-            maxlen=max_worker_errors)
+            maxlen=MAX_WORKER_ERRORS)
         self.worker_error_total = 0
 
     # ------------------------------------------------------------------
@@ -247,7 +243,7 @@ class InferenceServer:
         ticket = self.submit(graph, spec)
         if self._ticker is None and not ticket.done:
             self.router.flush(spec)
-        ticket.wait(self.default_timeout_s if timeout is None else timeout)
+        ticket.wait(DEFAULT_TIMEOUT_S if timeout is None else timeout)
         return ticket
 
     def predict(self, graph, spec, timeout: float | None = None) -> np.ndarray:

@@ -13,12 +13,12 @@ cache (PR 2) were built for: a long-lived process that answers
   supernet's one-hot fast path (``evaluate_spec``-style: one
   derived-model-shaped forward per batch, not one per candidate
   operator).  This is the primitive behind candidate ranking, ensembles
-  over searched strategies, and A/B scoring of specs on live traffic;
-  and
-* **single-graph requests** — :meth:`InferenceService.submit` /
-  :meth:`InferenceService.predict_one` route one-graph requests through
-  a :class:`~repro.serve.router.BatchingRouter` that assembles them into
-  server-side micro-batches (dynamic batching) before touching the model.
+  over searched strategies, and A/B scoring of specs on live traffic.
+
+Single-graph requests go through a
+:class:`~repro.serve.router.BatchingRouter` built over the service
+(``BatchingRouter(service, ...)``), which assembles them into server-side
+micro-batches and runs each through :meth:`InferenceService.predict`.
 
 Every forward runs under :class:`repro.nn.inference` — grad off, Dropout
 and normalization in eval behaviour — without writing any model's
@@ -47,11 +47,11 @@ this prose and the table in sync; edit the table first.
    held**;
 2. ``InferenceServer._lock`` (rank 10) — server lifecycle flags, worker
    bookkeeping, error ring;
-3. ``BatchingRouter._lock`` (rank 20) — buckets, seq counter, drain
-   window; the flush path calls into the service with **no router lock
-   held**;
-4. ``InferenceService._lock`` (rank 30) — forward-sweep counter and
-   default-router slot — never held across a forward;
+3. ``BatchingRouter._lock`` (rank 20) — buckets, seq counter, flush
+   counters; the flush path calls into the service with **no router
+   lock held**;
+4. ``InferenceService._lock`` (rank 30) — forward-sweep counter — never
+   held across a forward;
 5. leaf locks (nothing serve-layer is acquired while one is held):
    ``ModelRegistry._lock`` (rank 50), ``BatchCacheRegistry._lock``
    (rank 51), ``DataLoader._cache_lock`` (rank 52), ``Batch._plan_lock``
@@ -183,9 +183,8 @@ class InferenceService:
         self.batch_cache = batch_cache if batch_cache is not None else BatchCacheRegistry()
         self.batch_size = batch_size
         self._sweeps = 0
-        self._default_router = None
-        # Service lock (level 4 in the documented order): sweep counter
-        # and default-router slot.  Never held across a forward.
+        # Service lock (level 4 in the documented order): the sweep
+        # counter.  Never held across a forward.
         self._lock = threading.RLock()
 
     @classmethod
@@ -309,81 +308,12 @@ class InferenceService:
         return results
 
     # ------------------------------------------------------------------
-    # Dynamic batching: single-graph requests through a BatchingRouter.
-    def router(self, **kwargs):
-        """A new :class:`~repro.serve.router.BatchingRouter` over this
-        service, installed as the default behind :meth:`submit` /
-        :meth:`flush` / :meth:`tick` / :meth:`predict_one`.  Keyword
-        arguments are the router's (``max_batch_size``, ``max_delay``,
-        ``max_pending``, ``max_undrained``, ``onehot``).
-
-        Replacing an existing default router flushes the replaced router's
-        pending requests — reconfiguring must not orphan queued tickets in
-        an unreachable router, where they would never resolve.  The flush
-        happens *after* the swap and outside the service lock (router
-        locks are above service locks in the documented order), so
-        concurrent submitters either land in the old router and get
-        flushed here, or in the new one."""
-        from .router import BatchingRouter
-
-        new = BatchingRouter(self, **kwargs)
-        with self._lock:
-            old, self._default_router = self._default_router, new
-        if old is not None:
-            old.flush()
-        return new
-
-    @property
-    def default_router(self):
-        """The router behind the single-graph facade (created on first
-        use with default parameters; configure via :meth:`router`)."""
-        with self._lock:
-            if self._default_router is None:
-                from .router import BatchingRouter
-
-                self._default_router = BatchingRouter(self)
-            return self._default_router
-
-    def submit(self, graph, spec):
-        """Enqueue one graph for dynamic batching; returns its
-        :class:`~repro.serve.router.RoutedRequest` ticket.
-
-        Safe against a concurrent :meth:`router` reconfigure: if this
-        submit lands on a router that was replaced mid-call (so the
-        replacement's clean-up flush may have already run), the ticket is
-        flushed out of the retired router here instead of orphaning."""
-        router = self.default_router
-        ticket = router.submit(graph, spec)
-        if not ticket.done:
-            with self._lock:
-                retired = router is not self._default_router
-            if retired:
-                router.flush(spec)
-        return ticket
-
-    def flush(self, spec=None):
-        """Force the default router's pending micro-batches out."""
-        return self.default_router.flush(spec)
-
-    def tick(self, ticks: int = 1):
-        """Advance the default router's simulated clock (deadline flushes)."""
-        return self.default_router.tick(ticks)
-
-    def predict_one(self, graph, spec) -> np.ndarray:
-        """Synchronous single-graph prediction through the router —
-        shape ``(num_tasks,)`` logits for one graph, batched with any
-        requests already queued for ``spec``."""
-        return self.default_router.predict_one(graph, spec)
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Combined registry + batch-cache + forward-sweep counters (plus
-        the default router's, once one exists) and the compiled kernel
-        backend's availability/build state."""
+        """Combined registry + batch-cache + forward-sweep counters and the
+        compiled kernel backend's availability/build state."""
         with self._lock:
             # perfbench's score_batch._counters and serve_wire._ratio read these.
             logits = {"hits": 0, "misses": self._sweeps}
-            router = self._default_router
         stats = {
             "models": self.models.stats(),
             "batches": self.batch_cache.stats(),
@@ -395,8 +325,6 @@ class InferenceService:
             if self.policy.workspace is not None:
                 policy["workspace"] = self.policy.workspace.stats()
             stats["policy"] = policy
-        if router is not None:
-            stats["router"] = router.stats()
         return stats
 
     def __repr__(self) -> str:

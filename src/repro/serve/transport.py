@@ -13,12 +13,19 @@ in-process transport is a faithful stand-in for the HTTP one in tests
   ``result`` with ``{"seq": n[, "timeout_s": t]}`` ->
   ``{"logits": ...}``, ``{"pending": true}``, or — for a failed
   micro-batch — ``{"error": msg, "seq": n}``.  A delivered result is a
-  **one-shot claim** (like the router's ``drain``): the ticket leaves the
-  window atomically with delivery (the pop under the window lock decides
-  the single winner among concurrent pollers; every other poller gets
-  ``unknown or expired seq``), and an error delivery is claimed exactly
-  the same way — a failed ticket cannot wedge in the window;
+  **one-shot claim**: the ticket leaves the window atomically with
+  delivery (the pop under the window lock decides the single winner
+  among concurrent pollers; every other poller gets ``unknown or
+  expired seq``), and an error delivery is claimed exactly the same
+  way — a failed ticket cannot wedge in the window;
 * ``stats``    — ``{}`` -> the server's full stats tree.
+
+Requests are validated at admission, before anything is queued: a
+``timeout_s`` must be a finite, non-negative number of seconds no larger
+than ``threading.TIMEOUT_MAX`` (a bool is not a number here), and
+every spec field must name a candidate of
+:data:`~repro.core.space.DEFAULT_SPACE`.  Anything else is a
+:class:`TransportError` (HTTP 400).
 
 Graphs go over the wire as ``{"x": [[...]], "edge_index": [[...]],
 "edge_attr": [[...]], "y": [...]|null}`` (the struct-of-arrays layout of
@@ -107,12 +114,26 @@ def spec_to_payload(spec) -> dict:
 
 
 def spec_from_payload(payload: dict):
-    """Inverse of :func:`spec_to_payload`."""
-    from ..core.space import FineTuneStrategySpec
+    """Inverse of :func:`spec_to_payload` (validates every field).
 
-    return FineTuneStrategySpec(
+    Each field must name a candidate of
+    :data:`~repro.core.space.DEFAULT_SPACE`, checked here at admission:
+    anything else raises ``ValueError`` (a 400) instead of failing the
+    micro-batch the request would have joined.
+    """
+    from ..core.space import DEFAULT_SPACE, FineTuneStrategySpec
+
+    spec = FineTuneStrategySpec(
         identity=tuple(payload["identity"]), fusion=payload["fusion"],
         readout=payload["readout"], conv=payload.get("conv", "pre_trained"))
+    for field, names in (("identity", spec.identity), ("fusion", (spec.fusion,)),
+                         ("readout", (spec.readout,)), ("conv", (spec.conv,))):
+        candidates = getattr(DEFAULT_SPACE, field)
+        for name in names:
+            if not isinstance(name, str) or name not in candidates:
+                raise ValueError(f"{field} must be one of {list(candidates)}, "
+                                 f"got {name!r}")
+    return spec
 
 
 def _json_safe(value):
@@ -149,24 +170,43 @@ class TransportConnectionError(RuntimeError):
     """
 
 
+def _timeout_s(payload: dict, default: float | None) -> float | None:
+    """The request's ``timeout_s`` (``default`` when absent or null).
+
+    Anything but a finite, non-negative number no larger than
+    ``threading.TIMEOUT_MAX`` is a :class:`TransportError`: a bool, a
+    string, ``NaN`` or ``Infinity`` (which ``json.loads`` accepts) would
+    otherwise fail inside the ticket wait, or not wait at all.
+    """
+    value = payload.get("timeout_s")
+    if value is None:
+        return default
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= threading.TIMEOUT_MAX):  # NaN fails too
+        raise TransportError("timeout_s must be a finite, non-negative "
+                             f"number of seconds, got {value!r}")
+    return float(value)
+
+
 # ----------------------------------------------------------------------
 # shared protocol core
 # ----------------------------------------------------------------------
+#: Capacity of a :class:`ServingProtocol`'s submit/result ticket window.
+TICKET_WINDOW = 4096
+
+
 class ServingProtocol:
     """Dict-in / dict-out request handlers shared by every transport.
 
     Holds a bounded window of submitted tickets so ``submit``/``result``
     can speak sequence numbers instead of object references across a
-    wire.  Resolved tickets age out of the window once it overflows
-    (``ticket_window``), oldest first — exactly like the router's drain
-    window, unresolved tickets are never dropped.
+    wire.  Resolved tickets age out of the window once it holds more than
+    :data:`TICKET_WINDOW`, oldest first; unresolved tickets are never
+    dropped.
     """
 
-    def __init__(self, server, ticket_window: int = 4096):
-        if ticket_window < 1:
-            raise ValueError("ticket_window must be >= 1")
+    def __init__(self, server):
         self.server = server
-        self.ticket_window = ticket_window
         self._tickets: "OrderedDict[int, object]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -183,17 +223,17 @@ class ServingProtocol:
     def _remember(self, ticket) -> None:
         with self._lock:
             self._tickets[ticket.seq] = ticket
-            if len(self._tickets) > self.ticket_window:
+            if len(self._tickets) > TICKET_WINDOW:
                 # Age out *resolved* tickets oldest-first; pending tickets
                 # are never dropped (their result must stay claimable).
                 done = [s for s, t in self._tickets.items() if t.done]
-                for seq in done[:len(self._tickets) - self.ticket_window]:
+                for seq in done[:len(self._tickets) - TICKET_WINDOW]:
                     del self._tickets[seq]
 
     # -- handlers --------------------------------------------------------
     def handle_predict(self, payload: dict) -> dict:
         graph, spec = self._decode(payload)
-        timeout = payload.get("timeout_s")
+        timeout = _timeout_s(payload, None)
         ticket = self.server.request(graph, spec, timeout=timeout)
         return {"logits": ticket.result().tolist(), "seq": ticket.seq,
                 "batch_size": len(ticket.batch_graphs)}
@@ -209,14 +249,14 @@ class ServingProtocol:
             seq = int(payload["seq"])
         except (KeyError, TypeError, ValueError) as err:
             raise TransportError("result needs an integer 'seq'") from err
+        timeout = _timeout_s(payload, 0.0)
         with self._lock:
             ticket = self._tickets.get(seq)
         if ticket is None:
             raise TransportError(f"unknown or expired seq {seq}")
-        timeout = payload.get("timeout_s", 0.0)
         if not ticket.done and timeout:
             try:
-                ticket.wait(float(timeout))
+                ticket.wait(timeout)
             except TimeoutError:
                 pass
             except RuntimeError:
@@ -262,8 +302,8 @@ class InProcessTransport:
     Useful as an embedded API for callers that already hold the graphs
     (and as the deterministic test double for the HTTP transport)."""
 
-    def __init__(self, server, ticket_window: int = 4096):
-        self.protocol = ServingProtocol(server, ticket_window=ticket_window)
+    def __init__(self, server):
+        self.protocol = ServingProtocol(server)
 
     def request(self, op: str, payload: dict | None = None) -> dict:
         return self.protocol.handle(op, payload or {})
@@ -382,10 +422,9 @@ class HTTPServingTransport:
     port by default (``port=0``); read :attr:`port` after :meth:`start`.
     """
 
-    def __init__(self, server, host: str = "127.0.0.1", port: int = 0,
-                 ticket_window: int = 4096):
+    def __init__(self, server, host: str = "127.0.0.1", port: int = 0):
         self.serving_server = server
-        self.protocol = ServingProtocol(server, ticket_window=ticket_window)
+        self.protocol = ServingProtocol(server)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.serving_protocol = self.protocol  # type: ignore[attr-defined]

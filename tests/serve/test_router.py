@@ -7,9 +7,9 @@ The load-bearing contracts:
   micro-batch; for a single-request flush, the one graph itself), for
   several specs and both flush triggers.  The reference service is an
   *independent* instance sharing only the supernet.
-* **order preservation** — ``drain()`` yields completed requests in
-  global submission order even when specs interleave, and every ticket
-  carries the row of *its own* graph.
+* **order preservation** — tickets carry gapless ``seq`` numbers in
+  submission order, flushes return them in that order even when specs
+  interleave, and every ticket carries the row of *its own* graph.
 
 * **freshness** — responses are never memoized, so a weight mutation
   reaches the next routed response with no invalidation call.
@@ -124,10 +124,9 @@ class TestOrderingAndTickets:
         router = BatchingRouter(service, max_batch_size=100, max_delay=100)
         tickets = [router.submit(g, SPEC_A if i % 2 == 0 else SPEC_B)
                    for i, g in enumerate(graphs[:10])]
+        assert [t.seq for t in tickets] == list(range(10))
         done = router.flush()
-        assert [r.seq for r in done] == list(range(10))
-        assert router.drain() == sorted(done, key=lambda r: r.seq)
-        assert router.drain() == []          # each request drains once
+        assert done == tickets               # submission order across specs
         # Every ticket carries the row of its *own* graph: recompute each
         # spec's micro-batch through the service and match per position.
         for spec in (SPEC_A, SPEC_B):
@@ -153,20 +152,6 @@ class TestOrderingAndTickets:
         b = router.submit(graphs[1], SPEC_A)
         a.result()[...] = 1e9
         assert float(np.abs(b.result()).max()) < 1e6
-
-    def test_drain_window_is_bounded(self, routed):
-        """A caller that holds tickets and never drains must not make the
-        router retain every served graph + logits row forever."""
-        graphs, service, _ = routed
-        router = BatchingRouter(service, max_batch_size=2, max_delay=100,
-                                max_undrained=4)
-        tickets = [router.submit(g, SPEC_A) for g in graphs[:10]]
-        assert all(t.done for t in tickets)          # holders keep results
-        assert len(router._completed) == 4
-        drained = router.drain()
-        assert [t.seq for t in drained] == [6, 7, 8, 9]  # oldest aged out
-        with pytest.raises(ValueError):
-            BatchingRouter(service, max_undrained=0)
 
     def test_predict_one_piggybacks_on_pending_bucket(self, routed):
         graphs, service, _ = routed
@@ -225,68 +210,30 @@ class TestParity:
 
     def test_predict_one_parity(self, routed):
         graphs, service, reference = routed
+        router = BatchingRouter(service, max_batch_size=100, max_delay=100)
         for spec in (SPEC_A, SPEC_B):
-            got = service.predict_one(graphs[7], spec)
+            got = router.predict_one(graphs[7], spec)
             ref = reference.predict([graphs[7]], spec, batch_size=1)
             assert np.array_equal(got, ref[0])
 
-    def test_onehot_routing_parity(self, routed):
-        graphs, service, reference = routed
-        router = BatchingRouter(service, max_batch_size=4, max_delay=100,
-                                onehot=True)
-        tickets = [router.submit(g, SPEC_A) for g in graphs[:4]]
-        ref = reference.predict_spec_onehot(graphs[:4], SPEC_A, batch_size=4)
-        for i, t in enumerate(tickets):
-            assert np.array_equal(t.result(), ref[i])
 
-
-class TestServiceFacade:
-    def test_submit_flush_tick_delegate_to_default_router(self, routed):
-        graphs, service, _ = routed
-        service.router(max_batch_size=100, max_delay=2)  # reconfigure default
-        ticket = service.submit(graphs[0], SPEC_A)
-        assert service.default_router.pending == 1
-        assert service.tick(2) == [ticket] and ticket.done
-        ticket = service.submit(graphs[1], SPEC_B)
-        assert service.flush() == [ticket] and ticket.done
-        assert "router" in service.stats()
-
-    def test_reconfiguring_router_flushes_pending_requests(self, tiny_dataset):
-        """Replacing the default router must not orphan queued tickets in
-        an unreachable router where they would never resolve."""
-        graphs = tiny_dataset.graphs[:4]
-        service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   batch_size=8, seed=0)
-        service.router(max_batch_size=100, max_delay=100)
-        pending = service.submit(graphs[0], SPEC_A)
-        service.router(max_batch_size=4, max_delay=2)  # reconfigure
-        assert pending.done
-        assert pending.result().shape == (tiny_dataset.num_tasks,)
-
-    def test_default_router_created_lazily(self, tiny_dataset):
-        service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   batch_size=8, seed=0)
-        assert "router" not in service.stats()
-        router = service.default_router
-        assert isinstance(router, BatchingRouter)
-        assert service.default_router is router
-        assert "router" in service.stats()
-
+class TestFreshness:
     def test_weight_mutation_reaches_routed_responses(self, tiny_dataset):
         """After a weight mutation, the next ``predict_one`` and the next
         flushed ticket serve the new weights, with no invalidation call."""
         graphs = tiny_dataset.graphs[:4]
         service = InferenceService(factory, tiny_dataset.num_tasks,
                                    batch_size=8, seed=0)
-        first = service.predict_one(graphs[0], SPEC_A)
-        assert np.array_equal(service.predict_one(graphs[0], SPEC_A), first)
+        router = BatchingRouter(service, max_batch_size=100, max_delay=100)
+        first = router.predict_one(graphs[0], SPEC_A)
+        assert np.array_equal(router.predict_one(graphs[0], SPEC_A), first)
 
         model = service.model_for(SPEC_A)
         model.head.weight.data = model.head.weight.data + 1.0
         expected = service.predict([graphs[0]], SPEC_A, 1)[0]
-        mutated = service.predict_one(graphs[0], SPEC_A)
+        mutated = router.predict_one(graphs[0], SPEC_A)
         assert not np.array_equal(mutated, first)
         assert np.array_equal(mutated, expected)
-        ticket = service.submit(graphs[0], SPEC_A)
-        service.flush()
+        ticket = router.submit(graphs[0], SPEC_A)
+        router.flush()
         assert np.array_equal(ticket.result(), expected)

@@ -15,6 +15,7 @@ import pytest
 from repro.core.space import FineTuneStrategySpec
 from repro.gnn import GNNEncoder
 from repro.serve import InferenceServer, InferenceService
+from repro.serve import server as server_module
 
 SPEC_A = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
                               fusion="last", readout="mean")
@@ -144,11 +145,9 @@ class TestExecution:
             assert t.batch_index == i
 
     def test_worker_error_reaches_ticket_and_counter(self, tiny_dataset,
-                                                     service):
-        # onehot without a supernet: the micro-batch forward raises.
-        with InferenceServer(service, num_workers=1, max_batch_size=1,
-                             max_delay=10_000, onehot=True,
-                             tick_interval_s=None) as server:
+                                                     failing_service):
+        with InferenceServer(failing_service, num_workers=1, max_batch_size=1,
+                             max_delay=10_000, tick_interval_s=None) as server:
             ticket = server.submit(tiny_dataset.graphs[0], SPEC_A)
             with pytest.raises(RuntimeError, match="micro-batch execution failed"):
                 ticket.wait(timeout=30)
@@ -156,15 +155,16 @@ class TestExecution:
         assert server.executed_batches == 0
 
     def test_worker_error_ring_bounds_memory_not_the_count(self, tiny_dataset,
-                                                           service):
+                                                           failing_service,
+                                                           monkeypatch):
         # Regression: worker_errors was an unbounded list — a failing
         # deployment pinned every exception (traceback and all) for the
         # life of the process.  The ring keeps the last K while stats()
         # still reports the true monotonic total.
-        with InferenceServer(service, num_workers=1, max_batch_size=1,
-                             max_delay=10_000, onehot=True,
-                             tick_interval_s=None,
-                             max_worker_errors=4) as server:
+        monkeypatch.setattr(server_module, "MAX_WORKER_ERRORS", 4)
+        with InferenceServer(failing_service, num_workers=1, max_batch_size=1,
+                             max_delay=10_000,
+                             tick_interval_s=None) as server:
             tickets = [server.submit(g, SPEC_A)
                        for g in tiny_dataset.graphs[:6]]
             server.flush()

@@ -27,6 +27,7 @@ from repro.serve import (
     InferenceService,
     InProcessTransport,
 )
+from repro.serve import transport as transport_module
 from repro.serve.transport import (
     MAX_BODY_BYTES,
     TransportError,
@@ -40,6 +41,18 @@ from repro.serve.transport import (
 SPEC_A = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
                               fusion="last", readout="mean")
 
+#: ``timeout_s`` values a request must be refused for (JSON carries the
+#: floats as ``Infinity`` / ``NaN``, which ``json.loads`` accepts; 1e300
+#: is finite but beyond ``threading.TIMEOUT_MAX``).
+BAD_TIMEOUTS = ["abc", float("inf"), float("nan"), -1.0, True, 1e300]
+
+#: Spec fields (as ``field, value``) outside the search space.
+BAD_SPEC_FIELDS = [("identity", [["zero_aug"], "zero_aug"]),
+                   ("identity", [7, "zero_aug"]),
+                   ("identity", ["bogus", "zero_aug"]),
+                   ("fusion", "bogus"), ("readout", "bogus"), ("conv", "bogus")]
+BAD_SPEC_IDS = [f"{field}={value!r}" for field, value in BAD_SPEC_FIELDS]
+
 
 def factory():
     return GNNEncoder("gin", num_layers=2, emb_dim=12, dropout=0.0, seed=0)
@@ -51,6 +64,17 @@ def server(tiny_dataset):
                                seed=0)
     with InferenceServer(service, num_workers=2, max_batch_size=4,
                          max_delay=2, tick_interval_s=0.001) as srv:
+        yield srv
+
+
+@pytest.fixture
+def idle_server(tiny_dataset):
+    """A running server that flushes nothing before it stops: every
+    admitted request stays queued."""
+    service = InferenceService(factory, tiny_dataset.num_tasks, batch_size=8,
+                               seed=0)
+    with InferenceServer(service, num_workers=1, max_batch_size=100,
+                         max_delay=10_000, tick_interval_s=5.0) as srv:
         yield srv
 
 
@@ -153,12 +177,14 @@ class TestInProcessProtocol:
         json.dumps(stats)  # numpy scalars would raise
         assert stats["server"]["workers"] == 2
 
-    def test_ticket_window_drops_only_resolved(self, tiny_dataset):
+    def test_ticket_window_drops_only_resolved(self, tiny_dataset,
+                                               monkeypatch):
+        monkeypatch.setattr(transport_module, "TICKET_WINDOW", 3)
         service = InferenceService(factory, tiny_dataset.num_tasks,
                                    batch_size=8, seed=0)
         with InferenceServer(service, num_workers=1, max_batch_size=2,
                              max_delay=10_000, tick_interval_s=None) as srv:
-            transport = InProcessTransport(srv, ticket_window=3)
+            transport = InProcessTransport(srv)
             seqs = [transport.submit(g, SPEC_A)
                     for g in tiny_dataset.graphs[:8]]
             srv.flush()
@@ -168,6 +194,42 @@ class TestInProcessProtocol:
             assert len(transport.protocol._tickets) <= 3
             with pytest.raises(TransportError, match="unknown or expired"):
                 transport.result(seqs[0])  # already claimed
+
+
+class TestAdmission:
+    """A malformed ``timeout_s`` or spec is a TransportError (HTTP 400)
+    raised before anything is queued — not a 500 from deep in the wait,
+    a 504, or a failed micro-batch."""
+
+    @pytest.mark.parametrize("timeout_s", BAD_TIMEOUTS, ids=repr)
+    def test_predict_rejects_bad_timeout_before_queueing(self, tiny_dataset,
+                                                         idle_server,
+                                                         timeout_s):
+        transport = InProcessTransport(idle_server)
+        with pytest.raises(TransportError, match="timeout_s"):
+            transport.predict(tiny_dataset.graphs[0], SPEC_A,
+                              timeout_s=timeout_s)
+        assert idle_server.router.pending == 0
+
+    @pytest.mark.parametrize("timeout_s", BAD_TIMEOUTS, ids=repr)
+    def test_result_rejects_bad_timeout(self, tiny_dataset, idle_server,
+                                        timeout_s):
+        transport = InProcessTransport(idle_server)
+        seq = transport.submit(tiny_dataset.graphs[0], SPEC_A)
+        with pytest.raises(TransportError, match="timeout_s"):
+            transport.result(seq, timeout_s=timeout_s)
+        assert transport.result(seq)["pending"] is True  # still claimable
+
+    @pytest.mark.parametrize("field, value", BAD_SPEC_FIELDS, ids=BAD_SPEC_IDS)
+    def test_submit_rejects_spec_outside_space_before_queueing(
+            self, tiny_dataset, idle_server, field, value):
+        transport = InProcessTransport(idle_server)
+        spec = dict(spec_to_payload(SPEC_A), **{field: value})
+        with pytest.raises(TransportError, match=field):
+            transport.request("submit", {
+                "graph": graph_to_payload(tiny_dataset.graphs[0]),
+                "spec": spec})
+        assert idle_server.router.pending == 0
 
 
 class TestResultClaim:
@@ -211,17 +273,14 @@ class TestResultClaim:
         assert "logits" in wins[0] and wins[0]["seq"] == seq
         assert sum(tag == "expired" for tag, _ in outcomes) == 7
 
-    def test_failed_ticket_is_claimed_not_wedged(self, tiny_dataset):
+    def test_failed_ticket_is_claimed_not_wedged(self, tiny_dataset,
+                                                 failing_service):
         # Regression: a failed micro-batch used to raise out of
         # handle_result *before* the ticket left the window, so the seq
         # wedged there re-raising forever (and, over HTTP, burning a 500
         # per poll).  The error must be delivered as a one-shot claim.
-        service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   batch_size=8, seed=0)
-        # onehot routing without a supernet: every micro-batch fails.
-        with InferenceServer(service, num_workers=1, max_batch_size=2,
-                             max_delay=10_000, tick_interval_s=None,
-                             onehot=True) as srv:
+        with InferenceServer(failing_service, num_workers=1, max_batch_size=2,
+                             max_delay=10_000, tick_interval_s=None) as srv:
             transport = InProcessTransport(srv)
             seq = transport.submit(tiny_dataset.graphs[0], SPEC_A)
             srv.flush()
@@ -333,6 +392,24 @@ class TestHTTPTransport:
                 urllib.request.urlopen(f"{http.url}/nope", timeout=10)
             assert err.value.code == 404
 
+    def test_malformed_admission_maps_to_400(self, tiny_dataset, idle_server):
+        graph = graph_to_payload(tiny_dataset.graphs[0])
+        spec = spec_to_payload(SPEC_A)
+        with HTTPServingTransport(idle_server, port=0) as http:
+            client = HTTPServingClient(http.url)
+            seq = client.submit(tiny_dataset.graphs[0], SPEC_A)
+            cases = ([("predict", {"graph": graph, "spec": spec,
+                                   "timeout_s": t}) for t in BAD_TIMEOUTS]
+                     + [("result", {"seq": seq, "timeout_s": t})
+                        for t in BAD_TIMEOUTS]
+                     + [("submit", {"graph": graph,
+                                    "spec": dict(spec, **{field: value})})
+                        for field, value in BAD_SPEC_FIELDS])
+            for op, payload in cases:
+                with pytest.raises(RuntimeError, match=r"\(400\)"):
+                    client._post(op, payload)
+            assert client.stats()["server_router"]["pending"] == 1
+
     def test_predict_timeout_maps_to_504(self, tiny_dataset):
         service = InferenceService(factory, tiny_dataset.num_tasks,
                                    batch_size=8, seed=0)
@@ -346,12 +423,10 @@ class TestHTTPTransport:
                     client.predict(tiny_dataset.graphs[0], SPEC_A,
                                    timeout_s=0.05)
 
-    def test_failed_batch_maps_to_500_and_result_claims_error(self, tiny_dataset):
-        service = InferenceService(factory, tiny_dataset.num_tasks,
-                                   batch_size=8, seed=0)
-        with InferenceServer(service, num_workers=1, max_batch_size=1,
-                             max_delay=1, tick_interval_s=0.001,
-                             onehot=True) as srv:  # no supernet: all batches fail
+    def test_failed_batch_maps_to_500_and_result_claims_error(self, tiny_dataset,
+                                                              failing_service):
+        with InferenceServer(failing_service, num_workers=1, max_batch_size=1,
+                             max_delay=1, tick_interval_s=0.001) as srv:
             with HTTPServingTransport(srv, port=0) as http:
                 client = HTTPServingClient(http.url)
                 with pytest.raises(RuntimeError, match=r"\(500\)"):
