@@ -26,6 +26,7 @@ import numpy as np
 
 from ..finetune.base import FineTuneResult, FineTuneStrategy, finetune
 from ..graph.datasets import MolecularDataset
+from ..graph.loader import eval_logits
 from .search import S2PGNNSearcher, SearchConfig, SearchResult
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import DerivedModel
@@ -144,13 +145,13 @@ class S2PGNNFineTuner:
         split the fine-tune phase already collated) never re-collate.
         Cached batches snapshot collation-time values — if you mutate
         graphs between calls, run ``self.batch_cache.invalidate(graphs)``
-        first to re-collate.  The forward runs under
+        first to re-collate.  The forward runs in the eval sweep
+        ``InferenceService.predict`` shares
+        (:func:`~repro.graph.loader.eval_logits`), under
         :class:`~repro.nn.inference`, so the model's train/eval mode is
         never touched — not even by a forward that raises.
         """
-        from ..serve.service import _eval_logits
-
         if self.model_ is None:
             raise RuntimeError("call fit() before predict()")
-        return _eval_logits(self.batch_cache.loader(graphs, batch_size),
-                            self.model_, self.model_.num_tasks)
+        return eval_logits(self.batch_cache.loader(graphs, batch_size),
+                           self.model_, self.model_.num_tasks)

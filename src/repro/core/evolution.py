@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.datasets import MolecularDataset
-from ..graph.loader import DataLoader
+from ..graph.loader import DataLoader, eval_score
 from ..metrics import higher_is_better
 from ..nn import Adam, clip_grad_norm
 from ..finetune.base import supervised_loss
-from .search import SearchConfig, _spec_to_onehots
+from .search import _spec_to_onehots, spec_forward
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import S2PGNNSupernet
 
@@ -105,23 +105,16 @@ class EvolutionarySearcher:
                 optimizer.step()
 
     def _fitness(self, spec: FineTuneStrategySpec, valid_graphs) -> float:
-        """Validation score of a spec under shared weights (no retraining)."""
-        from .search import S2PGNNSearcher
+        """Validation score of a spec under shared weights (no retraining).
 
-        # Reuse the searcher's evaluation path on our supernet.  The shim
-        # shares this searcher's batch-cache registry, so the validation
-        # split is collated exactly once per search — and not at all when
-        # an outer run already cached it.
-        shim = getattr(self, "_eval_shim", None)
-        if shim is None:
-            shim = S2PGNNSearcher.__new__(S2PGNNSearcher)
-            shim.supernet = self.supernet
-            shim.space = self.space
-            shim.dataset = self.dataset
-            shim.config = SearchConfig(seed=self.config.seed)
-            shim.batch_cache = self.batch_cache
-            self._eval_shim = shim
-        return S2PGNNSearcher.evaluate_spec(shim, spec, valid_graphs)
+        Scored like ``S2PGNNSearcher.evaluate_spec`` (batch size 64, its
+        default ``eval_batch_size``) from this searcher's batch-cache
+        registry, so the validation split is collated exactly once per
+        search — and not at all when an outer run already cached it.
+        """
+        return eval_score(self.batch_cache.loader(valid_graphs, 64),
+                          spec_forward(self.supernet, spec),
+                          self.dataset.info.metric)
 
     def _mutate(self, spec: FineTuneStrategySpec, rng) -> FineTuneStrategySpec:
         """Mutate each dimension independently with ``mutation_rate``."""

@@ -25,15 +25,16 @@ import numpy as np
 
 from ..gnn.encoder import GNNEncoder
 from ..graph.datasets import MolecularDataset
-from ..graph.loader import DataLoader
-from ..metrics import higher_is_better, multitask_score_or_fallback
-from ..nn import Adam, clip_grad_norm, inference
+from ..graph.loader import DataLoader, eval_score
+from ..metrics import higher_is_better
+from ..nn import Adam, clip_grad_norm
 from .controller import StrategyController
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import DerivedModel, S2PGNNSupernet
 from ..finetune.base import finetune, supervised_loss
 
-__all__ = ["SearchConfig", "SearchResult", "S2PGNNSearcher", "random_search"]
+__all__ = ["SearchConfig", "SearchResult", "S2PGNNSearcher", "random_search",
+           "spec_forward"]
 
 
 @dataclass
@@ -47,8 +48,10 @@ class SearchConfig:
     #: per epoch (vs re-partitioning graphs every epoch).  Membership is
     #: drawn from one random permutation; empirically search quality is at
     #: parity with per-epoch re-partitioning at a fraction of the collation
-    #: cost.  Set False for strictly paper-faithful per-epoch reshuffling,
-    #: or if you mutate the graph lists between evaluate_spec calls.
+    #: cost.  Set False for strictly paper-faithful per-epoch reshuffling.
+    #: Governs the theta/alpha training loaders only: evaluation batches
+    #: always come from the shared batch cache (after mutating graphs, call
+    #: ``batch_cache.invalidate(graphs)``).
     cache_batches: bool = True
     #: Raise the supernet's branch-skip threshold as tau anneals (see
     #: :meth:`S2PGNNSupernet.update_mix_threshold`).  Epoch 0 of a
@@ -112,7 +115,7 @@ class S2PGNNSearcher:
         if batch_cache is None:
             from ..serve.cache import BatchCacheRegistry
 
-            batch_cache = BatchCacheRegistry(capacity=self._EVAL_LOADER_CACHE_SIZE)
+            batch_cache = BatchCacheRegistry()
         self.batch_cache = batch_cache
 
     def search(self) -> SearchResult:
@@ -261,12 +264,6 @@ class S2PGNNSearcher:
             if not name.startswith("encoder."):
                 param.data = fresh_values[name].copy()
 
-    # Default capacity of an internally created batch-cache registry:
-    # distinct graph sets whose collated batches are kept alive at once,
-    # evicted LRU so scoring many transient lists cannot grow memory
-    # unboundedly.
-    _EVAL_LOADER_CACHE_SIZE = 4
-
     def _eval_loader(self, graphs) -> DataLoader:
         """Shared cached evaluation loader for a graph list.
 
@@ -275,14 +272,8 @@ class S2PGNNSearcher:
         ``dataset.split()`` returns on every call — still hit).  Repeated
         ``evaluate_spec`` calls on the same split (candidate derivation,
         evolutionary fitness, serving) collate its batches exactly once.
-        With ``cache_batches=False`` a fresh loader is returned every call
-        — the escape hatch for callers that mutate graphs between scores.
         """
-        config = self.config
-        batch_size = config.eval_batch_size
-        if not config.cache_batches:
-            return DataLoader(graphs, batch_size=batch_size)
-        return self.batch_cache.loader(graphs, batch_size)
+        return self.batch_cache.loader(graphs, self.config.eval_batch_size)
 
     def evaluate_spec(self, spec: FineTuneStrategySpec, graphs,
                       loader: DataLoader | None = None) -> float:
@@ -292,17 +283,16 @@ class S2PGNNSearcher:
         branch-skipping fast path, so this costs one DerivedModel-shaped
         forward per batch — not one forward per candidate operator.
         """
-        one_hots = _spec_to_onehots(spec, self.space, self.supernet.encoder.num_layers)
         loader = loader if loader is not None else self._eval_loader(graphs)
-        preds, trues = [], []
-        with inference():
-            for batch in loader:
-                outputs = self.supernet.forward_full(batch, one_hots)
-                preds.append(outputs["logits"].data.copy())
-                trues.append(batch.y.copy())
-        return multitask_score_or_fallback(
-            np.concatenate(trues), np.concatenate(preds), self.dataset.info.metric
-        )
+        return eval_score(loader, spec_forward(self.supernet, spec),
+                          self.dataset.info.metric)
+
+
+def spec_forward(supernet: S2PGNNSupernet, spec: FineTuneStrategySpec):
+    """``batch -> logits`` for a discrete spec via the supernet's one-hot
+    path (the forward :func:`~repro.graph.loader.eval_logits` sweeps)."""
+    one_hots = _spec_to_onehots(spec, supernet.space, supernet.encoder.num_layers)
+    return lambda batch: supernet.forward_full(batch, one_hots)["logits"]
 
 
 def _onehots_to_spec(sampled, space: FineTuneSpace) -> FineTuneStrategySpec:

@@ -19,9 +19,9 @@ import numpy as np
 
 from ..graph.datasets import DatasetInfo, MolecularDataset
 from ..graph.graph import Batch, Graph
-from ..graph.loader import DataLoader
-from ..metrics import UndefinedMetricError, higher_is_better, multitask_score
-from ..nn import Adam, Module, Tensor, clip_grad_norm, inference
+from ..graph.loader import DataLoader, eval_score
+from ..metrics import higher_is_better
+from ..nn import Adam, Module, Tensor, clip_grad_norm
 from ..nn.functional import binary_cross_entropy_with_logits
 
 __all__ = [
@@ -97,31 +97,16 @@ def evaluate_model(model: Module, graphs: list[Graph], info: DatasetInfo,
     serves the graphs from shared pre-collated batches — per-epoch
     validation then collates the split once per run instead of once per
     epoch, and reuses batches the search phase already built.  The
-    forward runs under :class:`~repro.nn.inference`, so the model's
-    train/eval mode is never touched.
+    forward runs in the shared eval sweep
+    (:func:`~repro.graph.loader.eval_score`), under
+    :class:`~repro.nn.inference`, so the model's train/eval mode is never
+    touched.
     """
-    preds, trues = [], []
     if batch_cache is not None:
         loader = batch_cache.loader(graphs, batch_size)
-    else:
-        loader = DataLoader(graphs, batch_size=batch_size, shuffle=False)
-    with inference():
-        for batch in loader:
-            logits = model(batch)
-            preds.append(logits.data.copy())
-            trues.append(batch.y.copy())
-    y_pred = np.concatenate(preds, axis=0)
-    y_true = np.concatenate(trues, axis=0)
-    try:
-        return multitask_score(y_true, y_pred, info.metric)
-    except UndefinedMetricError:
-        # Only "metric undefined on this data" falls back; caller errors
-        # (unknown metric, shape mismatch) propagate.
-        if not allow_fallback:
-            raise
-        from ..metrics import fallback_score
-
-        return fallback_score(y_true, y_pred, info.metric)
+    else:  # cached: eval_score sweeps the loader twice (labels, logits)
+        loader = DataLoader(graphs, batch_size=batch_size, cache=True)
+    return eval_score(loader, model, info.metric, allow_fallback=allow_fallback)
 
 
 def finetune(

@@ -24,6 +24,9 @@ batches are materialized once in the dtype of whoever collates first.
 The serving layer runs :meth:`DataLoader.materialize` *inside* its policy
 scope for exactly this reason; a loader shared across policies should be
 materialized under the policy its consumers will run.
+
+:func:`eval_logits` is the one eval sweep every evaluator runs its
+forwards through, and :func:`eval_score` the one scorer on top of it.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ import threading
 
 import numpy as np
 
+from ..metrics import multitask_score, multitask_score_or_fallback
+from ..nn import inference
+from ..nn.policy import active_dtype, active_workspace
 from .graph import Batch, Graph
 
-__all__ = ["DataLoader"]
+__all__ = ["DataLoader", "eval_logits", "eval_score"]
 
 
 class DataLoader:
@@ -133,9 +139,10 @@ class DataLoader:
             raise RuntimeError("materialize() requires DataLoader(cache=True)")
         return self._materialize_cache()
 
-    def invalidate_cache(self) -> None:
-        """Drop pre-collated batches (call after mutating ``self.graphs``)."""
-        self._cached_batches = None
+    def labels(self) -> np.ndarray:
+        """Every batch's ``y`` concatenated in iteration order (dataset
+        order for an unshuffled loader)."""
+        return np.concatenate([batch.y for batch in self], axis=0)
 
     def __iter__(self):
         if self.cache:
@@ -154,3 +161,46 @@ class DataLoader:
             if self.drop_last and len(chunk) < self.batch_size:
                 return
             yield self._collate(chunk)
+
+
+def eval_logits(loader, forward, num_tasks: int) -> np.ndarray:
+    """Eval-mode sweep: ``forward(batch)`` logits over ``loader`` under
+    :class:`~repro.nn.inference`.  Zero batches (an empty graph list)
+    yield a correctly shaped ``(0, num_tasks)`` array.
+
+    Every evaluator — fine-tune validation, spec scoring during search
+    and evolution, ``S2PGNNFineTuner.predict`` and the serving layer —
+    runs its forwards through this one sweep.  It runs under whatever
+    execution policy the caller has active.  With a workspace pool
+    installed, each batch forward is one workspace *pass*: leased buffers
+    are recycled between batches, and the ``.copy()`` of each logits
+    array is what moves results out of workspace-owned memory before the
+    next pass reuses it.
+    """
+    pool = active_workspace()
+    preds = []
+    with inference():
+        for batch in loader:
+            if pool is not None:
+                pool.begin_pass()
+            preds.append(forward(batch).data.copy())
+    if not preds:
+        return np.zeros((0, num_tasks), dtype=active_dtype())
+    return np.concatenate(preds, axis=0)
+
+
+def eval_score(loader, forward, metric: str, allow_fallback: bool = True) -> float:
+    """Score :func:`eval_logits` over an *unshuffled* ``loader`` against
+    its labels with ``metric`` (see :mod:`repro.metrics`).
+
+    With ``allow_fallback`` a metric that is undefined on the labels
+    (single-class ROC-AUC) falls back to
+    :func:`~repro.metrics.fallback_score`; otherwise it raises.  A metric
+    over zero graphs is never defined, so an empty graph list raises
+    ``ValueError`` up front.
+    """
+    if not loader.graphs:
+        raise ValueError("cannot score an empty graph list")
+    y_true = loader.labels()
+    score = multitask_score_or_fallback if allow_fallback else multitask_score
+    return score(y_true, eval_logits(loader, forward, y_true.shape[1]), metric)

@@ -128,11 +128,8 @@ class WorkspacePool:
 
     def zeros(self, shape, dtype) -> np.ndarray:
         """Lease a zero-filled buffer (hits are re-zeroed in place)."""
-        buffer, hit = self._lease(shape, dtype)
-        if hit:
-            buffer.fill(0)
-        else:
-            buffer.fill(0)
+        buffer = self._lease(shape, dtype)[0]
+        buffer.fill(0)
         return buffer
 
     def reset(self) -> None:

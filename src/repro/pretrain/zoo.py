@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 
-import numpy as np
-
 from ..gnn.encoder import GNNEncoder
 from ..graph.datasets import zinc_corpus
 from ..nn.serialization import load_checkpoint, save_checkpoint
@@ -97,19 +95,19 @@ def get_pretrained(
     cache_dir = cache_dir or default_zoo_dir()
     path = os.path.join(cache_dir, f"{method}_{backbone}_{_config_key(config)}.npz")
 
-    encoder = GNNEncoder(
-        conv_type=backbone, num_layers=num_layers, emb_dim=emb_dim, seed=seed
-    )
-    if os.path.exists(path):
-        state, _ = load_checkpoint(path)
-        encoder.load_state_dict(state)
-        return encoder
-
-    corpus = zinc_corpus(size=effective_corpus, seed=101 + seed)
-    task = PRETRAIN_METHODS[method](encoder, seed=seed)
-    history = pretrain(
-        task, corpus, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
-        verbose=verbose,
-    )
-    save_checkpoint(encoder.state_dict(), {**config, "loss_history": history}, path)
+    encoder_kwargs = dict(conv_type=backbone, num_layers=num_layers,
+                          emb_dim=emb_dim, seed=seed)
+    if not os.path.exists(path):
+        encoder = GNNEncoder(**encoder_kwargs)
+        corpus = zinc_corpus(size=effective_corpus, seed=101 + seed)
+        task = PRETRAIN_METHODS[method](encoder, seed=seed)
+        history = pretrain(
+            task, corpus, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
+            verbose=verbose,
+        )
+        save_checkpoint(encoder.state_dict(), {**config, "loss_history": history}, path)
+    # Miss or hit, return a fresh encoder loaded from the checkpoint: the
+    # pretrained one carries stale grads and an advanced dropout RNG.
+    encoder = GNNEncoder(**encoder_kwargs)
+    encoder.load_state_dict(load_checkpoint(path)[0])
     return encoder

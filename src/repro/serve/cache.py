@@ -27,7 +27,7 @@ so member ids stay valid for the entry's lifetime.
 The contract is the segment-plan layer's immutable-after-collation rule:
 a cached batch (and its plans) is valid as long as the underlying graphs
 are unchanged.  Callers that mutate graphs must :meth:`invalidate
-<BatchCacheRegistry.invalidate>` first (or bypass the registry).
+<BatchCacheRegistry.invalidate>` first — the one way to re-collate.
 
 Thread safety
 -------------

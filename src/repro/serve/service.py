@@ -74,7 +74,9 @@ materialized once in float32, the fresh model registry casts frozen
 weights once at registration, and segment kernels lease their output
 buffers from the policy's shared :class:`~repro.nn.policy.WorkspacePool`
 (per-thread arenas, so the worker pool shares one pool without
-contention).  ``_eval_logits`` begins a workspace pass per batch and
+contention).  The shared eval sweep
+(:func:`repro.graph.loader.eval_logits`, which every evaluator in the
+repo runs its forwards through) begins a workspace pass per batch and
 copies logits out before the next pass, which is the pool's buffer
 lifetime contract.  The default ``policy=None`` keeps the historical
 bit-identical float64 behavior.
@@ -88,37 +90,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.loader import eval_logits
 from ..metrics import multitask_score_or_fallback
-from ..nn import inference
 from ..nn.compiled import compiled_status
-from ..nn.policy import ExecutionPolicy, active_dtype, active_workspace, serving_policy
+from ..nn.policy import ExecutionPolicy, serving_policy
 from .cache import BatchCacheRegistry
 from .registry import ModelRegistry
 
 __all__ = ["InferenceService", "SpecScore"]
-
-
-def _eval_logits(loader, forward, num_tasks: int) -> np.ndarray:
-    """Eval-mode sweep: ``forward(batch)`` logits over ``loader`` under
-    :class:`~repro.nn.inference`.  Zero batches (an empty graph list)
-    yield a correctly shaped ``(0, num_tasks)`` array.
-
-    Runs under whatever execution policy the caller has active.  With a
-    workspace pool installed, each batch forward is one workspace *pass*:
-    leased buffers are recycled between batches, and the ``.copy()`` of
-    each logits array is what moves results out of workspace-owned memory
-    before the next pass reuses it.
-    """
-    pool = active_workspace()
-    preds = []
-    with inference():
-        for batch in loader:
-            if pool is not None:
-                pool.begin_pass()
-            preds.append(forward(batch).data.copy())
-    if not preds:
-        return np.zeros((0, num_tasks), dtype=active_dtype())
-    return np.concatenate(preds, axis=0)
 
 
 @dataclass
@@ -242,8 +221,8 @@ class InferenceService:
         with self._lock:
             self._sweeps += 1
         with self._policy_scope():
-            return _eval_logits(self.batch_cache.loader(graphs, batch_size),
-                                forward, num_tasks)
+            return eval_logits(self.batch_cache.loader(graphs, batch_size),
+                               forward, num_tasks)
 
     def predict(self, graphs, spec, batch_size: int | None = None) -> np.ndarray:
         """Logits for ``graphs`` under ``spec`` from the persistent model,
@@ -260,18 +239,15 @@ class InferenceService:
         one derived-model-shaped forward per batch and is bit-identical to
         a :class:`DerivedModel` warm-started from the same supernet.
         """
-        from ..core.search import _spec_to_onehots
+        from ..core.search import spec_forward
 
-        if self.supernet is None:
-            raise RuntimeError("one-hot scoring needs an attached supernet")
         supernet = self.supernet
+        if supernet is None:
+            raise RuntimeError("one-hot scoring needs an attached supernet")
         with self._policy_scope():
-            one_hots = _spec_to_onehots(spec, supernet.space,
-                                        supernet.encoder.num_layers)
-        return self._sweep(
-            graphs, batch_size or self.batch_size,
-            lambda batch: supernet.forward_full(batch, one_hots)["logits"],
-            supernet.num_tasks)
+            forward = spec_forward(supernet, spec)
+        return self._sweep(graphs, batch_size or self.batch_size, forward,
+                           supernet.num_tasks)
 
     def score_specs(self, specs, graphs, metric: str = "roc_auc",
                     batch_size: int | None = None,
@@ -294,8 +270,7 @@ class InferenceService:
             # Fetch the loader inside the policy scope: the batch-cache key
             # includes the active dtype, so this resolves to the same
             # cached loader the predict computes will use.
-            loader = self.batch_cache.loader(graphs, batch_size)
-            trues = np.concatenate([batch.y for batch in loader], axis=0)
+            trues = self.batch_cache.loader(graphs, batch_size).labels()
         results = []
         for spec in specs:
             if self.supernet is not None:

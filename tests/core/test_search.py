@@ -126,29 +126,17 @@ class TestEvalLoaderReuse:
         # Scoring two candidates collated the split exactly once.
         assert loader.num_collations == len(loader)
 
-    def test_cache_batches_false_disables_eval_caching(self, tiny_dataset):
-        searcher = S2PGNNSearcher(
-            make_encoder(), tiny_dataset,
-            config=SearchConfig(epochs=1, cache_batches=False, seed=0),
-        )
-        _, valid, _ = tiny_dataset.split()
-        a = searcher._eval_loader(valid)
-        b = searcher._eval_loader(valid)
-        # Fresh loader per call: mutations to `valid` are always observed.
-        assert a is not b
-        assert not a.cache
-
     def test_eval_loader_cache_bounded(self, tiny_dataset):
         searcher = S2PGNNSearcher(
             make_encoder(), tiny_dataset,
             config=SearchConfig(epochs=1, seed=0),
         )
         train, _, _ = tiny_dataset.split()
+        capacity = searcher.batch_cache.capacity
         # Genuinely distinct graph sets (different members) stay bounded.
-        lists = [train[i:i + 5] for i in range(10)]
-        for graphs in lists:
-            searcher._eval_loader(graphs)
-        assert len(searcher.batch_cache) <= searcher._EVAL_LOADER_CACHE_SIZE
+        for i in range(capacity + 2):
+            searcher._eval_loader(train[i:i + 5])
+        assert len(searcher.batch_cache) == capacity
 
     def test_eval_loader_shared_across_equal_content_lists(self, tiny_dataset):
         """dataset.split() builds a fresh list per call; the registry keys

@@ -113,13 +113,6 @@ class TestCachedDataLoader:
         covered = np.sort(np.concatenate([b.indices for b in loader]))
         assert np.array_equal(covered, np.arange(len(molecules)))
 
-    def test_invalidate_cache_recollates(self, molecules):
-        loader = DataLoader(molecules, batch_size=8, cache=True)
-        list(loader)
-        loader.invalidate_cache()
-        list(loader)
-        assert loader.num_collations == 2 * len(loader)
-
     def test_batch_indices_recorded(self, molecules):
         loader = DataLoader(molecules, batch_size=8, cache=True)
         batch = next(iter(loader))

@@ -27,11 +27,19 @@ class TestZoo:
         assert any(f.endswith(".npz") for f in files)
         assert any(f.endswith(".json") for f in files)
 
-    def test_cache_hit_returns_identical_weights(self, zoo_dir):
+    def test_cache_hit_returns_identical_weights(self, zoo_dir, batch):
+        """A miss returns the same encoder a later hit does: equal weights,
+        no stale grads from pretraining, the same dropout RNG state, so a
+        train-mode forward matches."""
         a = get_pretrained("edgepred", "gin", cache_dir=zoo_dir, **SMALL)
         b = get_pretrained("edgepred", "gin", cache_dir=zoo_dir, **SMALL)
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(pa.data, pb.data)
+            assert pa.grad is None and pb.grad is None
+        assert a.dropout.rng.bit_generator.state == b.dropout.rng.bit_generator.state
+        a.train()
+        b.train()
+        assert np.array_equal(a(batch)[-1].data, b(batch)[-1].data)
 
     def test_different_methods_different_checkpoints(self, zoo_dir):
         a = get_pretrained("edgepred", "gin", cache_dir=zoo_dir, **SMALL)
