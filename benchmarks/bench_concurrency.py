@@ -1,19 +1,25 @@
-"""Worker-pool throughput benchmark for the concurrent serving runtime.
+"""Worker-pool scheduler benchmark for the concurrent serving runtime.
 
 Drives one deterministic stream of single-graph requests through an
 :class:`repro.serve.InferenceServer` at worker counts 1 / 2 / 4 and emits
 ``BENCH_concurrency.json``:
 
 * the driver thread submits requests round-robin over ``num_specs``
-  strategy specs with the ticker disabled, so micro-batch composition is
-  **identical across worker counts** (flush-on-size plus one trailing
-  forced flush) and every response can be asserted **bit-identical** to
-  the same stream executed serially through an inline (executor-less)
-  ``BatchingRouter`` on an independent, identically-seeded service —
-  concurrency must change *when* a micro-batch runs, never *what* it
-  computes;
+  strategy specs with the ticker disabled.  Dispatch is work-conserving
+  (an idle worker takes a bucket at once), so micro-batch composition
+  follows worker availability and differs between runs and worker
+  counts.  Every ticket records the micro-batch it was served in, and
+  every response is asserted **bit-identical** to a serial replay of
+  that micro-batch on an independent, identically-seeded service —
+  concurrency must change *when* and *with whom* a request runs, never
+  *what* its micro-batch computes;
 * the batch/plan caches are warmed before timing, so the measured work is
   micro-batch execution, not collation.
+
+What the ratios measure: the stalled sweep's speedups are a **scheduler
+test** — how well the pool overlaps an emulated, GIL-releasing offload
+wait — not serving throughput of this host (see below).  The serving
+figure of record is ``perfbench`` serve-wire.
 
 Where the speedup comes from — and the single-core caveat
 ---------------------------------------------------------
@@ -33,7 +39,8 @@ overlap machinery the pool exists for.  The pure-CPU sweep (stall 0) is
 also recorded — expect ~flat numbers on one core, real scaling on many.
 
 The acceptance contract is routed throughput at 4 workers >= 2x the
-1-worker number on the stalled config, with bit-identical logits.
+1-worker number (and >= 1.3x at 2 workers) on the stalled config, with
+every response bit-identical to its micro-batch's serial replay.
 
 Run modes:
 
@@ -92,12 +99,8 @@ def _build(cfg, seed=0):
 
 
 def _run_serial(service, stream, max_batch_size):
-    """The stream through an inline router: the bit-parity reference.
-
-    Round-robin submission + flush-on-size makes the micro-batch
-    composition a pure function of the stream, so the threaded runs (same
-    router parameters, ticker off) assemble byte-for-byte the same
-    batches."""
+    """The stream through an inline router: cache warm-up and the serial
+    per-batch compute the offload stall is calibrated against."""
     from repro.serve import BatchingRouter
 
     router = BatchingRouter(service, max_batch_size=max_batch_size,
@@ -108,7 +111,8 @@ def _run_serial(service, stream, max_batch_size):
 
 
 def _run_server(service, stream, max_batch_size, num_workers, stall_s):
-    """The stream through a worker-pool server; returns (rows, seconds)."""
+    """The stream through a worker-pool server; returns (tickets, seconds,
+    micro-batches)."""
     from repro.serve import InferenceServer
 
     pre_execute = (lambda: time.sleep(stall_s)) if stall_s else None
@@ -119,28 +123,41 @@ def _run_server(service, stream, max_batch_size, num_workers, stall_s):
     with server:
         start = time.perf_counter()
         tickets = [server.submit(graph, spec) for graph, spec in stream]
-        server.flush()
-        rows = [t.wait(timeout=600) for t in tickets]
+        for ticket in tickets:
+            ticket.wait(timeout=600)
         elapsed = time.perf_counter() - start
     if server.worker_errors:
         raise RuntimeError(f"worker errors: {server.worker_errors!r}")
-    return rows, elapsed
+    return tickets, elapsed, server.router.batches
+
+
+def _assert_replay_parity(reference, tickets, replays):
+    """Every row == the serial replay of the micro-batch it was served in.
+
+    ``replays`` memoizes one reference forward per distinct micro-batch."""
+    for ticket in tickets:
+        key = (tuple(id(g) for g in ticket.batch_graphs), ticket.spec)
+        if key not in replays:
+            replays[key] = reference.predict(
+                list(ticket.batch_graphs), ticket.spec,
+                batch_size=len(ticket.batch_graphs))
+        assert np.array_equal(ticket.result(),
+                              replays[key][ticket.batch_index]), \
+            "parity violation"
 
 
 def bench_worker_sweep(cfg, seed=0):
     dataset, make_service, specs, stream = _build(cfg, seed)
     requests = cfg["requests"]
 
-    # Serial reference on an independent, identically-seeded service.
-    reference_service = make_service()
-    serial_rows, _ = _run_serial(reference_service, stream,
-                                 cfg["max_batch_size"])
+    # Replay reference on an independent, identically-seeded service.
+    reference = make_service()
+    replays = {}
 
     # Shared service for the sweep: models built + caches warmed once, so
     # every worker count times the same steady state.
     service = make_service()
-    warm_rows, serial_stats = _run_serial(service, stream,
-                                          cfg["max_batch_size"])
+    _, serial_stats = _run_serial(service, stream, cfg["max_batch_size"])
     start = time.perf_counter()
     _run_serial(service, stream, cfg["max_batch_size"])
     serial_steady_s = time.perf_counter() - start
@@ -151,18 +168,18 @@ def bench_worker_sweep(cfg, seed=0):
     def sweep(stall):
         per_worker = {}
         for workers in cfg["workers"]:
-            best = np.inf
+            best, best_batches = np.inf, 0
             for _ in range(cfg["repeats"]):
-                rows, elapsed = _run_server(service, stream,
-                                            cfg["max_batch_size"], workers,
-                                            stall)
-                assert len(rows) == requests
-                for row, ref in zip(rows, serial_rows):
-                    assert np.array_equal(row, ref), "parity violation"
-                best = min(best, elapsed)
+                tickets, elapsed, batches = _run_server(
+                    service, stream, cfg["max_batch_size"], workers, stall)
+                assert len(tickets) == requests
+                _assert_replay_parity(reference, tickets, replays)
+                if elapsed < best:
+                    best, best_batches = elapsed, batches
             per_worker[str(workers)] = {
                 "seconds": best,
                 "requests_per_s": requests / best,
+                "micro_batches": best_batches,
             }
         base = per_worker[str(cfg["workers"][0])]["requests_per_s"]
         for entry in per_worker.values():
@@ -175,13 +192,17 @@ def bench_worker_sweep(cfg, seed=0):
         "requests": requests,
         "num_specs": len(specs),
         "max_batch_size": cfg["max_batch_size"],
-        "micro_batches_per_run": num_batches,
+        "serial_micro_batches": num_batches,
         "cpu_count": os.cpu_count(),
         "serial_steady_s": serial_steady_s,
         "batch_compute_s": batch_compute_s,
         "offload_stall_s": stall_s,
         "stall_factor": cfg["stall_factor"],
-        "parity": "bit-identical to serial inline router (asserted per run)",
+        "parity": "bit-identical to a serial replay of each ticket's "
+                  "micro-batch (asserted per run)",
+        "measures": "scheduler overlap of an emulated offload stall "
+                    "(stalled_offload) and of raw CPU (pure_cpu); not "
+                    "serving throughput, see perfbench serve-wire",
         "stalled_offload": stalled,
         "pure_cpu": pure_cpu,
         "speedup_4_vs_1_workers": stalled[str(cfg["workers"][-1])][

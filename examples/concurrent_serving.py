@@ -9,13 +9,15 @@ stands up that runtime:
 1. search a strategy and build an ``InferenceService`` as usual — the
    whole serve stack underneath is thread-safe (context-local grad state,
    locked registries; see the README's concurrency-model section);
-2. wrap it in an ``InferenceServer``: a background ticker thread maps the
-   router's simulated clock onto real time, and a pool of worker threads
-   executes flushed micro-batches;
+2. wrap it in an ``InferenceServer``: a pool of worker threads takes
+   micro-batches as soon as a worker is idle (requests batch up only
+   while every worker is busy), and a background ticker thread maps the
+   router's simulated clock onto real time for deadline flushes;
 3. hammer it from several submitter threads; every ticket records the
    micro-batch it was served in (``batch_graphs``/``batch_index``), so we
    replay each one serially and verify the responses are bit-identical —
-   concurrency changes *when* a batch runs, never *what* it computes;
+   concurrency changes *when* and *with whom* a request runs, never
+   *what* its micro-batch computes;
 4. speak the same requests through the in-process transport and the
    stdlib HTTP/JSON transport (``submit``/``predict``/``stats``) — the
    wire format a real deployment would see.
@@ -82,7 +84,6 @@ def main():
             t.start()
         for t in threads:
             t.join()
-        server.flush()  # release the trailing partial buckets
         rows = [t.wait(timeout=30.0) for t in tickets]
         elapsed = time.perf_counter() - start
 
@@ -118,6 +119,7 @@ def main():
             client = HTTPServingClient(http.url)
             logits = client.predict(test_graphs[1], specs[0])
             remote_stats = client.stats()
+            client.close()
             print(f"HTTP transport on {http.url}: predict -> logits "
                   f"{np.round(logits, 4).tolist()}, server has executed "
                   f"{remote_stats['server']['executed_batches']} micro-batches")

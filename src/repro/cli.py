@@ -21,8 +21,9 @@ feeds a stream of *single-graph* requests through the
 :class:`repro.serve.BatchingRouter` (server-side micro-batches, flush on
 size or simulated-clock deadline) and compares its throughput against the
 per-request batch-of-one path.  ``serve-forever`` stands up the full
-concurrent runtime — an :class:`repro.serve.InferenceServer` (real-clock
-ticker + worker pool) behind the stdlib HTTP/JSON transport — and serves
+concurrent runtime — an :class:`repro.serve.InferenceServer` (a
+work-conserving worker pool + real-clock ticker) behind the stdlib
+HTTP/JSON transport — and serves
 until interrupted (or for ``--duration`` seconds; ``--self-test N`` runs
 N loopback requests through the HTTP client and exits, as a deployment
 smoke test).  ``serve-cluster`` scales past the process: it launches
@@ -159,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="router micro-batch size (flush-on-size threshold)")
     routing.add_argument(
         "--max-delay", type=int, default=4,
-        help="router deadline in simulated-clock ticks")
+        help="router deadline in simulated-clock ticks (serve-forever: "
+             "applies only while every worker is busy; an idle worker "
+             "takes a request at once)")
     server = parser.add_argument_group("serve-forever options")
     server.add_argument(
         "--host", default="127.0.0.1", help="HTTP bind address")
@@ -171,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch worker threads")
     server.add_argument(
         "--tick-interval", type=float, default=0.002,
-        help="seconds per router clock tick (deadline = max-delay ticks)")
+        help="seconds per router clock tick (busy-worker deadline = "
+             "max-delay ticks)")
     server.add_argument(
         "--duration", type=float, default=None,
         help="serve for this many seconds, then exit (default: forever)")
@@ -402,7 +406,8 @@ def _run_server(args) -> int:
                                       port=args.port) as transport:
         print(f"\nserving on {transport.url}  "
               f"({args.workers} workers, micro-batch {args.max_batch_size}, "
-              f"deadline ~{args.max_delay * args.tick_interval * 1e3:.1f}ms)")
+              "idle workers take requests at once; busy-worker deadline "
+              f"~{args.max_delay * args.tick_interval * 1e3:.1f}ms)")
         print("endpoints: POST /predict /submit /result, GET /stats; e.g.\n"
               f"  curl -s {transport.url}/stats")
 
@@ -415,6 +420,7 @@ def _run_server(args) -> int:
                 assert logits.shape == (dataset.num_tasks,)
             elapsed = time.perf_counter() - start
             stats = client.stats()
+            client.close()
             print(f"\nself-test: {args.self_test} HTTP predict round-trips "
                   f"in {elapsed:.3f}s ({args.self_test / elapsed:.1f} req/s)")
             print(f"router: {stats['server_router']['batches']} micro-batches, "

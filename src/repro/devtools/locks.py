@@ -69,7 +69,9 @@ LOCK_HIERARCHY: tuple[LockSpec, ...] = (
     LockSpec(10, 2, "serve/server.py", "InferenceServer", "_lock", "RLock",
              "server lifecycle flags, worker bookkeeping, error ring"),
     LockSpec(20, 3, "serve/router.py", "BatchingRouter", "_lock", "RLock",
-             "buckets, seq counter, flush counters; flush executes unlocked"),
+             "buckets, seq counter, flush counters, and (through two "
+             "conditions over it) the server's job queue and idle "
+             "workers; flush executes unlocked"),
     LockSpec(30, 4, "serve/service.py", "InferenceService", "_lock", "RLock",
              "forward-sweep counter"),
     LockSpec(50, 5, "serve/registry.py", "ModelRegistry", "_lock", "RLock",

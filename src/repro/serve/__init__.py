@@ -7,8 +7,9 @@ loader per graph set and batch size, shared by every phase of a run),
 fan-outs over the shared caches), :class:`BatchingRouter` (dynamic
 batching: single-graph requests bucketed by spec into server-side
 micro-batches, flushed on size or deadline), :class:`InferenceServer`
-(the concurrent front end: real-clock ticker thread + worker pool
-executing flushed micro-batches), the transports
+(the concurrent front end: a work-conserving worker pool that takes a
+micro-batch as soon as a worker is idle, plus a real-clock ticker for
+deadline flushes while every worker is busy), the transports
 (:class:`InProcessTransport` / :class:`HTTPServingTransport` — one JSON
 dict protocol exposing submit/predict/stats in-process or over stdlib
 HTTP), and the sharded cluster (:class:`ClusterRouter` dispatching by

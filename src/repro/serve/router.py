@@ -13,7 +13,9 @@ single-graph requests, each too small to amortize a forward on its own.
 * a bucket is flushed into a **micro-batch** when it reaches
   ``max_batch_size`` (flush-on-size), when its oldest request has waited
   ``max_delay`` clock ticks (flush-on-deadline), or on an explicit
-  :meth:`~BatchingRouter.flush`;
+  :meth:`~BatchingRouter.flush`; an executor with an idle worker also
+  takes the bucket holding the oldest request at once
+  (:meth:`~BatchingRouter.take_oldest`, the ``"idle"`` trigger);
 * each micro-batch costs **one** disjoint-union collation + **one**
   forward through the owning :class:`~repro.serve.service.InferenceService`
   (``batch_size=len(micro-batch)``), and the response rows are sliced
@@ -26,7 +28,9 @@ advances it and fires deadline flushes.  Nothing in the router reads
 wall-clock time, so deadline behaviour is exactly reproducible in tests;
 a deployment maps ticks to real time by calling ``tick()`` from a timer —
 that is precisely what :class:`~repro.serve.server.InferenceServer`'s
-background ticker thread does.
+background ticker thread does.  Under a server the deadline only matters
+while every worker is busy: an idle worker takes a bucket the moment it
+holds a request.
 
 Thread safety and execution modes
 ---------------------------------
@@ -43,8 +47,11 @@ ticket owns its result.  Micro-batch execution runs in one of two modes:
 * **executor** — ``executor`` is a callable receiving a zero-argument
   job; the router dispatches flushed micro-batches to it and returns
   without waiting.  :class:`~repro.serve.server.InferenceServer` passes
-  the enqueue side of its worker pool here.  Tickets resolve when a
-  worker runs the job; callers block on :meth:`RoutedRequest.wait`.
+  the enqueue side of its worker pool here, and its idle workers pull
+  buckets themselves through :meth:`~BatchingRouter.take_oldest`,
+  sleeping on a condition over the router lock, so a bucket insert and
+  a worker going idle never interleave.  Tickets resolve when a worker
+  runs the job; callers block on :meth:`RoutedRequest.wait`.
 
 Lock order: the router lock is *above* every
 :class:`~repro.serve.service.InferenceService` lock (the flush path calls
@@ -135,8 +142,7 @@ class RoutedRequest:
         """
         if not self._event.wait(timeout):
             raise TimeoutError(
-                f"request seq={self.seq} still queued after {timeout}s "
-                "(is the router being flushed/ticked, or the server running?)")
+                f"request seq={self.seq} still queued after {timeout}s")
         return self.result()
 
     def result(self) -> np.ndarray:
@@ -183,6 +189,8 @@ class BatchingRouter:
     executor:
         Optional callable receiving a zero-argument job per flushed
         micro-batch (see module docstring).  ``None`` executes inline.
+        Buckets an executor's idle workers take through
+        :meth:`take_oldest` do not pass through it.
     """
 
     def __init__(self, service, max_batch_size: int = 32, max_delay: int = 4,
@@ -204,7 +212,8 @@ class BatchingRouter:
         self._seq = 0
         self.served = 0
         self.batches = 0
-        self.flushes = {"size": 0, "deadline": 0, "forced": 0, "backpressure": 0}
+        self.flushes = {"size": 0, "deadline": 0, "forced": 0,
+                        "backpressure": 0, "idle": 0}
 
     # ------------------------------------------------------------------
     @property
@@ -226,19 +235,19 @@ class BatchingRouter:
         ``done``; with one, the batch is dispatched and the ticket
         resolves when a worker executes it.
         """
-        flush_spec = trigger = None
+        flushed = None
         with self._lock:
             request = RoutedRequest(graph, spec, self._seq, self._tick)
             self._seq += 1
             bucket = self._buckets.setdefault(spec, [])
             bucket.append(request)
             if len(bucket) >= self.max_batch_size:
-                flush_spec, trigger = spec, "size"
+                flushed = spec, self._pop(spec, "size")
             elif self.pending > self.max_pending:
-                oldest = min(self._buckets, key=lambda s: self._buckets[s][0].seq)
-                flush_spec, trigger = oldest, "backpressure"
-        if flush_spec is not None:
-            self._flush_bucket(flush_spec, trigger)
+                oldest = next(iter(self._buckets))
+                flushed = oldest, self._pop(oldest, "backpressure")
+        if flushed is not None:
+            self._dispatch(*flushed)
         return request
 
     def tick(self, ticks: int = 1) -> list[RoutedRequest]:
@@ -267,9 +276,9 @@ class BatchingRouter:
             if spec is not None:
                 specs = [spec] if self._buckets.get(spec) else []
             else:
-                # Oldest-first across buckets, so backlogged traffic is
-                # served in arrival order.
-                specs = sorted(self._buckets, key=lambda s: self._buckets[s][0].seq)
+                # Buckets sit in oldest-request order (see take_oldest),
+                # so backlogged traffic is served in arrival order.
+                specs = list(self._buckets)
         completed: list[RoutedRequest] = []
         for s in specs:
             completed.extend(self._flush_bucket(s, "forced"))
@@ -291,27 +300,53 @@ class BatchingRouter:
             self._flush_bucket(spec, "forced")
         return request.wait()
 
-    # ------------------------------------------------------------------
-    def _flush_bucket(self, spec, trigger: str) -> list[RoutedRequest]:
-        """Pop ``spec``'s bucket and execute (or dispatch) its micro-batch.
+    def take_oldest(self):
+        """Pop the bucket holding the globally oldest request, for an idle
+        worker; returns a zero-argument job running its micro-batch on the
+        caller's thread, or ``None`` when nothing is queued.
 
-        The pop and the flush counters are atomic under the router lock;
-        the service call happens with **no router lock held**, so inline
-        execution never blocks concurrent submitters on the forward and an
-        executor's bounded queue cannot deadlock against workers doing
-        completion bookkeeping."""
+        Counted as an ``"idle"`` flush.  A bucket is created by its oldest
+        request and leaves whole, so the first bucket in insertion order
+        is the one holding the globally oldest request.  An executor calls
+        this with the router lock held, so its "anything queued?" check
+        and its wait for the next :meth:`submit` are one atomic step."""
         with self._lock:
-            bucket = self._buckets.pop(spec, None)
-            if not bucket:
-                return []
-            self.batches += 1
-            self.flushes[trigger] += 1
+            if not self._buckets:
+                return None
+            spec = next(iter(self._buckets))
+            bucket = self._pop(spec, "idle")
+        return lambda: self._execute(spec, bucket)
+
+    # ------------------------------------------------------------------
+    def _pop(self, spec, trigger: str) -> list[RoutedRequest]:
+        """Remove ``spec``'s bucket and count its flush (lock held)."""
+        bucket = self._buckets.pop(spec, None)
+        if not bucket:
+            return []
+        self.batches += 1
+        self.flushes[trigger] += 1
+        return bucket
+
+    def _flush_bucket(self, spec, trigger: str) -> list[RoutedRequest]:
+        """Pop ``spec``'s bucket and execute (or dispatch) its micro-batch."""
+        with self._lock:
+            bucket = self._pop(spec, trigger)
+        if bucket:
+            self._dispatch(spec, bucket)
+        return bucket
+
+    def _dispatch(self, spec, bucket: list[RoutedRequest]) -> None:
+        """Execute a popped micro-batch inline, or hand it to the executor.
+
+        Called with **no router lock held**, so inline execution never
+        blocks concurrent submitters on the forward and an executor's
+        bounded queue cannot deadlock against workers doing completion
+        bookkeeping."""
         executor = self.executor  # one read: robust to a concurrent swap
         if executor is None:
             self._execute(spec, bucket)
         else:
             executor(lambda: self._execute(spec, bucket))
-        return bucket
 
     def _execute(self, spec, bucket: list[RoutedRequest]) -> None:
         """Run one micro-batch and resolve its tickets (worker-side half).

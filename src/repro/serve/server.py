@@ -1,26 +1,39 @@
-"""Concurrent serving front end: ticker thread + worker pool over the router.
+"""Concurrent serving front end: worker pool + ticker thread over the router.
 
 :class:`~repro.serve.router.BatchingRouter` is deliberately passive — it
-batches, but somebody must drive its deadline clock and execute its
-micro-batches.  In tests that somebody is the test itself (the simulated
+batches, but somebody must execute its micro-batches and drive its
+deadline clock.  In tests that somebody is the test itself (the simulated
 ``tick()`` clock keeps deadline behaviour exactly reproducible, and that
 **remains the test path**).  :class:`InferenceServer` is the deployment
 counterpart:
 
+* a **worker pool** of ``num_workers`` threads dispatches
+  **work-conserving**: an idle worker takes the bucket holding the
+  globally oldest request the moment one exists (an ``"idle"`` flush),
+  and a worker that finishes a micro-batch with the job queue empty does
+  the same.  So requests pile up in buckets only while every worker is
+  busy, and micro-batch size follows load (Clipper's adaptive batching).
+  Size, deadline, backpressure and forced flushes still go through a
+  bounded job queue (the router's ``executor`` hook feeds it), which
+  workers drain first, in order.  Workers run the exact same
+  ``service.predict(graphs, spec, batch_size=len(graphs))`` call the
+  inline router runs, so routed logits stay bit-identical to a serial
+  replay of each micro-batch — the concurrency changes *when* and *with
+  whom* a request runs, never *what* its micro-batch computes;
 * a **ticker thread** maps the router's simulated clock onto real
   monotonic time: every ``tick_interval_s`` seconds it advances the clock
-  one tick, so a bucket's deadline of ``max_delay`` ticks becomes
-  ``~max_delay * tick_interval_s`` seconds of real latency bound;
-* a **worker pool** of ``num_workers`` threads executes flushed
-  micro-batches from a bounded job queue (the router's ``executor`` hook
-  feeds it).  Workers run the exact same
-  ``service.predict(graphs, spec, batch_size=len(graphs))`` call the
-  inline router runs, so routed logits stay bit-identical to the serial
-  path — the concurrency changes *when* a micro-batch runs, never *what*
-  it computes;
+  one tick, so while every worker is busy a bucket's deadline of
+  ``max_delay`` ticks freezes its micro-batch after
+  ``~max_delay * tick_interval_s`` seconds;
 * :meth:`submit` returns a :class:`~repro.serve.router.RoutedRequest`
   ticket whose :meth:`~repro.serve.router.RoutedRequest.wait` blocks on a
   ``threading.Event``; :meth:`predict` is the synchronous convenience.
+
+Idle workers sleep on a condition over the *router's* lock, and so does
+a flushing thread waiting for room in the job queue.  A worker's
+"nothing queued, no bucket" check and its wait are therefore one atomic
+step against the router's bucket insert: a request can never sit in a
+bucket beside an idle worker.
 
 Where the parallelism comes from: eval forwards spend most of their time
 in BLAS / numpy kernels that release the GIL, so on a multi-core host N
@@ -37,17 +50,16 @@ workers take no server lock while executing, so a full job queue can
 never deadlock against completion bookkeeping.
 
 Shutdown contract: :meth:`stop` (or leaving the context manager) stops
-the ticker, force-flushes the router, drains the job queue, and joins the
-workers — every ticket submitted before ``stop()`` resolves.  A
+the ticker, lets the workers drain the job queue and every bucket, and
+joins them — every ticket submitted before ``stop()`` resolves.  A
 :meth:`submit` *racing* ``stop()`` either raises ``RuntimeError`` or is
-resolved by stop's inline clean-up sweeps (best effort: quiesce your
+resolved by stop's inline clean-up sweep (best effort: quiesce your
 submitters before stopping; a ticket's ``wait(timeout)`` is the backstop
 either way).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import deque
 
@@ -57,8 +69,6 @@ from .router import BatchingRouter
 
 __all__ = ["InferenceServer"]
 
-
-_SENTINEL = object()
 
 #: :meth:`InferenceServer.request`'s wait bound when the caller gives none.
 DEFAULT_TIMEOUT_S = 60.0
@@ -81,15 +91,18 @@ class InferenceServer:
         owns a *private* router, so other routers over the same service
         can coexist with it.
     num_workers:
-        Worker threads executing micro-batches.
+        Worker threads executing micro-batches.  An idle worker takes a
+        bucket as soon as it holds a request.
     max_batch_size / max_delay:
         Router parameters (see :class:`~repro.serve.router.BatchingRouter`);
         ``max_delay`` is in ticks.
     tick_interval_s:
-        Real-time seconds per simulated-clock tick.  The deadline latency
-        bound is ``~max_delay * tick_interval_s``.  ``None`` disables the
-        ticker thread — the caller drives :meth:`tick` manually, which
-        keeps server tests deterministic (the simulated-clock test path).
+        Real-time seconds per simulated-clock tick.  While every worker is
+        busy, a bucket's micro-batch is frozen after
+        ``~max_delay * tick_interval_s``; with a worker idle nothing waits
+        for the deadline.  ``None`` disables the ticker thread — the
+        caller drives :meth:`tick` manually, which keeps server tests
+        deterministic (the simulated-clock test path).
     queue_size:
         Bound on the micro-batch job queue.  A full queue blocks the
         flushing thread (backpressure by waiting, never by dropping);
@@ -117,9 +130,16 @@ class InferenceServer:
         self.num_workers = num_workers
         self.tick_interval_s = tick_interval_s
         self.pre_execute = pre_execute
+        self.queue_size = queue_size
         self.router = BatchingRouter(service, max_batch_size=max_batch_size,
                                      max_delay=max_delay, executor=self._enqueue)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
+        # The job queue and its two conditions share the router's lock:
+        # workers wait on _work for a job or a bucket, flushing threads on
+        # _room for space.  Sharing it makes a worker's "nothing to do"
+        # check and its wait atomic against the router's bucket insert.
+        self._jobs: deque = deque()
+        self._work = threading.Condition(self.router._lock)
+        self._room = threading.Condition(self.router._lock)
         self._lock = threading.RLock()
         self._stop_event = threading.Event()
         self._started = False
@@ -159,9 +179,9 @@ class InferenceServer:
     def stop(self) -> None:
         """Graceful shutdown: every ticket submitted before this resolves.
 
-        Order matters: stop the ticker (no new deadline flushes), flush
-        every pending bucket into the job queue, then let the workers
-        drain the queue FIFO before their shutdown sentinels."""
+        Stop the ticker (no new deadline flushes), then wake the workers:
+        each drains the job queue and the buckets, and exits once both
+        are empty."""
         with self._lock:
             if not self._started or self._stopped:
                 self._stopped = True
@@ -170,33 +190,16 @@ class InferenceServer:
         self._stop_event.set()
         if self._ticker is not None:
             self._ticker.join()
-        self.router.flush()
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
+        with self._work:
+            self._work.notify_all()
         for worker in self._workers:
             worker.join()
         # Close the submit/stop race: a submit that passed its _stopped
-        # check before we set the flag may have bucketed a request after
-        # the flush above (or dispatched a job behind the sentinels).
-        # From here flushes execute inline on this thread; drain whatever
-        # the workers never got to, flush stragglers, and drain once more
-        # for a dispatch that was in flight during the first sweep.
+        # check before we set the flag may have bucketed a request or
+        # queued a job after the workers left.  From here flushes execute
+        # inline, and this thread drains whatever is left like a worker.
         self.router.executor = None
-        self._drain_queue_inline()
-        self.router.flush()
-        self._drain_queue_inline()
-
-    def _drain_queue_inline(self) -> None:
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                if job is not _SENTINEL:
-                    job()
-            finally:
-                self._queue.task_done()
+        self._worker_loop()
 
     @property
     def running(self) -> bool:
@@ -215,15 +218,18 @@ class InferenceServer:
     def submit(self, graph, spec):
         """Enqueue one graph; returns its ticket (resolve via ``wait()``).
 
-        The ticket completes when its bucket flushes (size or deadline)
-        and a worker executes the micro-batch."""
+        The ticket completes when a worker executes its micro-batch: at
+        once if a worker is idle, else when one frees up (or its bucket
+        flushes on size or deadline first)."""
         if self._stopped:
             raise RuntimeError("server is stopped")
         if not self._started:
             raise RuntimeError("server not started (call start() or use 'with')")
         ticket = self.router.submit(graph, spec)
+        with self._work:  # an idle worker takes the bucket
+            self._work.notify()
         if self._stopped and not ticket.done:
-            # Raced stop(): its final flush may have run before our insert.
+            # Raced stop(): the workers may have left before our insert.
             # Flush the bucket ourselves — stop() has (or will have) turned
             # the router inline and drains the queue, so this resolves.
             self.router.flush(ticket.spec)
@@ -233,16 +239,12 @@ class InferenceServer:
         """Submit and block until served; returns the *resolved* ticket.
 
         Unlike the router's ``predict_one`` this does *not* force a
-        flush — the request batches with concurrent traffic and the
-        deadline ticker bounds its latency, which is the whole point of
-        dynamic batching under load.  (Without a ticker the bucket is
-        flushed immediately, since nothing else would resolve it.)  The
-        ticket carries the logits (``result()``) plus the micro-batch
-        provenance (``seq``, ``batch_graphs``, ``batch_index``) the
-        transports put on the wire."""
+        flush: an idle worker takes the request at once, and while every
+        worker is busy it batches with concurrent traffic.  The ticket
+        carries the logits (``result()``) plus the micro-batch provenance
+        (``seq``, ``batch_graphs``, ``batch_index``) the transports put on
+        the wire."""
         ticket = self.submit(graph, spec)
-        if self._ticker is None and not ticket.done:
-            self.router.flush(spec)
         ticket.wait(DEFAULT_TIMEOUT_S if timeout is None else timeout)
         return ticket
 
@@ -264,7 +266,29 @@ class InferenceServer:
     # ------------------------------------------------------------------
     def _enqueue(self, job) -> None:
         """Router executor hook.  Called with no router lock held."""
-        self._queue.put(job)
+        with self._room:
+            while len(self._jobs) >= self.queue_size:
+                self._room.wait()
+            self._jobs.append(job)
+            self._work.notify()
+
+    def _next_job(self):
+        """Block until there is a micro-batch to run; ``None`` once
+        stopping with nothing left.
+
+        Queued jobs go first, in order; with the queue empty the worker
+        takes the bucket holding the oldest request itself, and waits
+        only when there is none — all under the router lock, so a submit
+        cannot slip a request in between the check and the wait."""
+        with self._work:
+            while True:
+                if self._jobs:
+                    self._room.notify()
+                    return self._jobs.popleft()
+                job = self.router.take_oldest()
+                if job is not None or self._stop_event.is_set():
+                    return job
+                self._work.wait()
 
     def _ticker_loop(self) -> None:
         # wait() doubles as the interval sleep and the stop signal; the
@@ -274,24 +298,18 @@ class InferenceServer:
             self.router.tick()
 
     def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
+        while (job := self._next_job()) is not None:
             try:
-                if job is _SENTINEL:
-                    return
-                try:
-                    if self.pre_execute is not None:
-                        self.pre_execute()
-                    job()
-                except BaseException as err:  # tickets already carry the error
-                    with self._lock:
-                        self.worker_errors.append(err)
-                        self.worker_error_total += 1
-                else:
-                    with self._lock:
-                        self.executed_batches += 1
-            finally:
-                self._queue.task_done()
+                if self.pre_execute is not None:
+                    self.pre_execute()
+                job()
+            except BaseException as err:  # tickets already carry the error
+                with self._lock:
+                    self.worker_errors.append(err)
+                    self.worker_error_total += 1
+            else:
+                with self._lock:
+                    self.executed_batches += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -302,7 +320,7 @@ class InferenceServer:
             stats["server"] = {
                 "workers": self.num_workers,
                 "running": self.running,
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": len(self._jobs),
                 "executed_batches": self.executed_batches,
                 # the true monotonic failure count, not the ring's size
                 "worker_errors": self.worker_error_total,

@@ -48,8 +48,9 @@ this prose and the table in sync; edit the table first.
 2. ``InferenceServer._lock`` (rank 10) — server lifecycle flags, worker
    bookkeeping, error ring;
 3. ``BatchingRouter._lock`` (rank 20) — buckets, seq counter, flush
-   counters; the flush path calls into the service with **no router
-   lock held**;
+   counters, and (through two conditions over it) the server's job
+   queue and idle workers; the flush path calls into the service with
+   **no router lock held**;
 4. ``InferenceService._lock`` (rank 30) — forward-sweep counter — never
    held across a forward;
 5. leaf locks (nothing serve-layer is acquired while one is held):

@@ -7,8 +7,8 @@ in-process transport is a faithful stand-in for the HTTP one in tests
 (same serialization, same error paths, no sockets):
 
 * ``predict``  — ``{"graph": G, "spec": S[, "timeout_s": t]}`` ->
-  ``{"logits": [...], "seq": n, "batch_size": k}`` (blocks until the
-  micro-batch executes; the deadline ticker bounds the wait);
+  ``{"logits": [...], "seq": n, "batch_size": k}`` (blocks until a
+  worker executes the request's micro-batch);
 * ``submit``   — same request -> ``{"seq": n}`` immediately; poll
   ``result`` with ``{"seq": n[, "timeout_s": t]}`` ->
   ``{"logits": ...}``, ``{"pending": true}``, or — for a failed
@@ -37,15 +37,21 @@ deployment surface — ``ThreadingHTTPServer`` gives one thread per
 connection, so a blocking ``/predict`` holds only its own connection
 while the server's worker pool does the real work.  POST
 ``/submit | /predict``, POST-or-GET ``/stats``, POST ``/result``; errors
-come back as ``{"error": msg}`` with a 4xx/5xx status.  Binds to
-loopback by default; it does no auth — put a real ingress in front of it
-before exposing it beyond localhost.
+come back as ``{"error": msg}`` with a 4xx/5xx status.  Connections are
+HTTP/1.1 keep-alive (:class:`HTTPServingClient` holds one per thread);
+stopping the transport closes every open one.  Binds to loopback by
+default; it does no auth — put a real ingress in front of it before
+exposing it beyond localhost.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
+import urllib.parse
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -413,6 +419,45 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that remembers its open connections.
+
+    ``shutdown()`` and ``server_close()`` close only the listening
+    socket: each keep-alive connection's handler thread would go on
+    answering requests.  :meth:`close_connections` ends them.  The set is
+    added to by the accept thread and discarded from by handler threads;
+    single set operations are atomic in CPython, so it needs no lock.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, protocol: ServingProtocol):
+        super().__init__(address, _Handler)
+        self.serving_protocol = protocol
+        self.connections: set = set()
+
+    def process_request(self, request, client_address):
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A connection its peer reset (or close_connections ended) is not
+        # a server fault; anything else still prints its traceback.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        for sock in list(self.connections):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
+
+
 class HTTPServingTransport:
     """Minimal stdlib HTTP/JSON front end for an :class:`InferenceServer`.
 
@@ -425,9 +470,7 @@ class HTTPServingTransport:
     def __init__(self, server, host: str = "127.0.0.1", port: int = 0):
         self.serving_server = server
         self.protocol = ServingProtocol(server)
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.serving_protocol = self.protocol  # type: ignore[attr-defined]
+        self._httpd = _HTTPServer((host, port), self.protocol)
         self._thread: threading.Thread | None = None
 
     @property
@@ -451,11 +494,13 @@ class HTTPServingTransport:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then end every open keep-alive connection."""
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join()
             self._thread = None
         self._httpd.server_close()
+        self._httpd.close_connections()
 
     def serve_forever(self) -> None:
         """Serve on the caller's thread until interrupted (CLI mode)."""
@@ -473,7 +518,16 @@ class HTTPServingTransport:
 
 
 class HTTPServingClient:
-    """Tiny urllib client for :class:`HTTPServingTransport` (demo/tests).
+    """Keep-alive ``http.client`` client for :class:`HTTPServingTransport`.
+
+    Each calling thread holds one persistent connection (created on its
+    first call), so a call costs one request/response round trip, not a
+    TCP handshake.  A connection that fails is dropped and the call
+    raises :class:`TransportConnectionError`; the next call on that
+    thread connects afresh.  Nothing is retried here: ``/submit`` is not
+    idempotent, and :class:`~repro.serve.cluster.ClusterRouter` owns the
+    retry policy.  A served error status raises ``RuntimeError`` with the
+    code.
 
     The socket ``timeout_s`` defaults comfortably *above* the server's
     default 60 s predict wait, so a slow micro-batch surfaces as the
@@ -483,19 +537,31 @@ class HTTPServingClient:
     def __init__(self, url: str, timeout_s: float = 90.0):
         self.url = url.rstrip("/")
         self.timeout_s = timeout_s
+        parts = urllib.parse.urlsplit(self.url)
+        self._address = (parts.hostname, parts.port)
+        self._path = parts.path
+        self._local = threading.local()
 
     def _post(self, op: str, payload: dict) -> dict:
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(
-            f"{self.url}/{op}", data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"}, method="POST")
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                *self._address, timeout=self.timeout_s)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as err:
-            body = err.read()
+            connection.request("POST", f"{self._path}/{op}",
+                               body=json.dumps(payload).encode(),
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            body = response.read()
+        except (OSError, http.client.HTTPException) as err:
+            # Nothing answered (refused, reset, socket timeout): typed so
+            # callers — the cluster router above all — can tell "server
+            # gone" from "server served an error".
+            self.close()
+            raise TransportConnectionError(
+                f"{op} failed: no response from {self.url} within "
+                f"{self.timeout_s}s ({err!r})") from err
+        if response.status >= 400:
             try:
                 message = json.loads(body).get("error", body.decode())
             except (ValueError, AttributeError, UnicodeDecodeError):
@@ -503,14 +569,17 @@ class HTTPServingClient:
                 # a lossy decode.  Anything else propagates — this is a
                 # diagnostic path, not a place to hide real failures.
                 message = body.decode(errors="replace")
-            raise RuntimeError(f"{op} failed ({err.code}): {message}") from err
-        except urllib.error.URLError as err:
-            # Nothing answered (refused, reset, DNS, socket timeout):
-            # typed so callers — the cluster router above all — can tell
-            # "server gone" from "server served an error".
-            raise TransportConnectionError(
-                f"{op} failed: no response from {self.url} within "
-                f"{self.timeout_s}s ({err.reason})") from err
+            raise RuntimeError(f"{op} failed ({response.status}): {message}")
+        return json.loads(body)
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call on this
+        thread reconnects).  Another thread's connection closes when
+        that thread calls this or exits."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+            self._local.connection = None
 
     def predict(self, graph, spec, timeout_s: float | None = None) -> np.ndarray:
         payload = {"graph": graph_to_payload(graph), "spec": spec_to_payload(spec)}

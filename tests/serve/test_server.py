@@ -5,9 +5,15 @@ Deterministic server tests run in **manual-tick mode**
 the loop, exactly like the router's simulated-clock test path.  A couple
 of tests exercise the real ticker, asserting only liveness (a deadline
 flush eventually fires), never timing.
+
+Dispatch is work-conserving — an idle worker takes a request at once —
+so tests that need requests to stay queued first occupy every worker
+with the ``gate`` fixture's ``pre_execute`` hook.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -58,17 +64,29 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="stopped"):
             server.submit(tiny_dataset.graphs[0], SPEC_A)
 
-    def test_stop_resolves_every_pending_ticket(self, tiny_dataset, service):
+    def test_stop_resolves_every_pending_ticket(self, tiny_dataset, service,
+                                                gate):
         server = InferenceServer(service, num_workers=2, max_batch_size=100,
-                                 max_delay=10_000, tick_interval_s=None)
-        with server:
-            tickets = [server.submit(g, SPEC_A if i % 2 else SPEC_B)
-                       for i, g in enumerate(tiny_dataset.graphs[:9])]
-        # No flush, no ticks: stop() itself must flush + drain the queue.
-        assert all(t.done for t in tickets)
+                                 max_delay=10_000, tick_interval_s=None,
+                                 pre_execute=gate)
+        server.start()
+        held = gate.hold(server, tiny_dataset.graphs[9], SPEC_A)
+        tickets = [server.submit(g, SPEC_A if i % 2 else SPEC_B)
+                   for i, g in enumerate(tiny_dataset.graphs[:9])]
+        # No flush, no ticks: stop() is called with both buckets pending
+        # and must not return before the workers have drained them.
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        assert server._stop_event.wait(30)
+        gate.open()
+        stopper.join(30)
+        assert not stopper.is_alive()
+        assert all(t.done for t in held + tickets)
         for t in tickets:
             assert t.result().shape == (tiny_dataset.num_tasks,)
-        assert server.executed_batches == 2  # one micro-batch per spec
+        # two held requests, then one micro-batch per spec
+        assert server.executed_batches == 4
+        assert server.router.pending == 0
         assert not server.worker_errors
 
     def test_parameter_validation(self, service):
@@ -89,37 +107,57 @@ class TestLifecycle:
 
 class TestExecution:
     def test_flush_on_size_runs_on_workers(self, tiny_dataset, service,
-                                           reference):
+                                           reference, gate):
         graphs = tiny_dataset.graphs[:8]
         with InferenceServer(service, num_workers=2, max_batch_size=4,
-                             max_delay=10_000, tick_interval_s=None) as server:
+                             max_delay=10_000, tick_interval_s=None,
+                             pre_execute=gate) as server:
+            gate.hold(server, tiny_dataset.graphs[8], SPEC_B)
             tickets = [server.submit(g, SPEC_A) for g in graphs]
+            assert server.router.flushes["size"] == 2  # both while held
+            gate.open()
             rows = [t.wait(timeout=30) for t in tickets]
-        ref = reference.predict(graphs[:4], SPEC_A, batch_size=4)
-        for i in range(4):
-            assert np.array_equal(rows[i], ref[i])
-        assert server.executed_batches == 2
+        for half in (0, 4):
+            ref = reference.predict(graphs[half:half + 4], SPEC_A, batch_size=4)
+            for i in range(4):
+                assert np.array_equal(rows[half + i], ref[i])
+        assert server.executed_batches == 4  # two held + two size flushes
         assert server.router.flushes["size"] == 2
 
-    def test_manual_tick_deadline_flush(self, tiny_dataset, service, reference):
+    def test_manual_tick_deadline_flush(self, tiny_dataset, service, reference,
+                                        gate):
         with InferenceServer(service, num_workers=1, max_batch_size=100,
-                             max_delay=3, tick_interval_s=None) as server:
+                             max_delay=3, tick_interval_s=None,
+                             pre_execute=gate) as server:
+            gate.hold(server, tiny_dataset.graphs[1], SPEC_B)
             ticket = server.submit(tiny_dataset.graphs[0], SPEC_A)
             server.tick(2)
-            assert not ticket.done  # age 2 < deadline: nothing dispatched
+            # age 2 < deadline: nothing dispatched
+            assert server.router.pending == 1
+            assert server.router.flushes["deadline"] == 0
             server.tick(1)
+            assert server.router.pending == 0
+            gate.open()
             row = ticket.wait(timeout=30)
         ref = reference.predict([tiny_dataset.graphs[0]], SPEC_A, batch_size=1)
         assert np.array_equal(row, ref[0])
         assert server.router.flushes["deadline"] == 1
 
     def test_real_ticker_fires_deadline_flush(self, tiny_dataset, service,
-                                              reference):
-        """Liveness only: with a real-clock ticker, a lone sub-batch-size
-        request resolves without anyone calling tick()/flush()."""
+                                              reference, gate):
+        """Liveness only: with a real-clock ticker and every worker busy,
+        a lone sub-batch-size request is flushed on its deadline without
+        anyone calling tick()/flush()."""
         with InferenceServer(service, num_workers=2, max_batch_size=100,
-                             max_delay=2, tick_interval_s=0.001) as server:
-            row = server.predict(tiny_dataset.graphs[1], SPEC_A, timeout=30)
+                             max_delay=2, tick_interval_s=0.001,
+                             pre_execute=gate) as server:
+            gate.hold(server, tiny_dataset.graphs[0], SPEC_B)
+            ticket = server.submit(tiny_dataset.graphs[1], SPEC_A)
+            give_up = time.monotonic() + 30
+            while server.router.pending and time.monotonic() < give_up:
+                time.sleep(0.001)
+            gate.open()
+            row = ticket.wait(timeout=30)
         ref = reference.predict([tiny_dataset.graphs[1]], SPEC_A, batch_size=1)
         assert np.array_equal(row, ref[0])
         assert server.router.flushes["deadline"] >= 1
@@ -127,17 +165,24 @@ class TestExecution:
 
     def test_predict_without_ticker_flushes_itself(self, tiny_dataset, service,
                                                    reference):
+        """Without a ticker nothing fires a deadline: the idle worker
+        takes the lone request itself."""
         with InferenceServer(service, num_workers=1, max_batch_size=100,
                              max_delay=10_000, tick_interval_s=None) as server:
             row = server.predict(tiny_dataset.graphs[2], SPEC_A, timeout=30)
         ref = reference.predict([tiny_dataset.graphs[2]], SPEC_A, batch_size=1)
         assert np.array_equal(row, ref[0])
+        assert server.router.flushes["idle"] == 1
 
-    def test_tickets_record_their_micro_batch(self, tiny_dataset, service):
+    def test_tickets_record_their_micro_batch(self, tiny_dataset, service,
+                                              gate):
         graphs = tiny_dataset.graphs[:4]
         with InferenceServer(service, num_workers=2, max_batch_size=4,
-                             max_delay=10_000, tick_interval_s=None) as server:
+                             max_delay=10_000, tick_interval_s=None,
+                             pre_execute=gate) as server:
+            gate.hold(server, tiny_dataset.graphs[4], SPEC_B)
             tickets = [server.submit(g, SPEC_A) for g in graphs]
+            gate.open()
             for t in tickets:
                 t.wait(timeout=30)
         for i, t in enumerate(tickets):
@@ -177,15 +222,90 @@ class TestExecution:
         assert stats["server"]["worker_errors"] == 6
         assert stats["server"]["recent_worker_errors"] == 4
 
-    def test_pre_execute_hook_runs_per_micro_batch(self, tiny_dataset, service):
+    def test_pre_execute_hook_runs_per_micro_batch(self, tiny_dataset, service,
+                                                   gate):
         calls = []
+
+        def pre_execute():
+            calls.append(1)
+            gate()
+
         with InferenceServer(service, num_workers=1, max_batch_size=2,
                              max_delay=10_000, tick_interval_s=None,
-                             pre_execute=lambda: calls.append(1)) as server:
+                             pre_execute=pre_execute) as server:
+            gate.hold(server, tiny_dataset.graphs[6], SPEC_B)
             for g in tiny_dataset.graphs[:6]:
                 server.submit(g, SPEC_A)
             server.flush()
-        assert len(calls) == server.executed_batches == 3
+            gate.open()
+        # the held request, then three size flushes of two
+        assert len(calls) == server.executed_batches == 4
+
+
+class TestWorkConserving:
+    """An idle worker takes queued work at once; buckets grow only while
+    every worker is busy.  No test here ticks or flushes."""
+
+    def test_saturation_batches_behind_a_busy_worker(self, tiny_dataset,
+                                                     service, gate):
+        graphs = tiny_dataset.graphs[:6]
+        with InferenceServer(service, num_workers=1, max_batch_size=100,
+                             max_delay=10_000, tick_interval_s=None,
+                             pre_execute=gate) as server:
+            first, = gate.hold(server, graphs[0], SPEC_A)
+            rest = [server.submit(g, SPEC_A) for g in graphs[1:]]
+            gate.open()
+            for t in [first] + rest:
+                t.wait(timeout=30)
+            flushes = dict(server.router.flushes)
+        assert server.executed_batches == 2
+        assert first.batch_graphs == (graphs[0],)
+        for i, t in enumerate(rest):
+            assert t.batch_graphs == tuple(graphs[1:])
+            assert t.batch_index == i
+        assert flushes == {"size": 0, "deadline": 0, "forced": 0,
+                           "backpressure": 0, "idle": 2}
+
+    def test_concurrent_submitters_never_strand_a_request(self, tiny_dataset,
+                                                          service):
+        graphs = tiny_dataset.graphs
+        tickets, failures = [], []
+        lock = threading.Lock()
+
+        def submitter(tid):
+            try:
+                for i in range(25):
+                    ticket = server.submit(graphs[(tid + i) % len(graphs)],
+                                           SPEC_A if i % 2 else SPEC_B)
+                    with lock:
+                        tickets.append(ticket)
+            except BaseException as err:
+                failures.append(err)
+
+        # More workers than cores and a short switch interval, so inserts
+        # and workers going idle interleave as often as possible.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with InferenceServer(service, num_workers=4,
+                                 tick_interval_s=None) as server:
+                threads = [threading.Thread(target=submitter, args=(t,))
+                           for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                    assert not t.is_alive()
+                # Nothing ticks or flushes: idle workers alone serve all.
+                for t in tickets:
+                    t.wait(timeout=30)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        stats = server.router.stats()  # after stop(): bookkeeping done
+        assert not failures
+        assert len(tickets) == 200
+        assert stats["served"] == 200 and stats["pending"] == 0
+        assert stats["flushes"]["deadline"] == stats["flushes"]["forced"] == 0
 
 
 class TestStats:

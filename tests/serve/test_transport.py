@@ -4,8 +4,9 @@ The in-process transport and the HTTP transport share one
 ``ServingProtocol`` core, so protocol semantics (submit/result windows,
 error mapping, payload validation) are pinned against the in-process
 transport — deterministic, no sockets — and the HTTP tests only add the
-wire: real POST/GET round-trips through ``http.server`` + ``urllib``,
-status-code mapping, and concurrent connections.
+wire: real POST/GET round-trips through ``http.server`` and the
+keep-alive client, status-code mapping, connection lifetime, and
+concurrent connections.
 """
 
 import json
@@ -68,14 +69,19 @@ def server(tiny_dataset):
 
 
 @pytest.fixture
-def idle_server(tiny_dataset):
-    """A running server that flushes nothing before it stops: every
-    admitted request stays queued."""
+def idle_server(tiny_dataset, gate):
+    """A running server whose one worker is held busy until it stops:
+    every admitted request stays queued."""
     service = InferenceService(factory, tiny_dataset.num_tasks, batch_size=8,
                                seed=0)
     with InferenceServer(service, num_workers=1, max_batch_size=100,
-                         max_delay=10_000, tick_interval_s=5.0) as srv:
-        yield srv
+                         max_delay=10_000, tick_interval_s=5.0,
+                         pre_execute=gate) as srv:
+        gate.hold(srv, tiny_dataset.graphs[1], SPEC_A)
+        try:
+            yield srv
+        finally:
+            gate.open()
 
 
 @pytest.fixture
@@ -126,15 +132,17 @@ class TestInProcessProtocol:
         assert len(reply["logits"]) == tiny_dataset.num_tasks
         assert reply["batch_size"] >= 1
 
-    def test_result_pending_then_unknown_seq(self, tiny_dataset):
+    def test_result_pending_then_unknown_seq(self, tiny_dataset, gate):
         service = InferenceService(factory, tiny_dataset.num_tasks,
                                    batch_size=8, seed=0)
         with InferenceServer(service, num_workers=1, max_batch_size=100,
-                             max_delay=10_000, tick_interval_s=None) as srv:
+                             max_delay=10_000, tick_interval_s=None,
+                             pre_execute=gate) as srv:
+            gate.hold(srv, tiny_dataset.graphs[1], SPEC_A)
             transport = InProcessTransport(srv)
             seq = transport.submit(tiny_dataset.graphs[0], SPEC_A)
-            assert transport.result(seq)["pending"] is True  # not flushed yet
-            srv.flush()
+            assert transport.result(seq)["pending"] is True  # worker busy
+            gate.open()
             assert "logits" in transport.result(seq, timeout_s=30)
             with pytest.raises(TransportError, match="unknown or expired"):
                 transport.result(seq + 999)
@@ -410,18 +418,22 @@ class TestHTTPTransport:
                     client._post(op, payload)
             assert client.stats()["server_router"]["pending"] == 1
 
-    def test_predict_timeout_maps_to_504(self, tiny_dataset):
+    def test_predict_timeout_maps_to_504(self, tiny_dataset, gate):
         service = InferenceService(factory, tiny_dataset.num_tasks,
                                    batch_size=8, seed=0)
-        # Deadline ~ max_delay * tick_interval = hours; nothing flushes a
-        # lone request before the client's tiny predict timeout expires.
+        # The one worker is held busy and the deadline ~ max_delay *
+        # tick_interval = hours: nothing serves a lone request before the
+        # client's tiny predict timeout expires.
         with InferenceServer(service, num_workers=1, max_batch_size=100,
-                             max_delay=10_000, tick_interval_s=5.0) as srv:
+                             max_delay=10_000, tick_interval_s=5.0,
+                             pre_execute=gate) as srv:
+            gate.hold(srv, tiny_dataset.graphs[1], SPEC_A)
             with HTTPServingTransport(srv, port=0) as http:
                 client = HTTPServingClient(http.url)
                 with pytest.raises(RuntimeError, match=r"\(504\)"):
                     client.predict(tiny_dataset.graphs[0], SPEC_A,
                                    timeout_s=0.05)
+            gate.open()
 
     def test_failed_batch_maps_to_500_and_result_claims_error(self, tiny_dataset,
                                                               failing_service):
@@ -488,6 +500,56 @@ class TestHTTPTransport:
                     assert json.loads(body)["server"]["running"]
                 elapsed = time.perf_counter() - started
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f} s"
+
+    def test_client_keeps_one_connection_per_thread(self, server,
+                                                    monkeypatch):
+        # Regression: the urllib client opened a new TCP connection for
+        # every call.  A "Connection: close" refusal (here a 413) must
+        # not break the call after it: the client reconnects once.
+        with HTTPServingTransport(server, port=0) as http:
+            accepted = []
+            process_request = http._httpd.process_request
+
+            def counting(request, client_address):
+                accepted.append(client_address)
+                process_request(request, client_address)
+
+            monkeypatch.setattr(http._httpd, "process_request", counting)
+            client = HTTPServingClient(http.url)
+            for _ in range(20):
+                assert client.stats()["server"]["running"]
+            assert len(accepted) == 1
+            monkeypatch.setattr(transport_module, "MAX_BODY_BYTES", 64)
+            with pytest.raises(RuntimeError, match=r"\(413\)"):
+                client._post("stats", {"pad": "x" * 1000})
+            assert client.stats()["server"]["running"]
+            assert len(accepted) == 2
+            client.close()  # the next call reconnects
+            assert client.stats()["server"]["running"]
+            assert len(accepted) == 3
+            client.close()
+
+    def test_stop_closes_open_keep_alive_connections(self, server):
+        # Regression: stop() closed only the listening socket, so the
+        # handler thread of an open keep-alive connection went on
+        # answering requests after the transport had stopped.
+        request = (b"POST /stats HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Length: 2\r\n\r\n{}")
+        http = HTTPServingTransport(server, port=0).start()
+        with socket.create_connection((http.host, http.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += sock.recv(65536)
+            assert reply.startswith(b"HTTP/1.1 200")
+            http.stop()
+            try:
+                sock.sendall(request)
+                answer = sock.recv(65536)
+            except (ConnectionResetError, BrokenPipeError):
+                answer = b""  # reset by the closed peer
+            assert answer == b"", answer
 
     def test_dead_server_raises_typed_connection_error(self, tiny_dataset, server):
         from repro.serve import TransportConnectionError
