@@ -28,7 +28,9 @@ serial per-request compute, floored at ``min_stall_s``), releasing the
 GIL exactly like a device wait.  Stalls on *different shards* overlap;
 within one shard they serialize — which is precisely the scaling the
 shard sweep measures.  The in-process serial number is recorded alongside
-for the single-process comparison.
+for the single-process comparison.  The ratios are therefore a scheduler
+test, not serving throughput (the JSON's ``measures`` field says so);
+serving latency and throughput of record come from perfbench serve-wire.
 
 The acceptance contract is routed throughput at 4 shards >= 2x the
 1-shard number, with bit-identical logits.
@@ -165,6 +167,9 @@ def bench_shard_sweep(cfg, seed=0):
         "stall_factor": cfg["stall_factor"],
         "parity": "bit-identical to serial service.predict "
                   "(asserted per run)",
+        "measures": f"scheduler overlap of an emulated {stall_s * 1000:.0f} ms "
+                    "offload stall; not serving throughput, see perfbench "
+                    "serve-wire",
         "shard_sweep": per_shard_count,
         "speedup_4_vs_1_shards": per_shard_count[str(cfg["shards"][-1])][
             "speedup_vs_1_shard"],

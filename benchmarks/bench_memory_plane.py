@@ -15,9 +15,14 @@ paying the real forward — and emits
   output buffer leased, nothing allocated) and the acceptance snapshot
   records the steady-state hit rate (1.0 by construction when the miss
   delta is zero);
+* **one-hot spec scoring** — ``InferenceService.score_specs`` over a few
+  specs through the attached supernet's one-hot path (the search's
+  candidate-ranking primitive), float64 vs float32, where the float32
+  service scores on its private float32 copy of the supernet;
 * **accuracy cost** — max |logit_f32 - logit_f64| and the metric-score
-  delta on the same fixed-seed evaluation, the committed number backing
-  the toleranced serving-parity contract in
+  delta of both legs on the same fixed-seed evaluation, against
+  :data:`ACCURACY_DELTA_BUDGET`, the committed number backing the
+  toleranced serving-parity contract in
   ``tests/serve/test_memory_plane.py``.
 
 Run modes (same protocol as the other benches):
@@ -41,9 +46,13 @@ RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "BENCH_memory_plane.json")
 
 SMOKE = {"num_layers": 5, "emb_dim": 32, "dataset_size": 160,
-         "batch_size": 32, "requests": 6, "repeats": 2}
+         "batch_size": 32, "requests": 6, "specs": 4, "repeats": 2}
 FULL = {"num_layers": 5, "emb_dim": 64, "dataset_size": 240,
-        "batch_size": 64, "requests": 10, "repeats": 3}
+        "batch_size": 64, "requests": 10, "specs": 4, "repeats": 3}
+
+#: |score_f32 - score_f64| budget, the same committed number as
+#: ``ACCURACY_DELTA_BUDGET`` in ``tests/serve/test_memory_plane.py``.
+ACCURACY_DELTA_BUDGET = 1e-3
 
 
 def smoke_mode() -> bool:
@@ -77,9 +86,10 @@ def _build_service(cfg, policy, seed=0):
                                supernet=supernet,
                                batch_size=cfg["batch_size"], seed=seed,
                                policy=policy)
-    spec = DEFAULT_SPACE.random_spec(cfg["num_layers"],
-                                     np.random.default_rng((seed, 55)))
-    return dataset, service, spec
+    rng = np.random.default_rng((seed, 55))
+    specs = [DEFAULT_SPACE.random_spec(cfg["num_layers"], rng)
+             for _ in range(cfg["specs"])]
+    return dataset, service, specs
 
 
 def _best_of(fn, repeats):
@@ -91,16 +101,29 @@ def _best_of(fn, repeats):
     return best
 
 
+def _bench_score_specs(cfg, service, graphs, specs, metric):
+    """The one-hot leg: best-of-``repeats`` ``score_specs`` fan-outs."""
+    scored = service.score_specs(specs, graphs, metric=metric,
+                                 keep_logits=True)  # warmup pass
+    elapsed = _best_of(lambda: service.score_specs(specs, graphs,
+                                                   metric=metric),
+                       cfg["repeats"])
+    return scored, {"elapsed_s": elapsed, "specs_per_s": len(specs) / elapsed,
+                    "num_specs": len(specs)}
+
+
 def bench_steady_state(cfg, seed=0):
-    """Repeated predict requests: float64 default vs float32 + workspaces."""
+    """Repeated predict requests and one-hot ``score_specs`` fan-outs:
+    float64 default vs float32 + workspaces."""
     from repro.metrics import multitask_score_or_fallback
 
-    results = {}
-    logits = {}
+    results = {"score_specs": {}}
+    logits, scored = {}, {}
     requests = cfg["requests"]
     metric, trues = None, None
     for name, policy in (("float64", None), ("float32", "float32")):
-        dataset, service, spec = _build_service(cfg, policy, seed)
+        dataset, service, specs = _build_service(cfg, policy, seed)
+        spec = specs[0]
         graphs = dataset.graphs
         metric = dataset.info.metric
         trues = np.stack([g.y for g in graphs], axis=0)
@@ -131,6 +154,8 @@ def bench_steady_state(cfg, seed=0):
                                     if new_hits + new_misses else 0.0),
             }
         results[name] = entry
+        scored[name], results["score_specs"][name] = _bench_score_specs(
+            cfg, service, graphs, specs, metric)
 
     score64 = multitask_score_or_fallback(
         trues, logits["float64"].astype(np.float64), metric)
@@ -138,23 +163,36 @@ def bench_steady_state(cfg, seed=0):
         trues, logits["float32"].astype(np.float64), metric)
     results["speedup"] = (results["float64"]["elapsed_s"]
                           / results["float32"]["elapsed_s"])
+    onehot = results["score_specs"]
+    onehot["speedup"] = (onehot["float64"]["elapsed_s"]
+                         / onehot["float32"]["elapsed_s"])
+    pairs = list(zip(scored["float64"], scored["float32"]))
     results["accuracy"] = {
         "metric": metric,
+        "budget": ACCURACY_DELTA_BUDGET,
         "score_float64": float(score64),
         "score_float32": float(score32),
         "score_delta": float(abs(score64 - score32)),
         "logits_max_abs_diff": float(
             np.abs(logits["float32"].astype(np.float64)
                    - logits["float64"]).max()),
+        "onehot_score_delta": max(abs(a.score - b.score) for a, b in pairs),
+        "onehot_logits_max_abs_diff": max(
+            float(np.abs(b.logits.astype(np.float64) - a.logits).max())
+            for a, b in pairs),
     }
     return results
 
 
 def run_benchmark(cfg=None, seed=0):
+    from repro.nn.compiled import compiled_status
+
     cfg = cfg or (SMOKE if smoke_mode() else FULL)
     return {
         "benchmark": "memory_plane",
         "config": dict(cfg),
+        "box": {"cpu_count": os.cpu_count(),
+                "compiled_kernels": compiled_status()["state"]},
         "steady_state": bench_steady_state(cfg, seed),
     }
 
@@ -181,9 +219,14 @@ def test_memory_plane_contract():
     # Smoke tier runs a smaller model on a noisy box, so the bar sits
     # under the FULL-tier acceptance (>= 1.3x in the committed snapshot).
     assert steady["speedup"] >= 1.15, steady
+    # Float32 one-hot scoring ran at ~0.9x of float64 while the attached
+    # supernet stayed float64 (mixed-dtype forwards); it must not be slower.
+    assert steady["score_specs"]["speedup"] >= 1.0, steady
     accuracy = steady["accuracy"]
     assert accuracy["logits_max_abs_diff"] <= 5e-4, accuracy
-    assert accuracy["score_delta"] <= 1e-3, accuracy
+    assert accuracy["onehot_logits_max_abs_diff"] <= 5e-4, accuracy
+    assert accuracy["score_delta"] <= ACCURACY_DELTA_BUDGET, accuracy
+    assert accuracy["onehot_score_delta"] <= ACCURACY_DELTA_BUDGET, accuracy
     if os.environ.get("REPRO_BENCH_WRITE") == "1":
         with open(RESULT_PATH, "w") as f:
             json.dump(results, f, indent=2)

@@ -275,12 +275,6 @@ def _serving_context(args):
 
     serving_dtype = getattr(args, "dtype", "float64")
     if serving_dtype != "float64":
-        # The searched supernet backs the one-hot scoring path; cast it to
-        # the serving dtype once, like the registry does for derived
-        # models (the search is over — the weights are frozen artifacts).
-        from .nn.policy import cast_module
-
-        cast_module(result.supernet, serving_dtype)
         print(f"serving dtype: {serving_dtype} (memory plane on)")
     service = InferenceService(
         make_encoder, dataset.num_tasks, supernet=result.supernet,

@@ -72,10 +72,11 @@ A service built with ``policy="float32"`` (or an explicit
 :class:`~repro.nn.policy.ExecutionPolicy`) runs every compute — batch
 collation, warming, forwards — inside that policy's scope: batches are
 materialized once in float32, the fresh model registry casts frozen
-weights once at registration, and segment kernels lease their output
-buffers from the policy's shared :class:`~repro.nn.policy.WorkspacePool`
-(per-thread arenas, so the worker pool shares one pool without
-contention).  The shared eval sweep
+weights once at registration, an attached supernet is cast as a private
+copy at attach time (the caller's stays float64), and segment kernels
+lease their output buffers from the policy's shared
+:class:`~repro.nn.policy.WorkspacePool` (per-thread arenas, so the worker
+pool shares one pool without contention).  The shared eval sweep
 (:func:`repro.graph.loader.eval_logits`, which every evaluator in the
 repo runs its forwards through) begins a workspace pass per batch and
 copies logits out before the next pass, which is the pool's buffer
@@ -86,6 +87,7 @@ bit-identical float64 behavior.
 from __future__ import annotations
 
 import contextlib
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -94,7 +96,7 @@ import numpy as np
 from ..graph.loader import eval_logits
 from ..metrics import multitask_score_or_fallback
 from ..nn.compiled import compiled_status
-from ..nn.policy import ExecutionPolicy, serving_policy
+from ..nn.policy import ExecutionPolicy, cast_module, serving_policy
 from .cache import BatchCacheRegistry
 from .registry import ModelRegistry
 
@@ -137,7 +139,8 @@ class InferenceService:
         dtype string (``"float32"`` builds the standard serving preset:
         float32 + workspace pool).  Every compute of this service runs
         inside the policy's scope; a *fresh* model registry inherits the
-        policy dtype (weights cast once at registration).  A shared
+        policy dtype (weights cast once at registration), and an attached
+        supernet is cast as a private copy at attach time.  A shared
         ``models`` registry is left as configured — align its ``dtype``
         with the policy yourself when sharing.  Default None: float64,
         bit-identical to the pre-policy service.
@@ -148,17 +151,18 @@ class InferenceService:
                  batch_cache: BatchCacheRegistry | None = None,
                  batch_size: int = 64, seed: int = 0,
                  policy: "ExecutionPolicy | str | None" = None):
-        self.supernet = supernet
         if isinstance(policy, str):
             policy = serving_policy(policy)
         self.policy = policy
+        # The dtype attached weights are cast to (None: kept as given).
+        self._cast_dtype = (policy.dtype if policy is not None
+                            and policy.dtype != "float64" else None)
+        self.attach_supernet(supernet)
         # Explicit None checks: registries define __len__, so an *empty*
         # registry passed in for sharing is falsy but must still be used.
         if models is None:
-            dtype = (policy.dtype if policy is not None
-                     and policy.dtype != "float64" else None)
             models = ModelRegistry(encoder_factory, num_tasks, seed=seed,
-                                   dtype=dtype)
+                                   dtype=self._cast_dtype)
         self.models = models
         self.batch_cache = batch_cache if batch_cache is not None else BatchCacheRegistry()
         self.batch_size = batch_size
@@ -190,7 +194,10 @@ class InferenceService:
     # ------------------------------------------------------------------
     def attach_supernet(self, supernet) -> "InferenceService":
         """Attach (or replace) the searched supernet used for warm starts
-        and one-hot spec scoring."""
+        and one-hot spec scoring; under a float32 policy, as a private cast
+        copy (the caller's supernet, e.g. a searcher's, is never touched)."""
+        if supernet is not None and self._cast_dtype is not None:
+            supernet = cast_module(copy.deepcopy(supernet), self._cast_dtype)
         self.supernet = supernet
         return self
 
@@ -238,7 +245,8 @@ class InferenceService:
         Requires an attached supernet.  With one-hot mixing weights every
         supernet dimension takes the branch-skipping path, so this costs
         one derived-model-shaped forward per batch and is bit-identical to
-        a :class:`DerivedModel` warm-started from the same supernet.
+        a :class:`DerivedModel` warm-started from the same supernet (under
+        a float32 policy too: both run on weights cast once).
         """
         from ..core.search import spec_forward
 
@@ -272,12 +280,10 @@ class InferenceService:
             # includes the active dtype, so this resolves to the same
             # cached loader the predict computes will use.
             trues = self.batch_cache.loader(graphs, batch_size).labels()
+        run = self.predict_spec_onehot if self.supernet is not None else self.predict
         results = []
         for spec in specs:
-            if self.supernet is not None:
-                logits = self.predict_spec_onehot(graphs, spec, batch_size)
-            else:
-                logits = self.predict(graphs, spec, batch_size)
+            logits = run(graphs, spec, batch_size)
             score = multitask_score_or_fallback(trues, logits, metric)
             results.append(SpecScore(spec=spec, score=score,
                                      logits=logits if keep_logits else None))

@@ -189,6 +189,53 @@ class TestServingPolicyParity:
             "held_bytes"}
 
 
+class TestAttachedSupernetCast:
+    """A float32 service scores on a private float32 copy of its supernet."""
+
+    def test_onehot_is_bit_identical_to_registry_model(self, tiny_dataset,
+                                                       supernet):
+        # Uncast, the one-hot forward mixes float32 activations with
+        # float64 weights and drifts from the registry's cast model.
+        service = make_service(tiny_dataset, supernet, policy="float32")
+        graphs = tiny_dataset.graphs[:40]
+        for spec in SPECS:
+            onehot = service.predict_spec_onehot(graphs, spec)
+            derived = service.predict(graphs, spec)
+            assert onehot.dtype == derived.dtype == np.float32
+            assert np.array_equal(onehot, derived)
+
+    def test_copy_is_cast_at_init_and_attach(self, tiny_dataset, supernet):
+        service = make_service(tiny_dataset, supernet, policy="float32")
+        first = service.supernet
+        service.attach_supernet(supernet)
+        for held in (first, service.supernet):
+            assert held is not supernet
+            assert all(p.data.dtype == np.float32 for p in held.parameters())
+            assert all(b.dtype == np.float32 for _, b in held.named_buffers()
+                       if b.dtype.kind == "f")
+        assert service.supernet is not first
+
+    def test_callers_supernet_is_untouched(self, tiny_dataset, supernet):
+        param = supernet.parameters()[0]
+        param.grad = np.ones_like(param.data)
+        before = {name: p.data.copy() for name, p in supernet.named_parameters()}
+        try:
+            service = make_service(tiny_dataset, supernet, policy="float32")
+            service.attach_supernet(supernet)
+            for name, p in supernet.named_parameters():
+                assert p.data.dtype == np.float64
+                assert np.array_equal(p.data, before[name])
+            assert np.array_equal(param.grad, np.ones_like(param.data))
+        finally:
+            param.grad = None
+
+    def test_default_policy_holds_the_same_object(self, tiny_dataset,
+                                                  supernet):
+        service = make_service(tiny_dataset, supernet)
+        assert service.supernet is supernet
+        assert service.attach_supernet(supernet).supernet is supernet
+
+
 class TestWorkspaceSteadyState:
     def test_repeat_requests_allocate_nothing(self, tiny_dataset, supernet):
         # Every predict recomputes the forward, which is exactly what must

@@ -1,8 +1,9 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _serving_context, build_parser, main
 
 
 class TestParser:
@@ -74,6 +75,17 @@ class TestExecution:
         assert "scored 3 specs" in out
         assert "derived" in out
         assert "cache stats" in out
+
+    def test_float32_serving_casts_a_copy_of_the_supernet(self, capsys):
+        args = build_parser().parse_args(
+            ["score", "--size", "60", "--search-epochs", "1", "--emb-dim", "16",
+             "--dtype", "float32"])
+        _, _, result, service = _serving_context(args)
+        assert "serving dtype: float32" in capsys.readouterr().out
+        assert all(p.data.dtype == np.float64
+                   for p in result.supernet.parameters())
+        assert all(p.data.dtype == np.float32
+                   for p in service.supernet.parameters())
 
     def test_serve_target_reports_request_throughput(self, capsys):
         code = main(["serve", "--size", "60", "--specs", "1",
