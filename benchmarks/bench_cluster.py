@@ -45,16 +45,16 @@ Run modes:
   (``REPRO_BENCH_WRITE=1`` writes it; ``REPRO_BENCH_SKIP=1`` skips).
 """
 
-import json
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "BENCH_cluster.json")
+from conftest import (
+    result_path, run_contract, smoke_mode, snapshot_main, write_if_requested)
+
+RESULT_PATH = result_path("cluster")
 
 SMOKE = {"num_layers": 2, "emb_dim": 16, "dataset_size": 48, "requests": 32,
          "repeats": 2, "stall_factor": 4.0, "min_stall_s": 0.02,
@@ -62,11 +62,6 @@ SMOKE = {"num_layers": 2, "emb_dim": 16, "dataset_size": 48, "requests": 32,
 FULL = {"num_layers": 3, "emb_dim": 32, "dataset_size": 96, "requests": 96,
         "repeats": 3, "stall_factor": 4.0, "min_stall_s": 0.02,
         "driver_threads": 8, "shards": (1, 2, 4)}
-
-
-def smoke_mode() -> bool:
-    return (os.environ.get("REPRO_BENCH_TIER") == "smoke"
-            or "--smoke" in sys.argv)
 
 
 def _build(cfg, seed=0):
@@ -190,27 +185,13 @@ def run_benchmark(cfg=None, seed=0):
 # pytest entry point (smoke tier)
 # ----------------------------------------------------------------------
 def test_cluster_throughput_contract():
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        pytest.skip("REPRO_BENCH_SKIP=1")
-    results = run_benchmark(SMOKE)
-    print(json.dumps(results, indent=2))
+    results = run_contract(run_benchmark, SMOKE)
     sweep = results["shard_sweep"]
     # Parity is asserted inside the sweep (bit-identical rows per run).
     assert sweep["speedup_4_vs_1_shards"] >= 2.0, sweep
     assert sweep["shard_sweep"]["2"]["speedup_vs_1_shard"] >= 1.3, sweep
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
+    write_if_requested(results, RESULT_PATH)
 
 
 if __name__ == "__main__":
-    results = run_benchmark()
-    print(json.dumps(results, indent=2))
-    if smoke_mode():
-        print("\nsmoke mode: snapshot not written")
-    else:
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"\nwrote {RESULT_PATH}")
+    snapshot_main(run_benchmark, RESULT_PATH)

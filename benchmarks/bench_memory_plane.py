@@ -1,20 +1,15 @@
-"""Inference memory plane benchmark: float32 + workspaces vs float64 serving.
+"""Inference memory plane benchmark: float32 vs float64 serving.
 
-PR 7 gave the serve stack an execution policy (``repro.nn.policy``):
-float32 compute with preallocated forward workspaces.  This benchmark
+The serve stack runs under an execution dtype policy
+(``repro.nn.policy``): float32 compute on weights cast once.  This benchmark
 measures what that buys on the steady-state serving path — repeated
 ``InferenceService.predict`` requests over a warmed batch cache, each
 paying the real forward — and emits
 ``BENCH_memory_plane.json``:
 
 * **steady-state throughput** at float64 (the historical default policy)
-  vs float32 + workspace pool, same fitted weights (both services derive
-  from one deterministic supernet);
-* **workspace economics** — pool hit/miss counters after warmup and after
-  the timed run; the contract is *zero* steady-state misses (every kernel
-  output buffer leased, nothing allocated) and the acceptance snapshot
-  records the steady-state hit rate (1.0 by construction when the miss
-  delta is zero);
+  vs float32, same fitted weights (both services derive from one
+  deterministic supernet);
 * **one-hot spec scoring** — ``InferenceService.score_specs`` over a few
   specs through the attached supernet's one-hot path (the search's
   candidate-ranking primitive), float64 vs float32, where the float32
@@ -31,19 +26,19 @@ Run modes (same protocol as the other benches):
   JSON snapshot (``--smoke`` / ``REPRO_BENCH_TIER=smoke`` for the sanity
   config, no overwrite).
 * ``pytest benchmarks/bench_memory_plane.py`` — smoke config, asserts the
-  speedup/allocation/accuracy contract (``REPRO_BENCH_WRITE=1`` writes,
+  speedup/accuracy contract (``REPRO_BENCH_WRITE=1`` writes,
   ``REPRO_BENCH_SKIP=1`` skips).
 """
 
-import json
 import os
-import sys
 import time
 
 import numpy as np
 
-RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "BENCH_memory_plane.json")
+from conftest import (
+    result_path, run_contract, smoke_mode, snapshot_main, write_if_requested)
+
+RESULT_PATH = result_path("memory_plane")
 
 SMOKE = {"num_layers": 5, "emb_dim": 32, "dataset_size": 160,
          "batch_size": 32, "requests": 6, "specs": 4, "repeats": 2}
@@ -53,11 +48,6 @@ FULL = {"num_layers": 5, "emb_dim": 64, "dataset_size": 240,
 #: |score_f32 - score_f64| budget, the same committed number as
 #: ``ACCURACY_DELTA_BUDGET`` in ``tests/serve/test_memory_plane.py``.
 ACCURACY_DELTA_BUDGET = 1e-3
-
-
-def smoke_mode() -> bool:
-    return (os.environ.get("REPRO_BENCH_TIER") == "smoke"
-            or "--smoke" in sys.argv)
 
 
 def _build_service(cfg, policy, seed=0):
@@ -114,7 +104,7 @@ def _bench_score_specs(cfg, service, graphs, specs, metric):
 
 def bench_steady_state(cfg, seed=0):
     """Repeated predict requests and one-hot ``score_specs`` fan-outs:
-    float64 default vs float32 + workspaces."""
+    float64 default vs float32."""
     from repro.metrics import multitask_score_or_fallback
 
     results = {"score_specs": {}}
@@ -129,31 +119,17 @@ def bench_steady_state(cfg, seed=0):
         trues = np.stack([g.y for g in graphs], axis=0)
         service.warm(graphs)
         logits[name] = service.predict(graphs, spec)  # warmup pass
-        pool = service.policy.workspace if service.policy else None
-        warm_stats = pool.stats() if pool else None
 
         def serve_requests(service=service, graphs=graphs, spec=spec):
             for _ in range(requests):
                 service.predict(graphs, spec)
 
         elapsed = _best_of(serve_requests, cfg["repeats"])
-        entry = {
+        results[name] = {
             "elapsed_s": elapsed,
             "requests_per_s": requests / elapsed,
             "num_graphs": len(graphs),
         }
-        if pool is not None:
-            steady_stats = pool.stats()
-            new_hits = steady_stats["hits"] - warm_stats["hits"]
-            new_misses = steady_stats["misses"] - warm_stats["misses"]
-            entry["workspace"] = {
-                "warm": warm_stats,
-                "steady": steady_stats,
-                "steady_misses": new_misses,
-                "steady_hit_rate": (new_hits / (new_hits + new_misses)
-                                    if new_hits + new_misses else 0.0),
-            }
-        results[name] = entry
         scored[name], results["score_specs"][name] = _bench_score_specs(
             cfg, service, graphs, specs, metric)
 
@@ -201,21 +177,8 @@ def run_benchmark(cfg=None, seed=0):
 # pytest entry point (smoke tier)
 # ----------------------------------------------------------------------
 def test_memory_plane_contract():
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        pytest.skip("REPRO_BENCH_SKIP=1")
-    try:
-        from benchmarks.conftest import assert_zero_steady_state_misses
-    except ImportError:  # invoked with benchmarks/ itself on sys.path
-        from conftest import assert_zero_steady_state_misses
-
-    results = run_benchmark(SMOKE)
-    print(json.dumps(results, indent=2))
+    results = run_contract(run_benchmark, SMOKE)
     steady = results["steady_state"]
-    workspace = steady["float32"]["workspace"]
-    assert_zero_steady_state_misses(workspace["warm"], workspace["steady"])
-    assert workspace["steady_hit_rate"] == 1.0, workspace
     # Smoke tier runs a smaller model on a noisy box, so the bar sits
     # under the FULL-tier acceptance (>= 1.3x in the committed snapshot).
     assert steady["speedup"] >= 1.15, steady
@@ -227,17 +190,8 @@ def test_memory_plane_contract():
     assert accuracy["onehot_logits_max_abs_diff"] <= 5e-4, accuracy
     assert accuracy["score_delta"] <= ACCURACY_DELTA_BUDGET, accuracy
     assert accuracy["onehot_score_delta"] <= ACCURACY_DELTA_BUDGET, accuracy
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
+    write_if_requested(results, RESULT_PATH)
 
 
 if __name__ == "__main__":
-    results = run_benchmark()
-    print(json.dumps(results, indent=2))
-    if smoke_mode():
-        print("\nsmoke mode: snapshot not written")
-    else:
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"\nwrote {RESULT_PATH}")
+    snapshot_main(run_benchmark, RESULT_PATH)

@@ -22,14 +22,14 @@ Run modes:
   ``REPRO_BENCH_SKIP=1`` to skip entirely).
 """
 
-import json
-import os
 import time
 
 import numpy as np
 
-RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "BENCH_search_throughput.json")
+from conftest import (
+    result_path, run_contract, snapshot_main, write_if_requested)
+
+RESULT_PATH = result_path("search_throughput")
 
 
 def _build(num_layers, emb_dim, dataset_size, batch_size, seed=0):
@@ -155,25 +155,14 @@ def run_benchmark(num_layers=5, emb_dim=32, dataset_size=120, batch_size=32,
 # pytest entry point (quick tier)
 # ----------------------------------------------------------------------
 def test_fastpath_throughput_contract():
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        pytest.skip("REPRO_BENCH_SKIP=1")
-    results = run_benchmark(num_layers=3, emb_dim=16, dataset_size=60,
-                            batch_size=16, repeats=3)
+    results = run_contract(run_benchmark, num_layers=3, emb_dim=16,
+                           dataset_size=60, batch_size=16, repeats=3)
     forward = results["supernet_forward"]
-    print(json.dumps(results, indent=2))
     assert forward["speedup"] >= 2.0, forward
     assert forward["derived_equivalence_max_abs_diff"] <= 1e-9, forward
     assert results["loader"]["speedup"] >= 1.0, results["loader"]
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
+    write_if_requested(results, RESULT_PATH)
 
 
 if __name__ == "__main__":
-    results = run_benchmark()
-    print(json.dumps(results, indent=2))
-    with open(RESULT_PATH, "w") as f:
-        json.dump(results, f, indent=2)
-    print(f"\nwrote {RESULT_PATH}")
+    snapshot_main(run_benchmark, RESULT_PATH)

@@ -59,15 +59,16 @@ Run modes:
 """
 
 import contextlib
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "BENCH_segment_kernels.json")
+from conftest import (
+    result_path, run_contract, snapshot_main, write_if_requested)
+
+RESULT_PATH = result_path("segment_kernels")
 
 #: The repository root, so ``tests.oracles`` (the references the ops are
 #: timed against) imports when run as a script.
@@ -519,12 +520,7 @@ def run_benchmark(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5, seed=0):
 # pytest entry point (quick tier)
 # ----------------------------------------------------------------------
 def test_segment_kernel_speedup_contract():
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        pytest.skip("REPRO_BENCH_SKIP=1")
-    results = run_benchmark(num_graphs=400, emb_dim=16, repeats=3)
-    print(json.dumps(results, indent=2))
+    results = run_contract(run_benchmark, num_graphs=400, emb_dim=16, repeats=3)
     # The same contract on both legs: as built, and with no compiler.
     for leg in (results, results["no_compiler"]):
         backends = leg["backends"]
@@ -541,9 +537,7 @@ def test_segment_kernel_speedup_contract():
         scatter = leg["gather_backward"]
         assert scatter["scatter_speedup_plan_vs_legacy"] >= 2.0, scatter
         assert scatter["roundtrip_speedup_plan_vs_legacy"] >= 1.0, scatter
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
+    write_if_requested(results, RESULT_PATH)
 
 
 def test_compiled_backend_speedup_contract():
@@ -554,12 +548,9 @@ def test_compiled_backend_speedup_contract():
 
     from repro.nn.compiled import build
 
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        pytest.skip("REPRO_BENCH_SKIP=1")
     if build.find_compiler() is None:
         pytest.skip("no C compiler discovered")
-    results = bench_compiled(num_graphs=400, emb_dim=16, repeats=3)
-    print(json.dumps(results, indent=2))
+    results = run_contract(bench_compiled, num_graphs=400, emb_dim=16, repeats=3)
     assert results["available"] is True
     lstm = results["lstm_scan"]
     assert lstm["scan_speedup_compiled_vs_reference"] >= 1.5, lstm
@@ -571,8 +562,4 @@ def test_compiled_backend_speedup_contract():
 
 
 if __name__ == "__main__":
-    results = run_benchmark()
-    print(json.dumps(results, indent=2))
-    with open(RESULT_PATH, "w") as f:
-        json.dump(results, f, indent=2)
-    print(f"\nwrote {RESULT_PATH}")
+    snapshot_main(run_benchmark, RESULT_PATH)

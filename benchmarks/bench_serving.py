@@ -27,25 +27,19 @@ Run modes:
   (``REPRO_BENCH_WRITE=1`` writes it; ``REPRO_BENCH_SKIP=1`` skips).
 """
 
-import json
-import os
-import sys
 import time
 
 import numpy as np
 
-RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "BENCH_serving.json")
+from conftest import (
+    result_path, run_contract, smoke_mode, snapshot_main, write_if_requested)
+
+RESULT_PATH = result_path("serving")
 
 SMOKE = {"num_layers": 3, "emb_dim": 16, "dataset_size": 60, "batch_size": 32,
          "requests": 8, "num_specs": 4, "rounds": 2, "repeats": 2}
 FULL = {"num_layers": 5, "emb_dim": 32, "dataset_size": 160, "batch_size": 32,
         "requests": 20, "num_specs": 8, "rounds": 3, "repeats": 3}
-
-
-def smoke_mode() -> bool:
-    return (os.environ.get("REPRO_BENCH_TIER") == "smoke"
-            or "--smoke" in sys.argv)
 
 
 def _build(cfg, seed=0):
@@ -198,26 +192,12 @@ def run_benchmark(cfg=None, seed=0):
 # pytest entry point (smoke tier)
 # ----------------------------------------------------------------------
 def test_serving_parity_contract():
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        pytest.skip("REPRO_BENCH_SKIP=1")
-    results = run_benchmark(SMOKE)
-    print(json.dumps(results, indent=2))
+    results = run_contract(run_benchmark, SMOKE)
     predict, scoring = results["predict_requests"], results["spec_scoring"]
     assert predict["logits_max_abs_diff"] == 0.0, predict
     assert scoring["logits_max_abs_diff"] == 0.0, scoring
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
+    write_if_requested(results, RESULT_PATH)
 
 
 if __name__ == "__main__":
-    results = run_benchmark()
-    print(json.dumps(results, indent=2))
-    if smoke_mode():
-        print("\nsmoke mode: snapshot not written")
-    else:
-        with open(RESULT_PATH, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"\nwrote {RESULT_PATH}")
+    snapshot_main(run_benchmark, RESULT_PATH)

@@ -7,7 +7,9 @@ absolute numbers.  Set ``REPRO_BENCH_TIER=smoke`` to run a fast sanity tier
 row/column structure of every table.
 """
 
+import json
 import os
+import sys
 
 import pytest
 
@@ -29,18 +31,49 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def assert_zero_steady_state_misses(warm_stats: dict, steady_stats: dict):
-    """The workspace-pool allocation contract (``bench_memory_plane.py``).
+# ----------------------------------------------------------------------
+# snapshot benches: BENCH_<name>.json next to this file
+# ----------------------------------------------------------------------
+def result_path(name: str) -> str:
+    """Path of the committed snapshot ``BENCH_<name>.json``."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        f"BENCH_{name}.json")
 
-    ``warm_stats`` / ``steady_stats`` are :meth:`WorkspacePool.stats`
-    snapshots taken after the warmup pass and after the steady-state
-    requests.  Steady state must lease every kernel output buffer from
-    the pool: not one new allocation (misses frozen), all the new
-    traffic served as hits.
-    """
-    assert steady_stats["misses"] == warm_stats["misses"], (
-        f"steady-state allocated "
-        f"{steady_stats['misses'] - warm_stats['misses']} new buffers: "
-        f"{warm_stats} -> {steady_stats}")
-    assert steady_stats["hits"] > warm_stats["hits"], (warm_stats,
-                                                       steady_stats)
+
+def smoke_mode() -> bool:
+    """The sanity config: ``REPRO_BENCH_TIER=smoke`` or ``--smoke``."""
+    return (os.environ.get("REPRO_BENCH_TIER") == "smoke"
+            or "--smoke" in sys.argv)
+
+
+def run_contract(run, *args, **kwargs) -> dict:
+    """A pytest contract's measurement, printed as JSON (the test skips
+    under ``REPRO_BENCH_SKIP=1``)."""
+    if os.environ.get("REPRO_BENCH_SKIP") == "1":
+        pytest.skip("REPRO_BENCH_SKIP=1")
+    results = run(*args, **kwargs)
+    print(json.dumps(results, indent=2))
+    return results
+
+
+def write_snapshot(results: dict, path: str) -> None:
+    with open(path, "w") as f:
+        json.dump(results, f, indent=2)
+
+
+def write_if_requested(results: dict, path: str) -> None:
+    """After a contract's asserts pass: write when ``REPRO_BENCH_WRITE=1``."""
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        write_snapshot(results, path)
+
+
+def snapshot_main(run, path: str) -> None:
+    """Script entry point: print ``run()`` and write it to ``path``, except
+    in smoke mode."""
+    results = run()
+    print(json.dumps(results, indent=2))
+    if smoke_mode():
+        print("\nsmoke mode: snapshot not written")
+    else:
+        write_snapshot(results, path)
+        print(f"\nwrote {path}")

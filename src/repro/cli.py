@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--dtype", choices=("float64", "float32"), default="float64",
         help="serving execution dtype: float32 runs the inference memory "
-             "plane (weights cast once at registration, workspace-pooled "
-             "forwards); float64 is the bit-identical default")
+             "plane (weights cast once at registration, float32 forwards); "
+             "float64 is the bit-identical default")
     serving.add_argument("--seed", type=int, default=0)
     routing = parser.add_argument_group("route options")
     routing.add_argument(

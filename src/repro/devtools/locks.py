@@ -87,9 +87,6 @@ LOCK_HIERARCHY: tuple[LockSpec, ...] = (
              guards=("_DATASET_CACHE",)),
     LockSpec(56, 5, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
              "submit/result ticket window"),
-    LockSpec(57, 5, "nn/policy.py", "WorkspacePool", "_lock", "Lock",
-             "workspace arena registry (stats/reset aggregation only; "
-             "leases run lock-free on per-thread arenas)"),
     LockSpec(58, 5, "nn/compiled/build.py", None, "_build_lock", "Lock",
              "one-time JIT build/load of the compiled kernel library "
              "(compiler discovery result, loaded handle, build counters)",

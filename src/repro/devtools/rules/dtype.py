@@ -102,7 +102,7 @@ def check_dtype(project, config):
                     info.rel, node.lineno, "REP007",
                     f"hard-coded float64 in {label}(...) on a hot path — "
                     "allocate in the active policy dtype "
-                    "(repro.nn.policy.active_dtype / workspace_zeros)"))
+                    "(repro.nn.policy.active_dtype)"))
                 continue
             if (allocator in _DEFAULT_FLOAT_FUNCS
                     and len(node.args) < 2

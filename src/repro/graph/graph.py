@@ -16,7 +16,7 @@ aggregation / readout primitive in :mod:`repro.nn.segment` consumes.  Its
 float payloads (``y``, the GCN degree norms) are materialized **once, at
 collation time, in the active**
 :class:`~repro.nn.policy.ExecutionPolicy` **dtype** — a batch collated
-under ``serving_policy()`` feeds float32 forwards with no per-step casts,
+under ``use_dtype("float32")`` feeds float32 forwards with no per-step casts,
 while training batches stay float64.  A batch is treated as immutable
 after collation, which lets it lazily build
 and cache the encoder-invariant precomputation every forward pass needs:

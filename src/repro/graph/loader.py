@@ -37,7 +37,7 @@ import numpy as np
 
 from ..metrics import multitask_score, multitask_score_or_fallback
 from ..nn import inference
-from ..nn.policy import active_dtype, active_workspace
+from ..nn.policy import active_dtype
 from .graph import Batch, Graph
 
 __all__ = ["DataLoader", "eval_logits", "eval_score"]
@@ -171,19 +171,10 @@ def eval_logits(loader, forward, num_tasks: int) -> np.ndarray:
     Every evaluator — fine-tune validation, spec scoring during search
     and evolution, ``S2PGNNFineTuner.predict`` and the serving layer —
     runs its forwards through this one sweep.  It runs under whatever
-    execution policy the caller has active.  With a workspace pool
-    installed, each batch forward is one workspace *pass*: leased buffers
-    are recycled between batches, and the ``.copy()`` of each logits
-    array is what moves results out of workspace-owned memory before the
-    next pass reuses it.
+    execution policy the caller has active.
     """
-    pool = active_workspace()
-    preds = []
     with inference():
-        for batch in loader:
-            if pool is not None:
-                pool.begin_pass()
-            preds.append(forward(batch).data.copy())
+        preds = [forward(batch).data for batch in loader]
     if not preds:
         return np.zeros((0, num_tasks), dtype=active_dtype())
     return np.concatenate(preds, axis=0)

@@ -28,7 +28,7 @@ import numpy as np
 from . import build
 from .. import rnn as _rnn
 from .. import tensor as _tensor
-from ..policy import active_dtype, active_workspace
+from ..policy import active_dtype
 
 _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 _POINTERS = {np.dtype(np.float64): ctypes.POINTER(ctypes.c_double),
@@ -85,15 +85,6 @@ def _flatten_rows(data, num_rows):
     return flat, d
 
 
-def _alloc_rows(rows, cols, dtype):
-    """Output buffer, leased from the live workspace pool when one is
-    active (the kernels overwrite every element, so ``empty`` is safe)."""
-    pool = active_workspace()
-    if pool is not None:
-        return pool.empty((rows, cols), dtype)
-    return np.empty((rows, cols), dtype=dtype)
-
-
 def segment_reduce(name, data, plan):
     """Run the C ``segment_sum``/``segment_max`` loop over ``plan``.
 
@@ -106,7 +97,7 @@ def segment_reduce(name, data, plan):
         return None
     flat, d = _flatten_rows(data, plan.num_items)
     order, indptr = _plan_index(plan)
-    out = _alloc_rows(plan.num_segments, d, data.dtype)
+    out = np.empty((plan.num_segments, d), dtype=data.dtype)
     kernel(_fp(flat), _ip(order), _ip(indptr), _fp(out),
            plan.num_segments, d)
     return out.reshape((plan.num_segments,) + data.shape[1:])
@@ -156,7 +147,7 @@ def scatter_rows(g, rows, index, num_rows):
                                 SegmentPlan(index, num_rows))
     index = _as_index(index)
     flat, d = _flatten_rows(g, g.shape[0])
-    out = _alloc_rows(num_rows, d, g.dtype)
+    out = np.empty((num_rows, d), dtype=g.dtype)
     kernel(_fp(flat), None if rows is None else _ip(_as_index(rows)),
            _ip(index), _fp(out), n, num_rows, d)
     return out.reshape((num_rows,) + g.shape[1:])
@@ -190,7 +181,7 @@ def gin_message_forward(h, type_table, tag_table, src, attr, plan):
     h, type_table, tag_table = (np.ascontiguousarray(a)
                                 for a in (h, type_table, tag_table))
     order, indptr = _plan_index(plan)
-    out = _alloc_rows(plan.num_segments, d, dtype)
+    out = np.empty((plan.num_segments, d), dtype=dtype)
     kernel(_fp(h), _fp(type_table), _fp(tag_table), _ip(_as_index(src)),
            _ip(_as_index(attr)), _ip(order), _ip(indptr), _fp(out),
            plan.num_segments, d)

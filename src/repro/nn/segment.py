@@ -66,19 +66,7 @@ import numpy as np
 from scipy import sparse as _sparse
 
 from .compiled import kernels as _kernels
-from .policy import active_workspace, workspace_zeros
 from .tensor import Tensor, as_tensor
-
-#: scipy's raw CSR mat-multivec kernel (what ``csr @ dense`` calls after
-#: allocating its result).  Resolved defensively — it is a private module —
-#: so the workspace fast path can accumulate A@X straight into a leased,
-#: zeroed buffer; absent, workspace runs still work, they just let scipy
-#: allocate the matvec result.
-try:
-    from scipy.sparse import _sparsetools
-    _csr_matvecs = getattr(_sparsetools, "csr_matvecs", None)
-except ImportError:  # pragma: no cover - layout varies across scipy
-    _csr_matvecs = None
 
 __all__ = [
     "SegmentPlan",
@@ -234,31 +222,16 @@ def _reduce_sum_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     (``np.add.reduceat`` is not: it does not always add the rows in
     sequence — up to 2e-14 apart at 872x32 rows into 5 segments — so it
     is no fallback here.)  The output dtype follows
-    ``x_data`` (the active policy's dtype on the forward path).  When the
-    active policy carries a workspace pool, the output is leased from it;
-    the CSR path then accumulates through scipy's raw ``csr_matvecs``
-    kernel into the leased, zeroed buffer — same kernel, same
-    accumulation order, no allocation at steady state.
+    ``x_data`` (the active policy's dtype on the forward path).
     """
     dtype = x_data.dtype
     tail = x_data.shape[1:]
     if plan.starts.size == 0:
-        return workspace_zeros((plan.num_segments,) + tail, dtype)
+        return np.zeros((plan.num_segments,) + tail, dtype=dtype)
     out = _kernels.segment_reduce("segment_sum", x_data, plan)
     if out is not None:
         return out
     csr = plan.csr(dtype)
-    pool = active_workspace()
-    if pool is not None and _csr_matvecs is not None:
-        flat = x_data.reshape(plan.num_items, -1)
-        if not flat.flags.c_contiguous:
-            flat = np.ascontiguousarray(flat)
-        n_vecs = flat.shape[1]
-        out = pool.zeros((plan.num_segments, n_vecs), dtype)
-        _csr_matvecs(plan.num_segments, plan.num_items, n_vecs,
-                     csr.indptr, csr.indices, csr.data,
-                     flat.ravel(), out.ravel())
-        return out.reshape((plan.num_segments,) + tail)
     if x_data.ndim <= 2:
         return csr @ x_data
     flat = csr @ x_data.reshape(plan.num_items, -1)
@@ -270,29 +243,20 @@ def _reduce_max_data(x_data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
 
     The C loop when the kernel library is loaded, else a vertical max or
     ``np.maximum.reduceat`` (max is exact, so every path agrees bit for
-    bit).  Output dtype follows ``x_data``; under a workspace policy the
-    output (and the vertical max's sorted-row staging buffer) is leased
-    from the pool.
+    bit).  Output dtype follows ``x_data``.
     """
-    dtype = x_data.dtype
+    shape = (plan.num_segments,) + x_data.shape[1:]
     if plan.starts.size == 0:
-        return workspace_zeros((plan.num_segments,) + x_data.shape[1:], dtype)
+        return np.zeros(shape, dtype=x_data.dtype)
     out = _kernels.segment_reduce("segment_max", x_data, plan)
     if out is not None:
         return out
-    out = workspace_zeros((plan.num_segments,) + x_data.shape[1:], dtype)
+    out = np.zeros(shape, dtype=x_data.dtype)
     max_count = int(plan.counts.max())
     if max_count <= _VERTICAL_MAX_RANK_LIMIT:
         # Vertical max: seed with each segment's rank-0 row, then fold in
         # one vectorized pass per remaining within-segment rank.
-        pool = active_workspace()
-        if pool is not None:
-            # mode="clip" skips numpy's bounds-check temporary; plan.order
-            # is a permutation, so clipping never changes an index.
-            xs = np.take(x_data, plan.order, axis=0, mode="clip",
-                         out=pool.empty(x_data.shape, dtype))
-        else:
-            xs = x_data[plan.order]
+        xs = x_data[plan.order]
         out[plan.segments] = xs[plan.starts]
         for sel, pos in plan.rank_slices():
             out[sel] = np.maximum(out[sel], xs[pos])
@@ -332,13 +296,7 @@ def segment_mean(x: Tensor, index, num_segments: int | None = None) -> Tensor:
     plan = as_plan(index, num_segments)
     inv = plan.inv_counts_for(x.data.dtype).reshape(
         (plan.num_segments,) + (1,) * (x.ndim - 1))
-    sums = _reduce_sum_data(x.data, plan)
-    if active_workspace() is not None:
-        # The sum buffer is a workspace lease unique to this pass — scale
-        # it in place rather than allocating the mean.
-        out_data = np.multiply(sums, inv, out=sums)
-    else:
-        out_data = sums * inv
+    out_data = _reduce_sum_data(x.data, plan) * inv
 
     def backward(g):
         if x.requires_grad:

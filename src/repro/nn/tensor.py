@@ -11,8 +11,8 @@ Design notes
 ------------
 * A :class:`Tensor` wraps a ``numpy.ndarray`` (``float64`` under the
   default :class:`~repro.nn.policy.ExecutionPolicy` for numerically robust
-  finite-difference checking; float32 under ``serving_policy()``) plus an
-  optional gradient.
+  finite-difference checking; float32 under ``use_dtype("float32")``)
+  plus an optional gradient.
 * Each differentiable operation returns a new tensor holding a ``_backward``
   closure that accumulates into its parents' ``grad`` buffers.
 * :meth:`Tensor.backward` frees the graph as it goes (there is no
@@ -29,7 +29,7 @@ import contextvars
 
 import numpy as np
 
-from .policy import active_dtype, workspace_zeros
+from .policy import active_dtype
 
 __all__ = [
     "Tensor",
@@ -140,8 +140,7 @@ class Tensor:
         Array-like payload; converted to an ndarray in the active
         :class:`~repro.nn.policy.ExecutionPolicy` dtype (``float64``
         by default).  An ndarray already in the policy dtype is wrapped
-        without copying — the policy-threaded kernels exploit this to
-        hand workspace buffers straight to tensors.
+        without copying, so kernel outputs become tensors as they are.
     requires_grad:
         If True, ``backward()`` populates :attr:`grad` for this tensor.
     """
@@ -688,6 +687,6 @@ def _add_at_scatter(g, index: np.ndarray, num_rows: int) -> np.ndarray:
     if g.dtype.kind != "f":
         g = g.astype(active_dtype())
     index = np.asarray(index, dtype=np.int64)
-    out = workspace_zeros((num_rows,) + g.shape[index.ndim:], g.dtype)
+    out = np.zeros((num_rows,) + g.shape[index.ndim:], dtype=g.dtype)
     np.add.at(out, index, g)
     return out

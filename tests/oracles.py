@@ -27,7 +27,6 @@ from repro.nn import (
 from repro.nn import tensor as _tensor
 from repro.nn.functional import softmax
 from repro.nn.ops import OP_REGISTRY
-from repro.nn.policy import workspace_zeros
 from repro.nn.rnn import lstm_scan_node
 from repro.nn.segment import _gin_indices, _gin_messages, _gin_node
 
@@ -42,8 +41,8 @@ def _legacy_segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -
     convention).
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = workspace_zeros((num_segments,) + x.data.shape[1:],
-                               x.data.dtype)
+    out_data = np.zeros((num_segments,) + x.data.shape[1:],
+                        dtype=x.data.dtype)
     np.add.at(out_data, segment_ids, x.data)
 
     def backward(g):

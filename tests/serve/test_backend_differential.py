@@ -183,5 +183,3 @@ class TestServingPolicyDifferential:
         assert got.dtype == np.float32
         assert ref.dtype == np.float64
         assert np.abs(got - ref).max() <= 1e-4
-        pool_stats = f32.stats()["policy"]["workspace"]
-        assert pool_stats["misses"] > 0  # the forward really ran pooled

@@ -1,6 +1,6 @@
 """Inference memory plane, end to end through the serve stack (PR 7).
 
-The tentpole contract has three legs:
+The contract has two legs:
 
 * **registration-time casting** — a dtype-set :class:`ModelRegistry`
   casts frozen weights once, in place, when a model enters; checkpoints
@@ -9,11 +9,7 @@ The tentpole contract has three legs:
 * **toleranced float32 parity** — a ``policy="float32"`` service tracks
   the float64 service within fixed numeric budgets, including a
   *committed accuracy delta* (:data:`ACCURACY_DELTA_BUDGET`) that the
-  benchmark (``benchmarks/BENCH_memory_plane.json``) also records;
-* **workspace steady state** — after the first pass over a graph set,
-  repeated predictions lease every kernel output buffer from the
-  policy's :class:`WorkspacePool`: zero new allocations (misses frozen,
-  hit rate -> 1).
+  benchmark (``benchmarks/BENCH_memory_plane.json``) also records.
 """
 
 import numpy as np
@@ -183,10 +179,10 @@ class TestServingPolicyParity:
         f64, f32 = services
         assert "policy" not in f64.stats()
         policy = f32.stats()["policy"]
-        assert policy["dtype"] == "float32"
-        assert set(policy["workspace"]) == {
-            "threads", "hits", "misses", "passes", "hit_rate", "buffers",
-            "held_bytes"}
+        # Kernels allocate plainly; the zero counters stay for readers
+        # of the old stats shape.
+        assert policy == {"dtype": "float32",
+                          "workspace": {"hits": 0, "misses": 0}}
 
 
 class TestAttachedSupernetCast:
@@ -234,37 +230,6 @@ class TestAttachedSupernetCast:
         service = make_service(tiny_dataset, supernet)
         assert service.supernet is supernet
         assert service.attach_supernet(supernet).supernet is supernet
-
-
-class TestWorkspaceSteadyState:
-    def test_repeat_requests_allocate_nothing(self, tiny_dataset, supernet):
-        # Every predict recomputes the forward, which is exactly what must
-        # hit the workspace instead of allocating.
-        service = make_service(tiny_dataset, supernet, policy="float32")
-        graphs = tiny_dataset.graphs[:20]
-        service.warm(graphs)
-        pool = service.policy.workspace
-
-        service.predict(graphs, SPECS[0])  # first pass: misses populate
-        warm = pool.stats()
-        assert warm["misses"] > 0
-
-        for _ in range(3):
-            service.predict(graphs, SPECS[0])
-        steady = pool.stats()
-        assert steady["misses"] == warm["misses"]  # zero new allocations
-        assert steady["hits"] > warm["hits"]
-        assert steady["hit_rate"] > warm["hit_rate"]
-
-    def test_held_bytes_stay_bounded_across_requests(self, tiny_dataset,
-                                                     supernet):
-        service = make_service(tiny_dataset, supernet, policy="float32")
-        graphs = tiny_dataset.graphs[:16]
-        service.predict(graphs, SPECS[0])
-        held = service.policy.workspace.stats()["held_bytes"]
-        for _ in range(4):
-            service.predict(graphs, SPECS[0])
-        assert service.policy.workspace.stats()["held_bytes"] == held
 
 
 class TestBatchCacheDtypeKeying:

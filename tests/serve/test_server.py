@@ -11,6 +11,7 @@ so tests that need requests to stay queued first occupy every worker
 with the ``gate`` fixture's ``pre_execute`` hook.
 """
 
+import itertools
 import sys
 import threading
 import time
@@ -27,6 +28,8 @@ SPEC_A = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
                               fusion="last", readout="mean")
 SPEC_B = FineTuneStrategySpec(identity=("identity_aug", "zero_aug"),
                               fusion="mean", readout="sum")
+SPEC_C = FineTuneStrategySpec(identity=("identity_aug", "identity_aug"),
+                              fusion="last", readout="max")
 
 
 def factory():
@@ -306,6 +309,57 @@ class TestWorkConserving:
         assert len(tickets) == 200
         assert stats["served"] == 200 and stats["pending"] == 0
         assert stats["flushes"]["deadline"] == stats["flushes"]["forced"] == 0
+
+
+class TestFloat32WorkerPool:
+    """Float32 forwards on two workers at once: each allocates its own
+    outputs, so every row equals a serial replay of its micro-batch.
+    Output buffers shared across the workers fail this in most runs."""
+
+    ROUNDS = 200
+
+    def test_rows_match_serial_replay_of_their_micro_batch(self,
+                                                            tiny_dataset):
+        def float32_service():
+            return InferenceService(factory, tiny_dataset.num_tasks,
+                                    batch_size=8, seed=0, policy="float32")
+
+        service, reference = float32_service(), float32_service()
+        graphs, specs = tiny_dataset.graphs[:4], (SPEC_A, SPEC_B, SPEC_C)
+        barrier = threading.Barrier(2, timeout=30)
+        started = itertools.count()
+
+        def overlap():
+            # The first two micro-batches wait for each other, so two
+            # float32 forwards are in flight at the same time.
+            if next(started) < 2:
+                barrier.wait()
+
+        # A short switch interval interleaves the two forwards finely.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with InferenceServer(service, num_workers=2, max_batch_size=4,
+                                 max_delay=10_000, tick_interval_s=None,
+                                 pre_execute=overlap) as server:
+                # Rotations of four graphs: concurrent micro-batches
+                # often share every buffer shape but not the contents.
+                tickets = [server.submit(graphs[(r + i) % 4],
+                                         specs[r % len(specs)])
+                           for r in range(self.ROUNDS) for i in range(4)]
+                rows = [t.wait(timeout=30) for t in tickets]
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert server.executed_batches >= 2
+        replays = {}
+        for row, ticket in zip(rows, tickets):
+            key = (tuple(id(g) for g in ticket.batch_graphs), ticket.spec)
+            if key not in replays:
+                replays[key] = reference.predict(
+                    list(ticket.batch_graphs), ticket.spec,
+                    batch_size=len(ticket.batch_graphs))
+            assert row.dtype == np.float32
+            assert np.array_equal(row, replays[key][ticket.batch_index])
 
 
 class TestStats:
