@@ -19,5 +19,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    # scipy serves only the no-compiler CSR fallback (imported on first
+    # use); networkx is a test-only oracle (and `Graph.to_networkx`).
+    install_requires=["numpy", "scipy"],
 )

@@ -18,6 +18,7 @@ used in the search-algorithm ablation benchmarks.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from ..gnn.encoder import GNNEncoder
 from ..graph.datasets import MolecularDataset
 from ..graph.loader import DataLoader, eval_score
 from ..metrics import higher_is_better
-from ..nn import Adam, clip_grad_norm
+from ..nn import Adam, clip_grad_norm, no_grad
 from .controller import StrategyController
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import DerivedModel, S2PGNNSupernet
@@ -149,7 +150,9 @@ class S2PGNNSearcher:
             # --- theta step over the training split (Eq. 16) -------------
             train_loss, train_batches = 0.0, 0
             for batch in train_loader:
-                strategy = self.controller.sample(tau, rng)
+                # alpha is not updated here: sample it off the tape.
+                with no_grad():
+                    strategy = self.controller.sample(tau, rng)
                 if not cfg.weight_sharing:
                     # Ablation: re-initialize theta per sampled strategy —
                     # approximates training each strategy from scratch and
@@ -158,7 +161,6 @@ class S2PGNNSearcher:
                 outputs = self.supernet.forward_full(batch, strategy)
                 loss = supervised_loss(outputs["logits"], batch, info.task_type)
                 theta_opt.zero_grad()
-                self.controller.zero_grad()
                 loss.backward()
                 clip_grad_norm(self.supernet.theta_parameters(), cfg.grad_clip)
                 theta_opt.step()
@@ -170,16 +172,21 @@ class S2PGNNSearcher:
             for batch in valid_loader:
                 if alpha_batches >= cfg.alpha_batches_per_epoch:
                     break
-                loss = None
-                for _ in range(cfg.mc_samples):
-                    strategy = self.controller.sample(tau, rng)
-                    outputs = self.supernet.forward_full(batch, strategy)
-                    sample_loss = supervised_loss(outputs["logits"], batch, info.task_type)
-                    loss = sample_loss if loss is None else loss + sample_loss
-                loss = loss * (1.0 / cfg.mc_samples)
-                alpha_opt.zero_grad()
-                self.supernet.zero_grad()
-                loss.backward()
+                # theta is not updated here: it stays off the tape for the
+                # forward and the backward (adjoints test requires_grad
+                # when they run).
+                with _off_tape(self.supernet.theta_parameters()):
+                    loss = None
+                    for _ in range(cfg.mc_samples):
+                        strategy = self.controller.sample(tau, rng)
+                        outputs = self.supernet.forward_full(batch, strategy)
+                        sample_loss = supervised_loss(outputs["logits"], batch,
+                                                      info.task_type)
+                        loss = (sample_loss if loss is None
+                                else loss + sample_loss)
+                    loss = loss * (1.0 / cfg.mc_samples)
+                    alpha_opt.zero_grad()
+                    loss.backward()
                 clip_grad_norm(self.controller.parameters(), cfg.grad_clip)
                 alpha_opt.step()
                 alpha_loss += loss.item()
@@ -286,6 +293,21 @@ class S2PGNNSearcher:
         loader = loader if loader is not None else self._eval_loader(graphs)
         return eval_score(loader, spec_forward(self.supernet, spec),
                           self.dataset.info.metric)
+
+
+@contextlib.contextmanager
+def _off_tape(params):
+    """Set ``requires_grad=False`` on exactly ``params`` inside the block.
+
+    Not ``Module.freeze``/``unfreeze``: those touch every parameter, so
+    the exit would thaw parameters frozen before the search."""
+    for param in params:
+        param.requires_grad = False
+    try:
+        yield
+    finally:
+        for param in params:
+            param.requires_grad = True
 
 
 def spec_forward(supernet: S2PGNNSupernet, spec: FineTuneStrategySpec):

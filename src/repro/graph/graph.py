@@ -101,7 +101,8 @@ class Graph:
         return all((v, u) in fwd for (u, v) in fwd)
 
     def to_networkx(self):
-        """Convert to ``networkx.Graph`` with atom/bond labels (for scaffolds)."""
+        """Convert to ``networkx.Graph`` with atom/bond labels (interop and
+        test oracles; networkx is imported only here)."""
         import networkx as nx
 
         g = nx.Graph()
@@ -159,8 +160,12 @@ class Batch:
         # so every float payload of the batch (labels, degree norms) is
         # materialized in it exactly once.
         self.dtype = active_dtype()
+        # A label matrix only when every member carries labels of one
+        # width.  Serving never reads labels, so a request whose labels
+        # differ in width must not fail the micro-batch it joined.
         labeled = [g.y for g in graphs if g.y is not None]
-        if len(labeled) == self.num_graphs:
+        if (len(labeled) == self.num_graphs
+                and len({y.shape for y in labeled}) == 1):
             self.y = np.stack(labeled, axis=0).astype(self.dtype, copy=False)
         else:
             self.y = None
@@ -241,11 +246,13 @@ class Batch:
     def label_mask(self) -> np.ndarray:
         """Boolean mask of present (non-nan) labels, shape (num_graphs, tasks)."""
         if self.y is None:
-            raise ValueError("batch has no labels")
+            raise ValueError("batch has no labels (a graph is unlabeled or "
+                             "label widths differ)")
         return ~np.isnan(self.y)
 
     def labels_filled(self, fill: float = 0.0) -> np.ndarray:
         """Labels with nans replaced by ``fill`` (pairs with :meth:`label_mask`)."""
         if self.y is None:
-            raise ValueError("batch has no labels")
+            raise ValueError("batch has no labels (a graph is unlabeled or "
+                             "label widths differ)")
         return np.where(np.isnan(self.y), fill, self.y)

@@ -300,10 +300,39 @@ def molecule_descriptors(graph: Graph) -> np.ndarray:
 
 
 def _count_cycle_atoms(graph: Graph) -> float:
-    import networkx as nx
-
-    g = graph.to_networkx()
-    cycle_nodes: set[int] = set()
-    for cycle in nx.cycle_basis(g):
-        cycle_nodes.update(cycle)
-    return float(len(cycle_nodes))
+    """Number of atoms on at least one ring: the endpoints of the bonds
+    that are not bridges (a bond lies on a cycle exactly when it is not a
+    bridge).  Bridges come from one iterative DFS (Tarjan's low-link)."""
+    n = graph.num_nodes
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in {(u, v) for u, v in graph.edge_index.T.tolist() if u < v}:
+        adj[u].append(v)
+        adj[v].append(u)
+    disc = [-1] * n  # DFS discovery time
+    low = [0] * n    # earliest discovery time reachable by one back edge
+    on_ring: set[int] = set()
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            node, parent, neighbours = stack[-1]
+            for nbr in neighbours:
+                if disc[nbr] < 0:
+                    disc[nbr] = low[nbr] = clock
+                    clock += 1
+                    stack.append((nbr, node, iter(adj[nbr])))
+                    break
+                if nbr != parent:  # a back edge closes a ring
+                    low[node] = min(low[node], disc[nbr])
+                    on_ring.update((node, nbr))
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] <= disc[parent]:  # not a bridge
+                        on_ring.update((node, parent))
+    return float(len(on_ring))

@@ -9,14 +9,20 @@ protocol.  Without RDKit we implement the same idea directly on the graph:
 1. *Scaffold subgraph*: iteratively strip non-ring leaves (degree-1 nodes
    outside every cycle) until only ring systems and their linkers remain —
    exactly the Murcko "remove side chains" rule.
-2. *Canonical key*: a Weisfeiler-Lehman hash of the scaffold subgraph with
-   atom/bond labels (networkx), which is permutation invariant.
+2. *Canonical key*: a 3-iteration Weisfeiler-Lehman hash of the scaffold
+   subgraph with atom/bond labels (Shervashidze et al., JMLR 2011), which
+   is permutation invariant.  It reproduces networkx's
+   ``weisfeiler_lehman_graph_hash`` string for string, so keys (and every
+   split) match the ones networkx computes.
 3. *Split*: sort scaffold groups by descending size and greedily fill the
    train, then valid, then test buckets (the standard deterministic scaffold
    split), so the largest scaffolds land in train and rare ones in test.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from hashlib import blake2b
 
 import numpy as np
 
@@ -28,43 +34,63 @@ __all__ = ["murcko_scaffold_nodes", "scaffold_key", "scaffold_split"]
 def murcko_scaffold_nodes(graph: Graph) -> np.ndarray:
     """Return indices of nodes in the Murcko scaffold (rings + linkers).
 
-    Implemented by repeatedly deleting degree-1 nodes; what survives are the
-    cycles and the paths that connect them.  An acyclic molecule has an empty
-    scaffold (by convention its scaffold key is the empty hash, grouping all
-    acyclic molecules together, as RDKit does for Murcko scaffolds).
+    Implemented by repeatedly deleting nodes of degree at most 1; what
+    survives are the cycles and the paths that connect them.  An acyclic
+    molecule has an empty scaffold (by convention its scaffold key is
+    ``"acyclic"``, grouping all acyclic molecules together, as RDKit does
+    for Murcko scaffolds).
     """
     n = graph.num_nodes
-    alive = np.ones(n, dtype=bool)
     adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in graph.edge_index.T:
-        adj[u].add(int(v))
-        adj[v].add(int(u))
-    changed = True
-    while changed:
-        changed = False
-        for node in range(n):
-            if alive[node] and sum(alive[m] for m in adj[node]) <= 1:
-                alive[node] = False
-                changed = True
+    for u, v in graph.edge_index.T.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    # Peel to the 2-core: a node with at most one live neighbour goes,
+    # and its neighbours' counts drop.  The 2-core is unique, so the
+    # peeling order does not matter.
+    degree = [len(nbrs) for nbrs in adj]
+    alive = [True] * n
+    stack = [node for node in range(n) if degree[node] <= 1]
+    while stack:
+        node = stack.pop()
+        if not alive[node]:
+            continue
+        alive[node] = False
+        for nbr in adj[node]:
+            if alive[nbr]:
+                degree[nbr] -= 1
+                if degree[nbr] <= 1:
+                    stack.append(nbr)
     return np.flatnonzero(alive)
 
 
-def scaffold_key(graph: Graph) -> str:
-    """Canonical (permutation-invariant) identifier of a graph's scaffold."""
-    import networkx as nx
+def _wl_hash(label: str) -> str:
+    return blake2b(label.encode("ascii"), digest_size=16).hexdigest()
 
+
+def scaffold_key(graph: Graph) -> str:
+    """Canonical (permutation-invariant) identifier of a graph's scaffold.
+
+    Each of 3 Weisfeiler-Lehman rounds relabels a node with the hash of
+    its label followed by its neighbours' sorted ``bond + label``
+    strings; the key hashes the sorted per-round label counts.
+    """
     keep = set(murcko_scaffold_nodes(graph).tolist())
     if not keep:
         return "acyclic"
-    g = nx.Graph()
-    for i in keep:
-        g.add_node(i, atom=str(int(graph.x[i, 0])))
-    for (u, v), attr in zip(graph.edge_index.T, graph.edge_attr):
-        if u < v and int(u) in keep and int(v) in keep:
-            g.add_edge(int(u), int(v), bond=str(int(attr[0])))
-    return nx.weisfeiler_lehman_graph_hash(
-        g, node_attr="atom", edge_attr="bond", iterations=3
-    )
+    bonds: dict[int, dict[int, str]] = {node: {} for node in keep}
+    for (u, v), bond in zip(graph.edge_index.T.tolist(),
+                            graph.edge_attr[:, 0].tolist()):
+        if u < v and u in keep and v in keep:
+            bonds[u][v] = bonds[v][u] = str(bond)
+    labels = {node: str(int(graph.x[node, 0])) for node in keep}
+    counts: list = []
+    for _ in range(3):
+        labels = {node: _wl_hash(labels[node] + "".join(sorted(
+                      bond + labels[nbr] for nbr, bond in nbrs.items())))
+                  for node, nbrs in bonds.items()}
+        counts.extend(sorted(Counter(labels.values()).items()))
+    return _wl_hash(str(tuple(counts)))
 
 
 def scaffold_split(

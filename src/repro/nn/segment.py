@@ -27,10 +27,12 @@ The plan's sorted-run structure (``indptr`` / ``starts``) is exactly the
 row-pointer layout of a CSR selection matrix.  The sum/mean kernels run
 the JIT-built C ``segment_sum`` loop (:mod:`repro.nn.compiled`) over the
 plan's ``order``/``indptr`` when the kernel library is loaded and the
-dtype is float32/float64, and a cached ``scipy.sparse`` CSR matvec
-otherwise.  Both add each segment's rows sequentially in appearance
-order — the stable sort preserves it — so they are bit-identical to the
-``np.add.at`` reference.  ``segment_max`` runs the C ``segment_max``
+dtype is float32/float64; otherwise (no compiler, failed build, other
+dtype) they fall back to a ``scipy.sparse`` CSR matvec, cached per plan
+and dtype.  scipy is imported on the first fallback call only, so a
+process with the kernels built never loads it.  Both add each segment's
+rows sequentially in appearance order — the stable sort preserves it —
+so they are bit-identical to the ``np.add.at`` reference.  ``segment_max`` runs the C ``segment_max``
 loop, else a rank-sliced "vertical" max across segments (one vectorized
 pass per within-segment rank, indices precomputed in the plan),
 switching to ``np.maximum.reduceat`` when segments are long and few.
@@ -63,7 +65,6 @@ the ``np.add.at`` references the tests compare them against live in
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from .compiled import kernels as _kernels
 from .tensor import Tensor, as_tensor
@@ -92,9 +93,10 @@ class SegmentPlan:
     segment_ids:
         The original ``(num_items,)`` int64 index array.
     order:
-        Stable argsort of ``segment_ids`` — rows of the same segment keep
-        their original relative order, so the sum kernels add them in the
-        same sequence ``np.add.at`` would.
+        Stable argsort of ``segment_ids`` (int64, C-contiguous, as the C
+        kernels take it) — rows of the same segment keep their original
+        relative order, so the sum kernels add them in the same sequence
+        ``np.add.at`` would.
     counts / offsets / indptr:
         Per-segment row count, start offset in the sorted layout
         (``offsets[s] = sum(counts[:s])``, defined for empty segments too),
@@ -136,12 +138,15 @@ class SegmentPlan:
         self.segment_ids = ids
         self.num_segments = num_segments
         self.num_items = int(ids.size)
-        self.order = np.argsort(ids, kind="stable")
+        # order / indptr are int64 and C-contiguous from here on: the C
+        # kernels take them as they are, with no per-call check or copy.
+        self.order = np.argsort(ids, kind="stable").astype(np.int64,
+                                                          copy=False)
         counts = np.bincount(ids, minlength=num_segments)
         self.counts = counts
-        cumulative = np.cumsum(counts)
+        cumulative = np.cumsum(counts, dtype=np.int64)
         self.offsets = cumulative - counts
-        self.indptr = np.concatenate([[0], cumulative])
+        self.indptr = np.concatenate([np.zeros(1, np.int64), cumulative])
         self.segments = np.flatnonzero(counts)
         self.starts = self.offsets[self.segments]
         self.inv_counts = 1.0 / np.maximum(counts, 1.0)
@@ -162,9 +167,13 @@ class SegmentPlan:
         key = np.dtype(dtype).str
         csr = self._csr_by_dtype.get(key)
         if csr is None:
+            # Imported here, its only use: with the C kernels built, a
+            # process never loads scipy.sparse (~20 MB resident).
+            from scipy import sparse
+
             # Benign race under concurrent first use: both threads build
             # the same matrix; last write wins, both results are valid.
-            csr = _sparse.csr_matrix(
+            csr = sparse.csr_matrix(
                 (np.ones(self.num_items, dtype=dtype), self.order,
                  self.indptr),
                 shape=(self.num_segments, self.num_items),

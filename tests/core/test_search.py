@@ -215,3 +215,54 @@ class TestRandomSearch:
         b = random_search(make_encoder, tiny_dataset, num_candidates=2,
                           finetune_epochs=1, seed=3)[0]
         assert a == b
+
+
+class TestStepTapes:
+    """Each search step differentiates only what its optimizer updates:
+    the theta step samples alpha off the tape, and the alpha step takes
+    exactly the supernet's trainable parameters off it."""
+
+    def test_each_step_grads_only_its_own_parameters(self, tiny_dataset,
+                                                     monkeypatch):
+        from repro.nn import Tensor
+        from repro.nn.optim import Adam
+
+        searcher = S2PGNNSearcher(
+            make_encoder(), tiny_dataset,
+            config=SearchConfig(epochs=2, batch_size=16, seed=0))
+        theta = {id(p) for p in searcher.supernet.theta_parameters()}
+        alpha = {id(p) for p in searcher.controller.parameters()}
+        received: set = set()
+        steps = []
+        accumulate, adam_step = Tensor._accumulate, Adam.step
+
+        def spy_accumulate(self, grad):
+            received.add(id(self))
+            return accumulate(self, grad)
+
+        def spy_step(self):
+            steps.append((id(self.params[0]) in alpha, set(received)))
+            received.clear()
+            return adam_step(self)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
+        monkeypatch.setattr(Adam, "step", spy_step)
+        searcher.search()
+        assert {is_alpha for is_alpha, _ in steps} == {True, False}
+        for is_alpha, grads in steps:
+            assert grads & (alpha if is_alpha else theta)
+            assert not grads & (theta if is_alpha else alpha)
+
+    def test_frozen_parameters_stay_frozen(self, tiny_dataset):
+        searcher = S2PGNNSearcher(
+            make_encoder(), tiny_dataset,
+            config=SearchConfig(epochs=1, batch_size=16, seed=0))
+        frozen = searcher.supernet.encoder.parameters()[0]
+        frozen.requires_grad = False
+        before = frozen.data.copy()
+        trainable = searcher.supernet.theta_parameters()
+        searcher.search()
+        assert frozen.requires_grad is False
+        np.testing.assert_array_equal(frozen.data, before)
+        assert all(p.requires_grad for p in trainable)
+        assert searcher.supernet.theta_parameters() == trainable

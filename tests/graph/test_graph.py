@@ -56,6 +56,7 @@ class TestGraph:
         assert not directed.is_undirected()
 
     def test_to_networkx_counts(self):
+        pytest.importorskip("networkx")
         g = simple_graph().to_networkx()
         assert g.number_of_nodes() == 3 and g.number_of_edges() == 2
 
@@ -96,6 +97,14 @@ class TestBatch:
         batch = Batch(graphs)
         assert batch.y.shape == (3, 1)
         assert np.allclose(batch.y.ravel(), [0, 1, 2])
+
+    def test_label_widths_that_differ_give_no_label_matrix(self):
+        # Collation must not raise: serving batches never read labels.
+        graphs = [simple_graph(y=np.zeros(1)), simple_graph(y=np.zeros(3))]
+        batch = Batch(graphs)
+        assert batch.y is None and batch.num_graphs == 2
+        with pytest.raises(ValueError, match="label widths differ"):
+            batch.label_mask()
 
     def test_unlabeled_batch_has_no_y(self, molecules):
         assert Batch(molecules[:2]).y is None

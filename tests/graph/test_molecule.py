@@ -64,7 +64,7 @@ class TestGeneration:
     @given(index=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_connected(self, index):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         g = MoleculeGenerator(num_scaffolds=10, seed=4).generate(index)
         assert nx.is_connected(g.to_networkx())
@@ -83,7 +83,7 @@ class TestGeneration:
         assert counts[0] > counts[-1]  # Zipf skew: rank-0 scaffold dominates
 
     def test_contains_rings(self, generator):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         mols = generator.generate_many(20)
         assert all(len(nx.cycle_basis(m.to_networkx())) >= 1 for m in mols)

@@ -1,5 +1,8 @@
 """Tests for Murcko-like scaffolds and the scaffold split."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from repro.graph import (
     scaffold_key,
     scaffold_split,
 )
+from repro.graph import datasets
+from repro.graph.datasets import DOWNSTREAM_DATASETS, load_dataset
 
 
 def ring_with_tail():
@@ -130,3 +135,63 @@ class TestScaffoldSplit:
             graphs[i].meta["scaffold_key"] != most_common_key for i in te
         )
         assert any(graphs[i].meta["scaffold_key"] == most_common_key for i in tr)
+
+
+#: ``load_dataset(name, size).split()`` as computed when scaffold keys
+#: came from networkx 3.6.1's ``weisfeiler_lehman_graph_hash``: the
+#: (train, valid, test) sizes, then sha256 prefixes (16 hex digits) of
+#: ``json.dumps([train, valid, test])`` and of
+#: ``json.dumps([scaffold_key(g) for g in dataset.graphs])``.  The
+#: paper-size cases are tier-2 (``slow``): ~36k graphs in all.
+GOLDEN_SPLITS = {
+    ("bbbp", None): (1631, 205, 203, "b6926ac1213218d6", "c1ca19557cc7854d"),
+    ("tox21", None): (6264, 783, 784, "a02a678b433594b0", "f7fe2c4942d4efd9"),
+    ("toxcast", None): (6860, 857, 858, "d8de133d0241db0e",
+                        "5ab7498631efb473"),
+    ("sider", None): (1141, 148, 138, "330c48ceaa46aacb", "aeeef49ac24f782e"),
+    ("clintox", None): (1182, 150, 146, "f2d6adfa873d8205",
+                        "181506c5710b26ed"),
+    ("bace", None): (1210, 159, 144, "bc3e549ad06d3f66", "bdc2f21a7db8e55c"),
+    ("esol", None): (902, 113, 113, "4ffd7ed288363cac", "deef797e1c622225"),
+    ("lipo", None): (3360, 421, 419, "f211a328586580c4", "c00af27985648b79"),
+    ("bbbp", 200): (160, 20, 20, "d238ed9fb5eeba6c", "768d9ffe7552a0ed"),
+    ("tox21", 200): (159, 17, 24, "d7e738b8e92abef6", "8cd35945cc29b576"),
+    ("toxcast", 200): (159, 23, 18, "06b3ba818d8a522f", "b04a27d3dc641c9f"),
+    ("sider", 200): (159, 21, 20, "c40b4341e60eafd7", "53c1382c746fabd5"),
+    ("clintox", 200): (160, 23, 17, "9c6e3b3f288a3a23", "8774603dd4c436e7"),
+    ("bace", 200): (160, 21, 19, "8d0776bda36e3e92", "311f15a071e5747f"),
+    ("esol", 200): (158, 25, 17, "1256b5b435da951e", "ad6c051a5050ceac"),
+    ("lipo", 200): (160, 19, 21, "5a600698250bc75e", "56d81b5a782e8671"),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def _golden_cases(size, marks=()):
+    return [pytest.param(name, size, id=f"{name}-{size or 'paper'}",
+                         marks=marks) for name in DOWNSTREAM_DATASETS]
+
+
+class TestGoldenSplits:
+    """Every built-in split and scaffold key is pinned: a change to the
+    scaffold hash or the Murcko peel that moves one index fails here."""
+
+    @pytest.mark.parametrize(
+        "name,size", _golden_cases(200)
+        + _golden_cases(None, marks=pytest.mark.slow))
+    def test_split_matches_golden(self, name, size):
+        dataset = load_dataset(name, size=size)
+        try:
+            dataset.split()
+            train, valid, test = dataset.splits[(0.8, 0.1, 0.1)]
+            keys = [g.meta["scaffold_key"] for g in dataset.graphs]
+        finally:
+            if size is None:  # paper-size datasets are large: do not cache
+                with datasets._dataset_cache_lock:
+                    datasets._DATASET_CACHE.pop(
+                        (name, len(dataset), dataset.num_tasks,
+                         dataset.info.seed), None)
+        assert (len(train), len(valid), len(test), _digest([train, valid, test]),
+                _digest(keys)) == GOLDEN_SPLITS[(name, size)]

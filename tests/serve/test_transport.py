@@ -180,6 +180,41 @@ class TestInProcessProtocol:
             assert "error" not in reply
             assert len(reply["logits"]) == tiny_dataset.num_tasks
 
+    def test_odd_label_width_does_not_fail_its_neighbour(self, tiny_dataset,
+                                                         gate):
+        # Regression: collation stacked every member's labels, so one
+        # request whose ``y`` had another width raised in np.stack and
+        # failed every ticket of the micro-batch it joined.
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   batch_size=8, seed=0)
+        sizes = []
+        predict = service.predict
+
+        def recording_predict(graphs, spec, batch_size=None):
+            sizes.append(len(graphs))
+            return predict(graphs, spec, batch_size)
+
+        service.predict = recording_predict
+        neighbour = tiny_dataset.graphs[0]
+        odd = tiny_dataset.graphs[2].copy()
+        odd.y = np.zeros(3)
+        with InferenceServer(service, num_workers=1, max_batch_size=100,
+                             max_delay=10_000, tick_interval_s=None,
+                             pre_execute=gate) as srv:
+            held = gate.hold(srv, tiny_dataset.graphs[1], SPEC_A)
+            transport = InProcessTransport(srv)
+            seqs = [transport.submit(g, SPEC_A) for g in (neighbour, odd)]
+            gate.open()
+            srv.flush()
+            held[0].wait(30)
+            replies = [transport.result(seq, timeout_s=30) for seq in seqs]
+        assert sizes == [1, 2]  # the held request, then one shared bucket
+        assert all("error" not in reply for reply in replies)
+        # Each row is bit-identical to a serial replay of the micro-batch.
+        replay = predict([neighbour, odd], SPEC_A)
+        for reply, row in zip(replies, replay):
+            np.testing.assert_array_equal(reply["logits"], row)
+
     def test_stats_are_json_safe(self, server):
         stats = InProcessTransport(server).stats()
         json.dumps(stats)  # numpy scalars would raise
