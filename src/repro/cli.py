@@ -199,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules", nargs="*", default=None, metavar="REPxxx",
         help="run only these rule ids (default: all registered rules)")
     lint.add_argument(
-        "--baseline", default=None,
-        help="JSON baseline of accepted findings (default: none — the "
-             "shipped gate requires zero findings)")
-    lint.add_argument(
         "--locks", action="store_true",
         help="print the machine-readable lock-hierarchy table and exit")
     return parser
@@ -218,7 +214,7 @@ def _run_lint(args) -> int:
         print(render_lock_table())
         return 0
     root = args.path or os.path.dirname(os.path.abspath(__file__))
-    return run_lint(root, rule_ids=args.rules, baseline_path=args.baseline)
+    return run_lint(root, rule_ids=args.rules)
 
 
 def _run_backend_info(args) -> int:

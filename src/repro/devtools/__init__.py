@@ -1,12 +1,10 @@
 """Static-analysis devtools for the repro codebase.
 
-The concurrent serving stack (PR 5) made the repo's safety rest on
-hand-documented invariants: a ranked lock hierarchy, a simulated-clock
-rule for router logic, context-local grad state, and keeping the slow
-``ufunc.at`` scatters out of the kernel hot paths.  This package
-machine-checks those invariants over ``src/repro`` using only the stdlib
-``ast`` module — the static counterpart of the tier-2 differential
-suite's numeric checks.
+The concurrent serving stack rests on hand-documented invariants: a
+ranked lock hierarchy, a simulated-clock rule for router logic,
+lock-guarded module globals, and keeping the slow ``ufunc.at`` scatters
+out of the kernel hot paths.  This package machine-checks those
+invariants over ``src/repro`` using only the stdlib ``ast`` module.
 
 Entry points
 ------------
@@ -20,23 +18,25 @@ Entry points
   suite.
 
 Suppression: a line ending in ``# repro: disable=REP001`` (or a
-comma-separated list, or ``all``) suppresses findings on that line.
-Pre-existing findings can also be carried in a JSON baseline file; the
-shipped baseline is empty and must stay empty.
+comma-separated list, or ``all``) suppresses findings on that line;
+the gate requires zero findings.
+
+Each rule stays only while it catches a bug class that the runtime
+tests miss; its module docstring names that class and a planted
+mutation which tier-1 (without ``tests/devtools``) leaves green.
 """
 
-from .findings import Finding, load_baseline
+from .findings import Finding
 from .locks import LOCK_HIERARCHY, LockSpec, render_lock_table
 from .registry import RULES, run_lint, run_rules
 from .runtime import LockOrderGuard
 
 # Import for the registration side effect: each module adds its rules to
 # RULES at import time.
-from . import rules  # noqa: F401  (registers REP001..REP007)
+from . import rules  # noqa: F401  (registers REP001, REP002, REP003, REP005, REP006)
 
 __all__ = [
     "Finding",
-    "load_baseline",
     "LOCK_HIERARCHY",
     "LockSpec",
     "render_lock_table",

@@ -42,32 +42,6 @@ class LintConfig:
         ("devtools/registry.py", "RULES"),
     })
 
-    #: files whose ops must satisfy the autograd contract (REP004); every
-    #: differentiable registered op must be defined in one of them
-    #: (``tests/nn/test_ops_registry.py`` imports the registry to check).
-    autograd_modules: tuple = ("nn/tensor.py", "nn/segment.py", "nn/ops.py",
-                               "nn/rnn.py", "nn/compiled/kernels.py")
-
-    #: hot-path files where hard-coded float64 (or dtype-less) allocations
-    #: are banned (REP007): everything here must allocate in the active
-    #: ExecutionPolicy dtype via repro.nn.policy.  The policy module
-    #: itself and nn/tensor.py are exempt by omission.
-    dtype_hot_modules: tuple = (
-        "nn/segment.py",
-        "nn/ops.py",
-        "nn/compiled/kernels.py",
-        "nn/compiled/build.py",
-        "graph/graph.py",
-        "graph/loader.py",
-        "serve/cache.py",
-        "serve/registry.py",
-        "serve/service.py",
-        "serve/router.py",
-        "serve/server.py",
-        "serve/transport.py",
-        "serve/cluster.py",
-    )
-
     #: the one file allowed np.add.at / np.maximum.at (REP005): the
     #: runtime fallback scatters of nn/tensor.py.
     parity_reference_module: str = "nn/tensor.py"

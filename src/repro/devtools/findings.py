@@ -1,25 +1,19 @@
-"""Finding records, pragma suppression, and baseline handling.
+"""Finding records and pragma suppression.
 
 A :class:`Finding` is one rule violation at one source line.  Findings
-are suppressed either by an inline pragma on the offending line::
+are suppressed only by an inline pragma on the offending line::
 
     something_suspicious()  # repro: disable=REP002
     another_thing()         # repro: disable=REP001, REP003
     escape_hatch()          # repro: disable=all
-
-or by a JSON baseline file listing known pre-existing findings (a list
-of ``{"file": ..., "line": ..., "rule_id": ...}`` objects).  The repo
-ships an *empty* baseline — the lint gate requires zero findings — but
-the mechanism exists so a future rule can land before its last fixes do.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
-__all__ = ["Finding", "parse_pragmas", "filter_findings", "load_baseline"]
+__all__ = ["Finding", "parse_pragmas", "filter_findings"]
 
 
 #: ``# repro: disable=REP001`` / ``disable=REP001, REP002`` / ``disable=all``
@@ -39,11 +33,6 @@ class Finding:
     def render(self) -> str:
         return f"{self.file}:{self.line}: {self.rule_id}: {self.message}"
 
-    def baseline_key(self) -> tuple:
-        # Messages may carry volatile detail (ranks, names); the baseline
-        # matches on location + rule only.
-        return (self.file, self.line, self.rule_id)
-
 
 def parse_pragmas(source: str) -> dict[int, frozenset[str]]:
     """Map line number (1-based) -> rule ids disabled on that line.
@@ -59,43 +48,12 @@ def parse_pragmas(source: str) -> dict[int, frozenset[str]]:
     return disabled
 
 
-def is_disabled(disabled: dict[int, frozenset[str]], line: int,
-                rule_id: str) -> bool:
-    ids = disabled.get(line)
-    return ids is not None and (rule_id in ids or "all" in ids)
-
-
-def filter_findings(findings, disabled_by_file: dict[str, dict[int, frozenset[str]]],
-                    baseline: set[tuple] | None = None) -> list[Finding]:
-    """Drop pragma-suppressed and baselined findings; sort the rest."""
-    baseline = baseline or set()
+def filter_findings(findings, disabled_by_file: dict[str, dict[int, frozenset[str]]]
+                    ) -> list[Finding]:
+    """Drop pragma-suppressed findings; sort the rest."""
     kept = []
     for finding in findings:
-        disabled = disabled_by_file.get(finding.file, {})
-        if is_disabled(disabled, finding.line, finding.rule_id):
-            continue
-        if finding.baseline_key() in baseline:
-            continue
-        kept.append(finding)
+        ids = disabled_by_file.get(finding.file, {}).get(finding.line, ())
+        if finding.rule_id not in ids and "all" not in ids:
+            kept.append(finding)
     return sorted(kept)
-
-
-def load_baseline(path) -> set[tuple]:
-    """Load a JSON baseline file into a set of baseline keys.
-
-    Returns the empty set for a missing path, so "no baseline" and
-    "empty baseline" are the same strictest configuration.
-    """
-    if path is None:
-        return set()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            entries = json.load(handle)
-    except FileNotFoundError:
-        return set()
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path} must be a JSON list")
-    keys = set()
-    for entry in entries:
-        keys.add((entry["file"], int(entry["line"]), entry["rule_id"]))
-    return keys

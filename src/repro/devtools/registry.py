@@ -3,14 +3,14 @@
 A rule is a callable ``rule(project, config) -> iterable[Finding]``
 registered under its ``REPxxx`` id via the :func:`rule` decorator.
 :func:`run_rules` runs a selection over a parsed project and applies
-pragma + baseline suppression; :func:`run_lint` is the CLI entry point
+pragma suppression; :func:`run_lint` is the CLI entry point
 (load, run, print, exit code).
 """
 
 from __future__ import annotations
 
 from .config import LintConfig, default_config
-from .findings import filter_findings, load_baseline
+from .findings import filter_findings
 from .project import Project
 
 __all__ = ["Rule", "RULES", "rule", "run_rules", "run_lint"]
@@ -47,7 +47,7 @@ def rule(rule_id: str, summary: str):
 
 
 def run_rules(project: Project, config: LintConfig | None = None,
-              rule_ids=None, baseline: set | None = None):
+              rule_ids=None):
     """Run selected rules over ``project``; returns suppressed-filtered,
     sorted findings."""
     from . import rules as _rules  # noqa: F401  (ensure registration)
@@ -61,20 +61,18 @@ def run_rules(project: Project, config: LintConfig | None = None,
     for rule_id in selected:
         findings.extend(RULES[rule_id](project, config))
     disabled_by_file = {info.rel: info.disabled for info in project.modules}
-    return filter_findings(findings, disabled_by_file, baseline=baseline)
+    return filter_findings(findings, disabled_by_file)
 
 
-def run_lint(root: str, rule_ids=None, baseline_path=None,
-             config: LintConfig | None = None, out=None) -> int:
+def run_lint(root: str, rule_ids=None, config: LintConfig | None = None,
+             out=None) -> int:
     """Lint ``root``; print findings to ``out``; return the exit code
     (0 clean, 1 findings)."""
     import sys
 
     out = out or sys.stdout
     project = Project.load(root)
-    baseline = load_baseline(baseline_path)
-    findings = run_rules(project, config=config, rule_ids=rule_ids,
-                         baseline=baseline)
+    findings = run_rules(project, config=config, rule_ids=rule_ids)
     for finding in findings:
         print(finding.render(), file=out)
     checked = len(project.modules)

@@ -23,6 +23,20 @@ REP006 cross-checks creation sites against the hierarchy table in both
 directions: every ``threading.Lock/RLock()`` constructed in the tree
 must be a registered spec of the right kind, and every registered spec
 whose module is in the tree must still have a creation site.
+
+Why they stay (each planted in ``src/repro``, then tier-1 run without
+``tests/devtools``):
+
+* REP001 — a blocking call under a lock, which the runtime
+  :class:`~repro.devtools.runtime.LockOrderGuard` does not check:
+  ``self._ticker.join()`` moved under ``InferenceServer._lock`` in
+  ``InferenceServer.stop`` left tier-1 green; only REP001 fired.  Plain
+  inversions on paths the stress suite runs are caught by the guard
+  too, and an inversion through a local alias (``held =
+  self.router._lock``) or a ``threading.Condition`` escapes REP001.
+* REP006 — a lock outside the ranked table, which neither REP001 nor
+  the guard can rank: an unregistered ``threading.Lock()`` taken around
+  ``ModelRegistry._build`` left tier-1 green; only REP006 fired.
 """
 
 from __future__ import annotations

@@ -1,12 +1,18 @@
 """REP003: mutable module globals must be ContextVar, lock-guarded, or
 allowlisted.
 
-Regression guard for the PR-5 contextvars conversion: shared mutable
-state at module scope either has to be context-local (``ContextVar``),
-or every mutation inside a function body must happen under a registered
-lock whose :attr:`~repro.devtools.locks.LockSpec.guards` names the
-global.  Module-scope statements (building ``__all__``, export tables,
-registries at import time) run under the import lock and are exempt.
+Shared mutable state at module scope either has to be context-local
+(``ContextVar``), or every mutation inside a function body must happen
+under a registered lock whose
+:attr:`~repro.devtools.locks.LockSpec.guards` names the global.
+Module-scope statements (building ``__all__``, export tables, registries
+at import time) run under the import lock and are exempt.
+
+Why it stays: an unguarded check-then-act on a process-wide cache loses
+only under a thread race, which no deterministic test provokes.
+Planted by removing the ``_dataset_cache_lock`` around
+``_DATASET_CACHE.setdefault`` in ``graph/datasets.py``, it left tier-1
+(run without ``tests/devtools``) green; only REP003 fired.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ They stay banned everywhere but ``config.parity_reference_module``
 need one: the scatter for layouts the fast kernels reject and the
 fancy-index ``__getitem__`` adjoint.  The ``np.add.at`` references the
 tests compare the fast ops against live in ``tests/oracles.py``.
+
+Why it stays: a ``ufunc.at`` scatter computes the same sums as the fast
+kernels, so no parity test can tell them apart.  Planted as
+``np.add.at(gh, src, g[dst])`` in place of the ``scatter`` call in the
+``h`` adjoint of ``nn/segment.py::_gin_node``, it left tier-1 (run
+without ``tests/devtools``) green; only REP005 fired.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ ticks to real time.  Any other ``time.time()``/``monotonic()``/
 and untestable, so it is a finding unless the file is allowlisted
 (tickers, CLI benchmarks, epoch-timing telemetry) or the line carries a
 ``# repro: disable=REP002`` pragma.
+
+Why it stays: no runtime test notices a wall-clock read that does not
+change a result yet.  Planted as ``self.last_submit_s =
+time.monotonic()`` in ``BatchingRouter.submit``, it left tier-1 (run
+without ``tests/devtools``) green; only REP002 fired.
 """
 
 from __future__ import annotations

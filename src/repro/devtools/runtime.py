@@ -94,6 +94,23 @@ class _GuardedLock:
         self.release()
         return False
 
+    # -- threading.Condition protocol ---------------------------------
+    # A Condition built over this proxy calls these around wait(): the
+    # waiter drops every hold of the lock from its stack and re-acquires
+    # them, rank-checked, when it wakes.
+    def _is_owned(self) -> bool:
+        return any(entry[2] is self for entry in self._stack())
+
+    def _release_save(self) -> int:
+        holds = sum(entry[2] is self for entry in self._stack())
+        for _ in range(holds):
+            self.release()
+        return holds
+
+    def _acquire_restore(self, holds: int) -> None:
+        for _ in range(holds):
+            self.acquire()
+
     def __repr__(self) -> str:
         return f"_GuardedLock({self.name}, rank={self.rank})"
 
@@ -107,9 +124,14 @@ class LockOrderGuard:
 
     def __init__(self):
         self._state = threading.local()
-        self._wrapped: list = []  # (holder, attr, raw, is_module)
+        self._wrapped: list = []  # (holder, attr, original value)
 
     # -- wrapping primitives -------------------------------------------
+    def _swap(self, holder, attr: str, new) -> None:
+        """Set ``holder.<attr>`` to ``new``; :meth:`unwrap` restores it."""
+        self._wrapped.append((holder, attr, getattr(holder, attr)))
+        setattr(holder, attr, new)
+
     def wrap_instance(self, obj, rank: int, attr: str = "_lock",
                       name: str | None = None) -> "_GuardedLock":
         """Replace ``obj.<attr>`` with a guarded proxy of itself."""
@@ -119,8 +141,7 @@ class LockOrderGuard:
         guarded = _GuardedLock(raw, rank,
                                name or f"{type(obj).__name__}.{attr}",
                                self._state)
-        setattr(obj, attr, guarded)
-        self._wrapped.append((obj, attr, raw))
+        self._swap(obj, attr, guarded)
         return guarded
 
     def wrap_module_global(self, module, name: str, rank: int) -> "_GuardedLock":
@@ -130,8 +151,7 @@ class LockOrderGuard:
             return raw
         guarded = _GuardedLock(raw, rank, f"{module.__name__}.{name}",
                                self._state)
-        setattr(module, name, guarded)
-        self._wrapped.append((module, name, raw))
+        self._swap(module, name, guarded)
         return guarded
 
     def unwrap(self) -> None:
@@ -168,17 +188,25 @@ def guard_serving_stack(server=None, service=None,
     batch-cache registries, and the module-global kernel-build lock —
     every table entry reachable from live objects without intercepting
     per-instance lazy locks (per-batch, per-loader), which are created
-    after wrapping time.  Call before starting worker
-    threads; ``unwrap`` (or the context manager) restores everything.
+    after wrapping time.  The server's two job-queue conditions captured
+    the raw router lock when they were built, so they are rebuilt over
+    its proxy; that is why a server must be guarded before ``start()``
+    (its workers would otherwise wait on the old conditions).  ``unwrap``
+    (or the context manager) restores everything.
     """
     from ..nn.compiled import build as _build
 
     guard = guard or LockOrderGuard()
     if server is not None:
+        if server._started:
+            raise RuntimeError("guard the serving stack before server.start()")
         guard.wrap_instance(server, _rank_of("InferenceServer", "_lock"),
                             name="InferenceServer._lock")
-        guard.wrap_instance(server.router, _rank_of("BatchingRouter", "_lock"),
-                            name="BatchingRouter._lock")
+        router_lock = guard.wrap_instance(
+            server.router, _rank_of("BatchingRouter", "_lock"),
+            name="BatchingRouter._lock")
+        for attr in ("_work", "_room"):
+            guard._swap(server, attr, threading.Condition(router_lock))
         if service is None:
             service = server.service
     if service is not None:

@@ -59,7 +59,7 @@ class Graph:
             # Dataset-level labels stay float64 regardless of policy: one
             # Graph may feed both training and serving collations, and the
             # Batch casts at collation time.
-            self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)  # repro: disable=REP007
+            self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -243,16 +243,18 @@ class Batch:
                                                             copy=False)
         return self._gcn_inv_sqrt_deg
 
-    def label_mask(self) -> np.ndarray:
-        """Boolean mask of present (non-nan) labels, shape (num_graphs, tasks)."""
+    def require_y(self) -> np.ndarray:
+        """``y``, shape (num_graphs, tasks); ``ValueError`` if absent."""
         if self.y is None:
             raise ValueError("batch has no labels (a graph is unlabeled or "
                              "label widths differ)")
-        return ~np.isnan(self.y)
+        return self.y
+
+    def label_mask(self) -> np.ndarray:
+        """Boolean mask of present (non-nan) labels, shape (num_graphs, tasks)."""
+        return ~np.isnan(self.require_y())
 
     def labels_filled(self, fill: float = 0.0) -> np.ndarray:
         """Labels with nans replaced by ``fill`` (pairs with :meth:`label_mask`)."""
-        if self.y is None:
-            raise ValueError("batch has no labels (a graph is unlabeled or "
-                             "label widths differ)")
-        return np.where(np.isnan(self.y), fill, self.y)
+        y = self.require_y()
+        return np.where(np.isnan(y), fill, y)

@@ -141,8 +141,9 @@ class DataLoader:
 
     def labels(self) -> np.ndarray:
         """Every batch's ``y`` concatenated in iteration order (dataset
-        order for an unshuffled loader)."""
-        return np.concatenate([batch.y for batch in self], axis=0)
+        order for an unshuffled loader).  ``ValueError`` if a batch has
+        none (see :meth:`Batch.require_y`)."""
+        return np.concatenate([batch.require_y() for batch in self], axis=0)
 
     def __iter__(self):
         if self.cache:

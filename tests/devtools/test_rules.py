@@ -6,12 +6,11 @@ hierarchy registers the fixture locks.  A rule that stops firing on its
 fixture is broken, however clean ``src/repro`` looks.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.devtools import LockSpec, load_baseline, run_rules
+from repro.devtools import LockSpec, run_rules
 from repro.devtools.config import LintConfig
 from repro.devtools.findings import Finding, parse_pragmas
 from repro.devtools.project import Project
@@ -40,18 +39,16 @@ def fixture_config(**overrides) -> LintConfig:
         lock_hierarchy=FIXTURE_HIERARCHY,
         wallclock_allowlist=frozenset(),
         globals_allowlist=frozenset(),
-        autograd_modules=("bad_autograd.py",),
         parity_reference_module="parity_reference.py",  # absent on purpose
         attr_bindings={"inner": "Inner"},
-        dtype_hot_modules=("bad_dtype.py",),
     )
     defaults.update(overrides)
     return LintConfig(**defaults)
 
 
-def run(rule_id, config=None, baseline=None):
+def run(rule_id, config=None):
     return run_rules(fixture_project(), config or fixture_config(),
-                     rule_ids=[rule_id], baseline=baseline)
+                     rule_ids=[rule_id])
 
 
 def messages(findings, filename):
@@ -121,18 +118,6 @@ class TestREP003MutableGlobals:
         assert run("REP003", config=config) == []
 
 
-class TestREP004Autograd:
-    def test_fixture_violations_caught(self):
-        found = messages(run("REP004"), "bad_autograd.py")
-        assert len(found) == 3
-        assert any("accumulates into 'y'" in m for m in found)
-        assert sum("no _backward" in m for m in found) == 2
-
-    def test_complete_op_is_clean(self):
-        found = run("REP004")
-        assert not any("good_add" in f.message for f in found)
-
-
 class TestREP005UfuncAt:
     def test_fixture_violations_caught(self):
         found = messages(run("REP005"), "bad_ufunc_at.py")
@@ -172,58 +157,7 @@ class TestREP006LockCensus:
                    for m in found)
 
 
-class TestREP007Dtype:
-    def test_fixture_violations_caught(self):
-        found = messages(run("REP007"), "bad_dtype.py")
-        assert len(found) == 6
-        assert sum("hard-coded float64" in m for m in found) == 5
-        assert any("np.zeros" in m and "hard-coded" in m for m in found)
-        assert any(".astype" in m for m in found)
-        assert any("np.empty" in m for m in found)  # aliased from-import
-        assert any("np.ones" in m for m in found)   # "float64" string
-        assert sum("dtype-less" in m for m in found) == 1
-
-    def test_explicit_dtypes_are_clean(self):
-        source = fixture_project().get("bad_dtype.py").source
-        bad_lines = {f.line for f in run("REP007")}
-        for needle in ("caller-provided dtype", "non-float payload",
-                       "explicit integer dtype"):
-            line = next(i for i, text in enumerate(source.splitlines(),
-                                                   start=1) if needle in text)
-            assert line not in bad_lines
-
-    def test_pragma_suppresses_the_sanctioned_line(self):
-        source = fixture_project().get("bad_dtype.py").source
-        pragma_line = next(i for i, line in enumerate(
-            source.splitlines(), start=1) if "disable=REP007" in line)
-        assert pragma_line not in {f.line for f in run("REP007")}
-
-    def test_only_hot_modules_are_checked(self):
-        config = fixture_config(dtype_hot_modules=())
-        assert run("REP007", config=config) == []
-
-
 class TestSuppressionMachinery:
-    def test_baseline_suppresses_by_location(self, tmp_path):
-        findings = run("REP002")
-        first = findings[0]
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(json.dumps([
-            {"file": first.file, "line": first.line, "rule_id": "REP002"}]))
-        remaining = run("REP002", baseline=load_baseline(str(baseline_file)))
-        assert first not in remaining
-        assert len(remaining) == len(findings) - 1
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "nope.json")) == set()
-        assert load_baseline(None) == set()
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"not": "a list"}')
-        with pytest.raises(ValueError, match="JSON list"):
-            load_baseline(str(bad))
-
     def test_pragma_parsing(self):
         disabled = parse_pragmas(
             "a()  # repro: disable=REP001\n"
@@ -237,13 +171,12 @@ class TestSuppressionMachinery:
     def test_findings_sort_and_render(self):
         finding = Finding("a.py", 3, "REP001", "msg")
         assert finding.render() == "a.py:3: REP001: msg"
-        assert finding.baseline_key() == ("a.py", 3, "REP001")
 
 
 class TestRegistry:
     def test_all_seven_rules_registered(self):
-        assert sorted(RULES) == ["REP001", "REP002", "REP003", "REP004",
-                                 "REP005", "REP006", "REP007"]
+        assert sorted(RULES) == ["REP001", "REP002", "REP003", "REP005",
+                                 "REP006"]
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(ValueError, match="unknown rule ids: REP999"):

@@ -13,6 +13,10 @@ class Holder:
         self._lock = threading.RLock() if reentrant else threading.Lock()
 
 
+def no_model():  # never called: these tests send no requests
+    raise AssertionError
+
+
 def guarded_pair(low_rank=10, high_rank=50, reentrant=False):
     guard = LockOrderGuard()
     low, high = Holder(reentrant), Holder(reentrant)
@@ -116,10 +120,7 @@ class TestGuardServingStack:
         from repro.nn.compiled import build
         from repro.serve import InferenceService
 
-        def factory():  # never called: no requests issued
-            raise AssertionError
-
-        service = InferenceService(factory, num_tasks=1)
+        service = InferenceService(no_model, num_tasks=1)
         with guard_serving_stack(service=service):
             assert service._lock.rank == 30
             assert service.models._lock.rank == 50
@@ -134,3 +135,35 @@ class TestGuardServingStack:
                 with pytest.raises(LockOrderViolation):
                     service._lock.acquire()
         assert not hasattr(service._lock, "rank")  # restored
+
+    def test_job_queue_conditions_are_rank_checked(self):
+        # Regression: the server's _work/_room conditions captured the raw
+        # router lock before the guard wrapped it, so acquisitions through
+        # them were invisible and an inversion under them went unflagged.
+        from repro.serve import InferenceServer, InferenceService
+
+        server = InferenceServer(InferenceService(no_model, num_tasks=1),
+                                 tick_interval_s=None)
+        raw_work = server._work
+        with guard_serving_stack(server) as guard:
+            with server._work:
+                assert guard.held_ranks() == [(20, "BatchingRouter._lock")]
+                with pytest.raises(LockOrderViolation, match="rank 10"):
+                    server._lock.acquire()
+                # wait() drops the hold and re-takes it on wake-up.
+                assert not server._work.wait(0.001)
+                assert guard.held_ranks() == [(20, "BatchingRouter._lock")]
+            with server._room:
+                with pytest.raises(LockOrderViolation, match="rank 10"):
+                    server._lock.acquire()
+            assert guard.held_ranks() == []
+        assert server._work is raw_work  # restored
+
+    def test_started_server_is_refused(self):
+        from repro.serve import InferenceServer, InferenceService
+
+        service = InferenceService(no_model, num_tasks=1)
+        with InferenceServer(service, num_workers=1,
+                             tick_interval_s=None) as server:
+            with pytest.raises(RuntimeError, match="before server.start"):
+                guard_serving_stack(server)

@@ -133,6 +133,19 @@ class TestServingParity:
         with pytest.raises(ValueError, match="empty graph list"):
             service.score_specs(SPECS, [])
 
+    def test_score_specs_over_unlabeled_graphs_names_the_cause(self,
+                                                               tiny_dataset):
+        # Regression: DataLoader.labels concatenated each batch's y
+        # unchecked, so unlabeled graphs surfaced as numpy's "zero-
+        # dimensional arrays cannot be concatenated".
+        graphs = [g.copy() for g in tiny_dataset.graphs[:4]]
+        for graph in graphs:
+            graph.y = None
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   batch_size=8, seed=0)
+        with pytest.raises(ValueError, match="batch has no labels"):
+            service.score_specs(SPECS[:1], graphs)
+
     def test_shared_empty_registries_are_respected(self, tiny_dataset):
         """Regression: registries define __len__, so a freshly created
         (empty, falsy) registry passed for sharing must still be used."""

@@ -93,14 +93,15 @@ def test_batch_of_one_server_is_bit_identical_to_serial_predict(tiny_dataset):
         with lock:
             results.append((graph, spec, row))
 
-    with InferenceServer(service, num_workers=4, max_batch_size=1,
-                         max_delay=2, tick_interval_s=0.001,
-                         queue_size=512) as server:
-        # Every interleaving the hammer explores also validates the
-        # documented lock hierarchy (repro.devtools.locks) at runtime.
-        with guard_serving_stack(server, service):
-            hammer(server, graphs, collect)
-            stats = server.stats()
+    server = InferenceServer(service, num_workers=4, max_batch_size=1,
+                             max_delay=2, tick_interval_s=0.001,
+                             queue_size=512)
+    # Every interleaving the hammer explores also validates the
+    # documented lock hierarchy (repro.devtools.locks) at runtime.  The
+    # guard goes on before start(): it rebuilds the job-queue conditions.
+    with guard_serving_stack(server, service), server:
+        hammer(server, graphs, collect)
+        stats = server.stats()
 
     total = NUM_THREADS * REQUESTS_PER_THREAD
     assert len(results) == total
@@ -135,12 +136,12 @@ def test_batching_server_matches_serial_replay_of_each_micro_batch(tiny_dataset)
         with lock:
             results.append((graph, spec, row, ticket))
 
-    with InferenceServer(service, num_workers=4, max_batch_size=8,
-                         max_delay=3, tick_interval_s=0.001,
-                         queue_size=512) as server:
-        with guard_serving_stack(server, service):
-            hammer(server, graphs, collect)
-            stats = server.stats()
+    server = InferenceServer(service, num_workers=4, max_batch_size=8,
+                             max_delay=3, tick_interval_s=0.001,
+                             queue_size=512)
+    with guard_serving_stack(server, service), server:
+        hammer(server, graphs, collect)
+        stats = server.stats()
 
     total = NUM_THREADS * REQUESTS_PER_THREAD
     assert len(results) == total

@@ -156,16 +156,21 @@ class TestInProcessProtocol:
         with pytest.raises(TransportError, match="integer 'seq'"):
             transport.request("result", {})
 
-    def test_bad_graph_fails_alone(self, tiny_dataset):
+    def test_bad_graph_fails_alone(self, tiny_dataset, gate):
         # Regression: a graph with an out-of-range atom id was admitted
         # and failed the whole micro-batch with the embedding's
         # IndexError, taking the valid graph batched with it down too.
+        # The gate holds the only worker, so the good request is still in
+        # its bucket while each bad payload is rejected at admission.
         service = InferenceService(factory, tiny_dataset.num_tasks,
                                    batch_size=8, seed=0)
+        good_graph = tiny_dataset.graphs[0]
         with InferenceServer(service, num_workers=1, max_batch_size=100,
-                             max_delay=10_000, tick_interval_s=None) as srv:
+                             max_delay=10_000, tick_interval_s=None,
+                             pre_execute=gate) as srv:
+            held = gate.hold(srv, tiny_dataset.graphs[2], SPEC_A)
             transport = InProcessTransport(srv)
-            good = transport.submit(tiny_dataset.graphs[0], SPEC_A)
+            good = transport.submit(good_graph, SPEC_A)
             for column, key in ((0, "x"), (1, "x"), (0, "edge_attr"),
                                 (1, "edge_attr")):
                 payload = graph_to_payload(tiny_dataset.graphs[1])
@@ -175,10 +180,14 @@ class TestInProcessProtocol:
                 with pytest.raises(TransportError, match="ids must lie"):
                     transport.request("submit", {
                         "graph": payload, "spec": spec_to_payload(SPEC_A)})
+            gate.open()
             srv.flush()
+            held[0].wait(30)
             reply = transport.result(good, timeout_s=30)
-            assert "error" not in reply
-            assert len(reply["logits"]) == tiny_dataset.num_tasks
+        assert "error" not in reply
+        assert reply["batch_size"] == 1
+        np.testing.assert_array_equal(
+            reply["logits"], service.predict([good_graph], SPEC_A)[0])
 
     def test_odd_label_width_does_not_fail_its_neighbour(self, tiny_dataset,
                                                          gate):
