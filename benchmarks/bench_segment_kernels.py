@@ -120,11 +120,11 @@ def _paired_times(fn_a, fn_b, rounds):
 @contextlib.contextmanager
 def _library_off():
     """Force the C kernel library off in-process: every kernel sees
-    ``build.load()`` return None, as on a machine without a compiler."""
+    ``build.load(dtype)`` return None, as on a machine without a compiler."""
     from repro.nn.compiled import build
 
     load = build.load
-    build.load = lambda: None
+    build.load = lambda dtype=None: None
     try:
         yield
     finally:
@@ -276,11 +276,12 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
                    seed=0, lstm_steps=16, lstm_batch=128, lstm_hidden=32):
     """Compiled C kernels vs reduceat/legacy + JIT build amortization.
 
-    The build numbers time the two one-off costs real processes pay:
-    ``first_build_s`` (cc -O3 into an empty cache — first process on a
-    machine) and ``cached_reload_s`` (dlopen of the cached object —
-    every later process).  ``scan_calls_to_amortize_build`` divides the
-    build cost by the per-call saving of the fused LSTM scan.
+    The build numbers time, per dtype library, the two one-off costs
+    real processes pay: ``first_build_s`` (cc -O3 into an empty cache —
+    the first kernel call in that dtype on a machine) and
+    ``cached_reload_s`` (dlopen of the cached object — every later
+    process).  ``scan_calls_to_amortize_build`` divides the float64
+    build cost by the per-call saving of the (float64) fused LSTM scan.
     """
     import shutil
     import tempfile
@@ -297,9 +298,11 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
     try:
         os.environ["REPRO_COMPILED_CACHE"] = tmp
         build.reset()
-        first_build_s = _time(build.load, 1)
+        first_build_s = {name: _time(lambda: build.load(name), 1)
+                         for name in ("float64", "float32")}
         build.reset()
-        cached_reload_s = _time(build.load, 1)
+        cached_reload_s = {name: _time(lambda: build.load(name), 1)
+                           for name in ("float64", "float32")}
     finally:
         if prior is None:
             os.environ.pop("REPRO_COMPILED_CACHE", None)
@@ -375,7 +378,8 @@ def bench_compiled(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5,
             np.median(reference_t / compiled_t)),
     }
     saving = lstm_row["reference_scan_s"] - lstm_row["compiled_scan_s"]
-    amortize = first_build_s / saving if saving > 0 else float("inf")
+    amortize = (first_build_s["float64"] / saving if saving > 0
+                else float("inf"))
 
     return {
         "available": True,
@@ -557,8 +561,8 @@ def test_compiled_backend_speedup_contract():
     assert results["best_segment_speedup_compiled_vs_reduceat"] >= 1.5, \
         results["ops"]
     build_info = results["build"]
-    assert build_info["cached_reload_s"] < build_info["first_build_s"], \
-        build_info
+    for name, first_build_s in build_info["first_build_s"].items():
+        assert build_info["cached_reload_s"][name] < first_build_s, build_info
 
 
 if __name__ == "__main__":

@@ -88,8 +88,8 @@ LOCK_HIERARCHY: tuple[LockSpec, ...] = (
     LockSpec(56, 5, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
              "submit/result ticket window"),
     LockSpec(58, 5, "nn/compiled/build.py", None, "_build_lock", "Lock",
-             "one-time JIT build/load of the compiled kernel library "
-             "(compiler discovery result, loaded handle, build counters)",
+             "one-time JIT build/load of each dtype's compiled kernel "
+             "library (compiler discovery result, loaded handle, outcome)",
              guards=("_STATE",)),
 )
 

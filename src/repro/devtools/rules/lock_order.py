@@ -14,7 +14,12 @@ then flags:
 
 Resolution is name-based and deliberately conservative: ``self._lock``
 resolves through the enclosing class, ``self.service._lock`` through the
-config's attribute bindings, and module globals by name.  Nested
+config's attribute bindings, and module globals by name.  An attribute
+assigned ``threading.Condition(<expr>)`` (``self._work =
+threading.Condition(self.router._lock)``) resolves to the lock ``<expr>``
+resolves to, and its ``.wait()`` releases that lock rather than blocking
+under it.  A lock reached through a local alias (``held =
+self.router._lock``) is not resolved.  Nested
 functions and lambdas execute later, so their bodies are analyzed
 separately with an empty held set and their acquisitions do not count at
 the definition site.
@@ -32,8 +37,7 @@ Why they stay (each planted in ``src/repro``, then tier-1 run without
   ``self._ticker.join()`` moved under ``InferenceServer._lock`` in
   ``InferenceServer.stop`` left tier-1 green; only REP001 fired.  Plain
   inversions on paths the stress suite runs are caught by the guard
-  too, and an inversion through a local alias (``held =
-  self.router._lock``) or a ``threading.Condition`` escapes REP001.
+  too; an inversion through a local alias escapes REP001.
 * REP006 — a lock outside the ranked table, which neither REP001 nor
   the guard can rank: an unregistered ``threading.Lock()`` taken around
   ``ModelRegistry._build`` left tier-1 green; only REP006 fired.
@@ -42,12 +46,13 @@ Why they stay (each planted in ``src/repro``, then tier-1 run without
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..findings import Finding
 from ..registry import rule
 
 _LOCK_FACTORIES = frozenset({"Lock", "RLock"})
+_THREADING_FACTORIES = _LOCK_FACTORIES | {"Condition"}
 _BLOCKING_ATTRS = frozenset({"wait", "join"})
 _QUEUE_ATTRS = frozenset({"get", "put"})
 
@@ -65,7 +70,8 @@ class CreationSite:
 
 
 def _import_aliases(tree: ast.Module) -> tuple[set, dict]:
-    """(names bound to the ``threading`` module, direct Lock/RLock names)."""
+    """(names bound to the ``threading`` module, direct Lock/RLock/
+    Condition names)."""
     module_aliases: set = set()
     direct: dict = {}
     for node in ast.walk(tree):
@@ -75,19 +81,20 @@ def _import_aliases(tree: ast.Module) -> tuple[set, dict]:
                     module_aliases.add(alias.asname or "threading")
         elif isinstance(node, ast.ImportFrom) and node.module == "threading":
             for alias in node.names:
-                if alias.name in _LOCK_FACTORIES:
+                if alias.name in _THREADING_FACTORIES:
                     direct[alias.asname or alias.name] = alias.name
     return module_aliases, direct
 
 
-def _lock_kind(value, module_aliases: set, direct: dict) -> str | None:
-    """``"Lock"``/``"RLock"`` when ``value`` constructs one, else None."""
+def _factory(value, module_aliases: set, direct: dict) -> str | None:
+    """``"Lock"``/``"RLock"``/``"Condition"`` when ``value`` constructs
+    one, else None."""
     if not isinstance(value, ast.Call):
         return None
     func = value.func
     if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
             and func.value.id in module_aliases
-            and func.attr in _LOCK_FACTORIES):
+            and func.attr in _THREADING_FACTORIES):
         return func.attr
     if isinstance(func, ast.Name) and func.id in direct:
         return direct[func.id]
@@ -143,8 +150,8 @@ class _CreationVisitor(ast.NodeVisitor):
         return out
 
     def _record(self, node, value, targets):
-        kind = _lock_kind(value, self.module_aliases, self.direct)
-        if kind is None:
+        kind = _factory(value, self.module_aliases, self.direct)
+        if kind not in _LOCK_FACTORIES:
             return
         candidates = self._candidates(targets)
         name = candidates[0][1] if candidates else "<anonymous>"
@@ -199,6 +206,7 @@ class _Ctx:
     functions: dict
     classes: dict
     hierarchy: tuple
+    conditions: dict                 # (class, attr) -> the LockSpec it wraps
     trans: dict | None = None        # set in the reporting pass
     nested: list = field(default_factory=list)
 
@@ -234,7 +242,8 @@ def _resolve_lock(expr, ctx: _Ctx):
     if isinstance(expr, ast.Attribute):
         owner = _receiver_class(expr.value, ctx)
         if owner is not None:
-            return _spec_owner_attr(ctx.hierarchy, owner, expr.attr)
+            return (_spec_owner_attr(ctx.hierarchy, owner, expr.attr)
+                    or ctx.conditions.get((owner, expr.attr)))
     return None
 
 
@@ -284,10 +293,15 @@ def _check_call(call: ast.Call, held, ctx: _Ctx, sink: _Sink):
         receiver = ast.unparse(func.value)
         if func.attr in _BLOCKING_ATTRS or (
                 func.attr in _QUEUE_ATTRS and "queue" in receiver.lower()):
-            sink.findings.append(Finding(
-                ctx.rel, call.lineno, "REP001",
-                f"blocking call {receiver}.{func.attr}() while holding "
-                f"{_held_summary(held)}"))
+            # A Condition's wait() releases the lock it wraps.
+            released = (_resolve_lock(func.value, ctx)
+                        if func.attr == "wait" else None)
+            blocked = [spec for spec in held if spec != released]
+            if blocked:
+                sink.findings.append(Finding(
+                    ctx.rel, call.lineno, "REP001",
+                    f"blocking call {receiver}.{func.attr}() while holding "
+                    f"{_held_summary(blocked)}"))
     if callee is not None and ctx.trans is not None:
         max_rank = max(spec.rank for spec in held)
         for spec in sorted(ctx.trans.get(callee, ()), key=lambda s: s.rank):
@@ -381,16 +395,36 @@ def _index_functions(project):
     return functions, classes
 
 
-def _scan_function(key, node, info, config, functions, classes, hierarchy,
-                   trans, report: bool) -> _Sink:
+def _index_conditions(project, base: _Ctx) -> dict:
+    """(class, attr) -> the LockSpec that ``self.attr =
+    threading.Condition(<lock>)`` wraps, where ``<lock>`` resolves."""
+    conditions: dict = {}
+    for info in project.modules:
+        module_aliases, direct = _import_aliases(info.tree)
+        for cls in info.tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            ctx = replace(base, rel=info.rel, current_class=cls.name)
+            for node in ast.walk(cls):
+                if not (isinstance(node, ast.Assign) and _factory(
+                        node.value, module_aliases, direct) == "Condition"
+                        and node.value.args):
+                    continue
+                spec = _resolve_lock(node.value.args[0], ctx)
+                for target in node.targets:
+                    if (spec is not None and isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        conditions[(cls.name, target.attr)] = spec
+    return conditions
+
+
+def _scan_function(key, node, info, base: _Ctx, report: bool) -> _Sink:
     """Scan one function body (plus its nested defs, each with an empty
     held set).  Nested acquisitions do not leak into the summary."""
     sink = _Sink(report=report)
-    ctx = _Ctx(rel=info.rel, current_class=key[1], config=config,
-               functions=functions, classes=classes, hierarchy=hierarchy,
-               trans=trans)
-    body = node.body if not isinstance(node, ast.Module) else node.body
-    _scan_block(body, [], ctx, sink)
+    ctx = replace(base, rel=info.rel, current_class=key[1], nested=[])
+    _scan_block(node.body, [], ctx, sink)
     # Nested defs: analyze for violations only, under an empty held set.
     pending = list(ctx.nested)
     while pending and report:
@@ -398,9 +432,7 @@ def _scan_function(key, node, info, config, functions, classes, hierarchy,
         if isinstance(nested, ast.ClassDef):
             continue
         sub_sink = _Sink(report=True)
-        sub_ctx = _Ctx(rel=info.rel, current_class=key[1], config=config,
-                       functions=functions, classes=classes,
-                       hierarchy=hierarchy, trans=trans)
+        sub_ctx = replace(ctx, nested=[])
         _scan_block(nested.body, [], sub_ctx, sub_sink)
         sink.findings.extend(sub_sink.findings)
         pending.extend(n for n in sub_ctx.nested
@@ -411,14 +443,16 @@ def _scan_function(key, node, info, config, functions, classes, hierarchy,
 @rule("REP001", "lock acquisitions must follow the documented hierarchy; "
                 "no blocking calls under a lock")
 def check_lock_order(project, config):
-    hierarchy = config.lock_hierarchy
     functions, classes = _index_functions(project)
+    base = _Ctx(rel="", current_class=None, config=config,
+                functions=functions, classes=classes,
+                hierarchy=config.lock_hierarchy, conditions={})
+    base = replace(base, conditions=_index_conditions(project, base))
 
     # Pass 1: per-function summaries (direct acquires + resolved calls).
     summaries = {}
     for key, (info, node) in functions.items():
-        summaries[key] = _scan_function(key, node, info, config, functions,
-                                        classes, hierarchy, None, False)
+        summaries[key] = _scan_function(key, node, info, base, False)
 
     # Pass 2: transitive acquisition sets to a fixpoint.
     trans = {key: set(sink.acquires) for key, sink in summaries.items()}
@@ -433,16 +467,13 @@ def check_lock_order(project, config):
                     changed = True
 
     # Pass 3: report violations, including module-level code.
+    base = replace(base, trans=trans)
     findings = []
     for key, (info, node) in functions.items():
-        sink = _scan_function(key, node, info, config, functions, classes,
-                              hierarchy, trans, True)
-        findings.extend(sink.findings)
+        findings.extend(_scan_function(key, node, info, base, True).findings)
     for info in project.modules:
         sink = _Sink(report=True)
-        ctx = _Ctx(rel=info.rel, current_class=None, config=config,
-                   functions=functions, classes=classes, hierarchy=hierarchy,
-                   trans=trans)
+        ctx = replace(base, rel=info.rel, nested=[])
         for stmt in info.tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):

@@ -1,8 +1,10 @@
 """C source templates + ctypes signatures for the compiled kernels.
 
-One translation unit holds every kernel in float64 *and* float32
-variants (``@T@``/``@S@`` template substitution), so the build manager
-compiles exactly one shared object per (source, compiler, flags) key.
+Each dtype gets its own translation unit: the one template instantiated
+in double (``*_f64`` symbols) or float (``*_f32``) by ``@T@``/``@S@``
+substitution.  The build manager compiles one shared object per dtype,
+on the first kernel call in that dtype, so a float64-only process never
+compiles the float32 half (and a float32 server never the float64 one).
 
 Exactness contract — these kernels are *bit-identical* to the numpy
 kernels and the ``np.add.at`` references, not merely close:
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import ctypes
 
-__all__ = ["FLAGS", "SIGNATURES", "SOURCE"]
+__all__ = ["FLAGS", "SIGNATURES", "SOURCES"]
 
 #: compile flags — part of the disk-cache key (see build.py).
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
@@ -166,21 +168,15 @@ void lstm_output_@S@(const @T@ *eo, const @T@ *tc, @T@ *h, ptrdiff_t n) {
 
 
 def _instantiate(ctype: str, suffix: str) -> str:
-    return _TEMPLATE.replace("@T@", ctype).replace("@S@", suffix)
+    return _PRELUDE + _TEMPLATE.replace("@T@", ctype).replace("@S@", suffix)
 
 
-#: the full translation unit handed to the compiler.
-SOURCE = (_PRELUDE
-          + _instantiate("double", "f64")
-          + _instantiate("float", "f32"))
-
-_F64 = ctypes.POINTER(ctypes.c_double)
-_F32 = ctypes.POINTER(ctypes.c_float)
 _I64 = ctypes.POINTER(ctypes.c_longlong)
 _SIZE = ctypes.c_ssize_t
 
 
-def _signatures_for(ptr, suffix):
+def _signatures_for(scalar, suffix):
+    ptr = ctypes.POINTER(scalar)
     return {
         f"segment_sum_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE),
         f"segment_max_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE),
@@ -194,5 +190,14 @@ def _signatures_for(ptr, suffix):
     }
 
 
-#: exported symbol -> ctypes argtypes; restype is always None.
-SIGNATURES = {**_signatures_for(_F64, "f64"), **_signatures_for(_F32, "f32")}
+#: dtype name -> (C type, symbol suffix, ctypes scalar).
+_VARIANTS = {"float64": ("double", "f64", ctypes.c_double),
+             "float32": ("float", "f32", ctypes.c_float)}
+
+#: dtype name -> the translation unit handed to the compiler.
+SOURCES = {name: _instantiate(ctype, suffix)
+           for name, (ctype, suffix, _) in _VARIANTS.items()}
+
+#: dtype name -> {exported symbol -> ctypes argtypes}; restype is None.
+SIGNATURES = {name: _signatures_for(scalar, suffix)
+              for name, (_, suffix, scalar) in _VARIANTS.items()}

@@ -40,10 +40,11 @@ _I64_P = ctypes.POINTER(ctypes.c_longlong)
 
 def _kernel(name, dtype):
     """The loaded C symbol ``{name}_{f64|f32}``, or None (-> fallback)."""
-    suffix = _SUFFIXES.get(np.dtype(dtype))
+    dtype = np.dtype(dtype)
+    suffix = _SUFFIXES.get(dtype)
     if suffix is None:
         return None
-    lib = build.load()
+    lib = build.load(dtype)
     if lib is None:
         return None
     return getattr(lib, f"{name}_{suffix}")

@@ -113,8 +113,9 @@ class InferenceServer:
         benchmarks) emulating a blocked-on-device interval.
 
     :attr:`worker_errors` keeps the last :data:`MAX_WORKER_ERRORS`
-    micro-batch failures; :attr:`worker_error_total` counts every failure
-    monotonically and is what ``stats()`` reports.
+    failures of a worker (a micro-batch, or taking the next job);
+    :attr:`worker_error_total` counts every failure monotonically and is
+    what ``stats()`` reports.  A worker survives its failures.
     """
 
     def __init__(self, service, num_workers: int = 2, max_batch_size: int = 32,
@@ -298,12 +299,17 @@ class InferenceServer:
             self.router.tick()
 
     def _worker_loop(self) -> None:
-        while (job := self._next_job()) is not None:
+        while True:
             try:
+                job = self._next_job()
+                if job is None:
+                    return
                 if self.pre_execute is not None:
                     self.pre_execute()
                 job()
-            except BaseException as err:  # tickets already carry the error
+            # A failed job's tickets already carry the error; a failed take
+            # is only recorded, and the worker keeps serving either way.
+            except BaseException as err:
                 with self._lock:
                     self.worker_errors.append(err)
                     self.worker_error_total += 1

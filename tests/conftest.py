@@ -28,14 +28,15 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 def kernel_library(enabled: bool):
     """Run the body with the C kernel library as built, or forced off.
 
-    Forced off, every kernel sees ``build.load()`` return None — exactly
-    what a machine without a C compiler gives — and takes its numpy path.
+    Forced off, every kernel sees ``build.load(dtype)`` return None —
+    exactly what a machine without a C compiler gives — and takes its
+    numpy path.
     """
     if enabled:
         yield
         return
     load = compiled_build.load
-    compiled_build.load = lambda: None
+    compiled_build.load = lambda dtype=None: None
     try:
         yield
     finally:

@@ -25,6 +25,10 @@ FIXTURE_HIERARCHY = (
              "inner fixture lock"),
     LockSpec(30, 3, "bad_lock_order.py", None, "_mismatched_lock", "Lock",
              "registered-with-wrong-kind fixture lock"),
+    LockSpec(40, 4, "bad_condition.py", "Server", "_lock", "RLock",
+             "server fixture lock"),
+    LockSpec(50, 5, "bad_condition.py", "Router", "_lock", "RLock",
+             "router fixture lock, wrapped by Server._work"),
     LockSpec(40, 4, "bad_globals.py", None, "_cache_lock", "Lock",
              "fixture cache guard", guards=("_CACHE",)),
 )
@@ -40,7 +44,7 @@ def fixture_config(**overrides) -> LintConfig:
         wallclock_allowlist=frozenset(),
         globals_allowlist=frozenset(),
         parity_reference_module="parity_reference.py",  # absent on purpose
-        attr_bindings={"inner": "Inner"},
+        attr_bindings={"inner": "Inner", "router": "Router"},
     )
     defaults.update(overrides)
     return LintConfig(**defaults)
@@ -74,6 +78,12 @@ class TestREP001LockOrder:
         start = next(i for i, line in enumerate(source_lines, start=1)
                      if "def well_ordered" in line)
         assert not any(line > start for line in bad_lines)
+
+    def test_inversion_through_a_condition_caught(self):
+        found = messages(run("REP001"), "bad_condition.py")
+        assert len(found) == 1, found
+        assert ("acquires bad_condition.py:Server._lock (rank 40) while "
+                "holding bad_condition.py:Router._lock (rank 50)") in found[0]
 
 
 class TestREP002Wallclock:

@@ -14,8 +14,10 @@ contracts:
   every op stays bit-identical to ``legacy``, ``compiled_status()``
   reports ``unavailable``, and *nothing* is written to the build cache;
 * **build manager** — first ``load()`` compiles exactly one shared
-  object into the cache directory, and a reset + reload is a disk-cache
-  hit;
+  object (the float64 library) into the cache directory, a process that
+  runs only float64 kernels never builds the float32 one, the first
+  float32 kernel adds exactly one more, and a reset + reload of each
+  dtype is a disk-cache hit;
 * **surfacing** — ``InferenceService.stats()`` and the CLI
   ``backend-info`` target expose the build status (and the CLI the one
   implementation behind each op).
@@ -173,7 +175,73 @@ class TestBuildManager:
         status = compiled_status()
         assert status["state"] == "available"
         assert status["attempted"] is False
+        assert status["libraries"] == {"float64": "not attempted",
+                                       "float32": "not attempted"}
         assert not fresh_cache.exists()
+
+    def test_float64_work_builds_only_the_float64_library(self, fresh_cache):
+        for op_name in C_BACKED_OPS:
+            for sample in OP_REGISTRY.get(op_name).samples(np.float64):
+                _run(op_name, "compiled", sample)
+        assert len(_shared_objects(fresh_cache)) == 1
+        assert compiled_status()["libraries"] == {
+            "float64": "built", "float32": "not attempted"}
+
+    def test_first_float32_kernel_adds_one_library(self, fresh_cache,
+                                                   monkeypatch):
+        sample = OP_REGISTRY.get("segment_sum").samples(np.float64)[0]
+        _run("segment_sum", "compiled", sample)
+        first = _shared_objects(fresh_cache)
+        spies = _spy_on_load(monkeypatch)
+        for sample in OP_REGISTRY.get("segment_sum").samples(np.float32):
+            with use_dtype("float32"), no_grad():
+                _run_forward("segment_sum", "compiled", sample)
+        assert len(_shared_objects(fresh_cache)) == 2
+        assert set(first) < set(_shared_objects(fresh_cache))
+        assert compiled_status()["libraries"] == {"float64": "built",
+                                                  "float32": "built"}
+        assert list(spies) == ["float32"]
+        assert spies["float32"].calls["segment_sum_f32"] > 0
+        # Once a dtype is loaded its kernels are looked up without the lock.
+        with monkeypatch.context() as patch:
+            patch.setattr(build, "_build_lock", _ForbiddenLock())
+            for dtype_name in ("float64", "float32"):
+                for sample in OP_REGISTRY.get("segment_sum").samples(
+                        np.dtype(dtype_name).type):
+                    with use_dtype(dtype_name):
+                        _run("segment_sum", "compiled", sample)
+
+    def test_reset_then_reload_of_each_dtype_hits_the_disk_cache(
+            self, fresh_cache):
+        for dtype in (np.float64, np.float32):
+            assert build.load(dtype) is not None
+        before = _shared_objects(fresh_cache)
+        build.reset()
+        assert compiled_status()["attempted"] is False
+        for dtype in (np.float64, np.float32):
+            assert build.load(dtype) is not None
+        assert compiled_status()["libraries"] == {"float64": "disk hit",
+                                                  "float32": "disk hit"}
+        assert _shared_objects(fresh_cache) == before
+
+    def test_a_dtype_without_c_kernels_builds_nothing(self, fresh_cache):
+        assert build.load(np.float16) is None
+        assert compiled_status()["attempted"] is False
+        assert not fresh_cache.exists()
+
+
+def _shared_objects(cache):
+    return sorted(name for name in os.listdir(cache) if name.endswith(".so"))
+
+
+class _ForbiddenLock:
+    """Stands in for ``build._build_lock`` where taking it is a bug."""
+
+    def __enter__(self):
+        raise AssertionError("_build_lock taken on a loaded dtype")
+
+    def __exit__(self, *exc):
+        return False
 
 
 class _SpyLibrary:
@@ -191,6 +259,24 @@ class _SpyLibrary:
             return kernel(*args)
 
         return call
+
+
+def _spy_on_load(monkeypatch):
+    """Route ``build.load`` through one :class:`_SpyLibrary` per dtype;
+    returns the spies, keyed by dtype name as the kernels ask for them."""
+    load, spies = build.load, {}
+
+    def spy_load(dtype=np.float64):
+        lib = load(dtype)
+        if lib is None:
+            return None
+        name = np.dtype(dtype).name
+        if name not in spies:
+            spies[name] = _SpyLibrary(lib)
+        return spies[name]
+
+    monkeypatch.setattr(build, "load", spy_load)
+    return spies
 
 
 @pytest.mark.compiled
@@ -233,8 +319,7 @@ class TestCompiledKernelParity:
 
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
     def test_c_kernels_are_hit(self, monkeypatch, dtype_name):
-        spy = _SpyLibrary(build.load())
-        monkeypatch.setattr(build, "load", lambda: spy)
+        spies = _spy_on_load(monkeypatch)
         suffix = "f64" if dtype_name == "float64" else "f32"
         for op_name in C_BACKED_OPS:
             for sample in OP_REGISTRY.get(op_name).samples(
@@ -244,7 +329,8 @@ class TestCompiledKernelParity:
         for symbol in ("segment_sum", "segment_max", "scatter_add",
                        "lstm_gates", "lstm_combine", "lstm_output",
                        "gin_message"):
-            assert spy.calls[f"{symbol}_{suffix}"] > 0, (symbol, spy.calls)
+            assert spies[dtype_name].calls[f"{symbol}_{suffix}"] > 0, \
+                (symbol, spies[dtype_name].calls)
 
     def test_lstm_scan_with_state_matches_reference(self):
         entry = OP_REGISTRY.get("lstm_scan")

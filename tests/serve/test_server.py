@@ -202,6 +202,31 @@ class TestExecution:
         assert len(server.worker_errors) == 1
         assert server.executed_batches == 0
 
+    def test_failed_take_leaves_the_worker_serving(self, tiny_dataset,
+                                                   service, monkeypatch):
+        # Regression: an exception from _next_job killed the worker
+        # thread; with every worker dead, requests waited out their
+        # timeouts.
+        server = InferenceServer(service, num_workers=1, max_batch_size=1,
+                                 max_delay=10_000, tick_interval_s=None)
+        take_oldest, raised = server.router.take_oldest, []
+
+        def take_oldest_failing_once():
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("take_oldest failed")
+            return take_oldest()
+
+        monkeypatch.setattr(server.router, "take_oldest",
+                            take_oldest_failing_once)
+        with server:
+            logits = server.predict(tiny_dataset.graphs[0], SPEC_A, timeout=5)
+            stats = server.stats()
+        assert raised == [True]
+        assert logits.shape == (tiny_dataset.num_tasks,)
+        assert stats["server"]["worker_errors"] == 1
+        assert stats["server"]["executed_batches"] == 1
+
     def test_worker_error_ring_bounds_memory_not_the_count(self, tiny_dataset,
                                                            failing_service,
                                                            monkeypatch):
