@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli serve           # + repeated-request throughput demo
     python -m repro.cli route           # dynamic-batching router demo
     python -m repro.cli serve-forever   # concurrent HTTP serving runtime
-    python -m repro.cli serve-cluster --shards 2 --self-test 24
 
 ``score`` runs a short strategy search and then scores candidate specs
 through :class:`repro.serve.InferenceService` — every spec is evaluated
@@ -26,15 +25,8 @@ work-conserving worker pool + real-clock ticker) behind the stdlib
 HTTP/JSON transport — and serves
 until interrupted (or for ``--duration`` seconds; ``--self-test N`` runs
 N loopback requests through the HTTP client and exits, as a deployment
-smoke test).  ``serve-cluster`` scales past the process: it launches
-``--shards`` shard processes (each its own server + HTTP transport +
-model registry) behind a :class:`repro.serve.ClusterRouter` doing
-deterministic spec-affinity dispatch with health probes and failover;
-its ``--self-test N`` streams N requests, checks every logit vector
-bit-identical against a local identically-seeded reference service,
-kills a shard mid-stream (when ``--shards`` >= 2) to exercise failover,
-and prints the aggregated cluster stats.  Table results are printed in
-the paper's row layout (see :mod:`repro.experiments.tables`).
+smoke test).  Table results are printed in the paper's row layout (see
+:mod:`repro.experiments.tables`).
 """
 
 from __future__ import annotations
@@ -100,14 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "target",
         choices=sorted(_TABLES) + ["space", "score", "serve", "route",
-                                   "serve-forever", "serve-cluster", "lint",
+                                   "serve-forever", "lint",
                                    "backend-info"],
         help="paper table to regenerate, 'space' (Remark 3 numbers), "
              "'score' (many-spec serving fan-out), 'serve' "
              "(score + repeated-request throughput), 'route' "
              "(dynamic-batching single-request router demo), "
              "'serve-forever' (concurrent HTTP serving runtime), "
-             "'serve-cluster' (multi-process sharded serving cluster), "
              "'lint' (static invariant analysis over src/repro) or "
              "'backend-info' (the implementation behind each kernel op "
              "and the compiled-kernel build status)",
@@ -183,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-test", type=int, default=0, metavar="N",
         help="send N loopback requests through the HTTP client, print "
              "stats and exit (deployment smoke test)")
-    cluster = parser.add_argument_group("serve-cluster options")
-    cluster.add_argument(
-        "--shards", type=int, default=2,
-        help="number of shard processes (each: server + HTTP transport + "
-             "its own model registry)")
-    cluster.add_argument(
-        "--probe-interval", type=float, default=0.5,
-        help="seconds between background health probes of each shard")
     lint = parser.add_argument_group("lint options")
     lint.add_argument(
         "--path", default=None,
@@ -429,79 +412,6 @@ def _run_server(args) -> int:
             return 0
 
 
-def _run_cluster(args) -> int:
-    """``serve-cluster``: shard processes + spec-affinity front end."""
-    import time as _time
-
-    import numpy as np
-
-    from .core import DEFAULT_SPACE
-    from .graph import load_dataset
-    from .serve import ClusterRouter, ShardServiceConfig, launch_shards
-
-    config = ShardServiceConfig(
-        dataset=args.dataset, size=args.size, num_layers=args.layers,
-        emb_dim=args.emb_dim, batch_size=args.batch_size, seed=args.seed)
-    print(f"launching {args.shards} shard(s): {config}")
-    start = time.perf_counter()
-    shards = launch_shards(config, args.shards, host=args.host,
-                           num_workers=args.workers,
-                           max_batch_size=args.max_batch_size,
-                           max_delay=args.max_delay,
-                           tick_interval_s=args.tick_interval)
-    print(f"cluster up in {time.perf_counter() - start:.1f}s: "
-          + ", ".join(f"shard {s.shard_id} @ {s.url}" for s in shards))
-    cluster = ClusterRouter([s.client() for s in shards])
-    cluster.start_probes(interval_s=args.probe_interval)
-    try:
-        if args.self_test:
-            # Identically-seeded local reference: the cluster's logits
-            # must be bit-identical to the serial service path.
-            reference = config()
-            dataset = load_dataset(args.dataset, size=args.size)
-            rng = np.random.default_rng((args.seed, 80))
-            specs = [DEFAULT_SPACE.random_spec(args.layers, rng)
-                     for _ in range(3)]
-            kill_at = args.self_test // 2 if args.shards >= 2 else None
-            start = time.perf_counter()
-            for i in range(args.self_test):
-                if i == kill_at:
-                    victim = shards[cluster.live_shards()[0]]
-                    victim.kill()
-                    print(f"  killed shard {victim.shard_id} at request {i} "
-                          f"(failover test)")
-                graph = dataset.graphs[i % len(dataset.graphs)]
-                spec = specs[i % len(specs)]
-                logits = cluster.predict(graph, spec, timeout_s=60)
-                ref = reference.predict([graph], spec, batch_size=1)[0]
-                assert np.array_equal(logits, ref), (
-                    f"request {i}: cluster logits diverged from serial path")
-            elapsed = time.perf_counter() - start
-            stats = cluster.stats()["cluster"]
-            print(f"\nself-test: {args.self_test} requests in {elapsed:.3f}s "
-                  f"({args.self_test / elapsed:.1f} req/s), every logit "
-                  f"bit-identical to the serial reference")
-            print(f"cluster: live={stats['live']} "
-                  f"dispatched={stats['dispatched']} "
-                  f"retries={stats['retries']} failovers={stats['failovers']} "
-                  f"deaths={stats['deaths']}")
-            return 0
-        if args.duration is not None:
-            _time.sleep(args.duration)
-            print(f"\n--duration {args.duration}s elapsed; shutting down")
-            return 0
-        try:
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            print("\ninterrupted; shutting down")
-            return 0
-    finally:
-        cluster.stop_probes()
-        for shard in shards:
-            shard.stop()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -521,9 +431,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.target == "serve-forever":
         return _run_server(args)
-
-    if args.target == "serve-cluster":
-        return _run_cluster(args)
 
     if args.target == "lint":
         return _run_lint(args)

@@ -23,10 +23,6 @@ class LintConfig:
 
     #: files where wall-clock calls are legitimate (REP002): the real-time
     #: ticker boundary, CLI benchmarks, and epoch timing telemetry.
-    #: (serve/cluster.py is deliberately NOT here: its single wall-clock
-    #: site — retry backoff / stall emulation in ``_wall_sleep`` — carries
-    #: a per-line ``# repro: disable=REP002`` pragma so any new wall-clock
-    #: use in the routing logic still trips the rule.)
     wallclock_allowlist: frozenset = frozenset({
         "serve/server.py",       # ticker thread: simulated-clock <-> real time
         "cli.py",                # benchmark targets time their own runs
@@ -58,7 +54,6 @@ class LintConfig:
         "loader": "DataLoader",
         "protocol": "ServingProtocol",
         "serving_protocol": "ServingProtocol",
-        "cluster": "ClusterRouter",
     })
 
 

@@ -9,9 +9,9 @@ tier-1 test asserts every entry is named there.
 
 Ranks are ordered coarse-to-fine: a thread may only acquire locks of
 strictly increasing rank (same-rank re-acquisition is allowed for RLocks
-only).  ``level`` groups ranks into the five documented tiers of the
-serve stack's prose table (cluster front end above server internals,
-leaf registries at the bottom).
+only).  ``level`` groups ranks into the four documented tiers of the
+serve stack's prose table (server internals at the top, leaf registries
+at the bottom).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class LockSpec:
     rank:
         Total acquisition order — acquire strictly increasing ranks only.
     level:
-        Documented tier (1-5) in the :mod:`repro.serve.service` prose.
+        Documented tier (1-4) in the :mod:`repro.serve.service` prose.
     module:
         Defining file, relative to ``src/repro`` (e.g. ``serve/router.py``).
     owner:
@@ -62,32 +62,28 @@ class LockSpec:
 
 
 LOCK_HIERARCHY: tuple[LockSpec, ...] = (
-    LockSpec(5, 1, "serve/cluster.py", "ClusterRouter", "_lock", "Lock",
-             "cluster front end: shard health flags + dispatch counters; "
-             "shard calls (which take the whole serve stack's locks in "
-             "in-process doubles) run with no cluster lock held"),
-    LockSpec(10, 2, "serve/server.py", "InferenceServer", "_lock", "RLock",
+    LockSpec(10, 1, "serve/server.py", "InferenceServer", "_lock", "RLock",
              "server lifecycle flags, worker bookkeeping, error ring"),
-    LockSpec(20, 3, "serve/router.py", "BatchingRouter", "_lock", "RLock",
+    LockSpec(20, 2, "serve/router.py", "BatchingRouter", "_lock", "RLock",
              "buckets, seq counter, flush counters, and (through two "
              "conditions over it) the server's job queue and idle "
              "workers; flush executes unlocked"),
-    LockSpec(30, 4, "serve/service.py", "InferenceService", "_lock", "RLock",
+    LockSpec(30, 3, "serve/service.py", "InferenceService", "_lock", "RLock",
              "forward-sweep counter"),
-    LockSpec(50, 5, "serve/registry.py", "ModelRegistry", "_lock", "RLock",
+    LockSpec(50, 4, "serve/registry.py", "ModelRegistry", "_lock", "RLock",
              "model map, pin set, counters; cache-miss build runs under it"),
-    LockSpec(51, 5, "serve/cache.py", "BatchCacheRegistry", "_lock", "RLock",
+    LockSpec(51, 4, "serve/cache.py", "BatchCacheRegistry", "_lock", "RLock",
              "loader entry map and hit/miss counters"),
-    LockSpec(52, 5, "graph/loader.py", "DataLoader", "_cache_lock", "Lock",
+    LockSpec(52, 4, "graph/loader.py", "DataLoader", "_cache_lock", "Lock",
              "double-checked one-time batch materialization"),
-    LockSpec(53, 5, "graph/graph.py", "Batch", "_plan_lock", "Lock",
+    LockSpec(53, 4, "graph/graph.py", "Batch", "_plan_lock", "Lock",
              "lazy per-batch segment-plan and degree-norm builds"),
-    LockSpec(54, 5, "graph/datasets.py", None, "_dataset_cache_lock", "Lock",
+    LockSpec(54, 4, "graph/datasets.py", None, "_dataset_cache_lock", "Lock",
              "process-wide synthetic dataset cache",
              guards=("_DATASET_CACHE",)),
-    LockSpec(56, 5, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
+    LockSpec(56, 4, "serve/transport.py", "ServingProtocol", "_lock", "Lock",
              "submit/result ticket window"),
-    LockSpec(58, 5, "nn/compiled/build.py", None, "_build_lock", "Lock",
+    LockSpec(58, 4, "nn/compiled/build.py", None, "_build_lock", "Lock",
              "one-time JIT build/load of each dtype's compiled kernel "
              "library (compiler discovery result, loaded handle, outcome)",
              guards=("_STATE",)),

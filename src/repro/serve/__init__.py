@@ -12,21 +12,14 @@ micro-batch as soon as a worker is idle, plus a real-clock ticker for
 deadline flushes while every worker is busy), the transports
 (:class:`InProcessTransport` / :class:`HTTPServingTransport` — one JSON
 dict protocol exposing submit/predict/stats in-process or over stdlib
-HTTP), and the sharded cluster (:class:`ClusterRouter` dispatching by
-deterministic spec affinity over :class:`ShardProcess` shard servers,
-with health probes and connection-failure failover).  The whole stack is
-thread-safe; :mod:`repro.serve.service` documents the lock order.
+HTTP), and :class:`ShardProcess` (one server + HTTP transport in a
+spawned child process, started through a ready handshake).  The whole
+stack is thread-safe; :mod:`repro.serve.service` documents the lock
+order.
 """
 
 from .cache import BatchCacheRegistry
-from .cluster import (
-    ClusterError,
-    ClusterRouter,
-    ShardProcess,
-    ShardServiceConfig,
-    launch_shards,
-    spec_affinity,
-)
+from .cluster import ShardProcess
 from .registry import ModelRegistry, spec_key
 from .router import BatchingRouter, RoutedRequest
 from .server import InferenceServer
@@ -55,10 +48,5 @@ __all__ = [
     "HTTPServingClient",
     "TransportError",
     "TransportConnectionError",
-    "ClusterError",
-    "ClusterRouter",
     "ShardProcess",
-    "ShardServiceConfig",
-    "launch_shards",
-    "spec_affinity",
 ]

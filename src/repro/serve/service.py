@@ -41,19 +41,15 @@ REP001), the REP006 lock census, and the runtime
 :class:`~repro.devtools.runtime.LockOrderGuard`.  A tier-1 test keeps
 this prose and the table in sync; edit the table first.
 
-1. ``ClusterRouter._lock`` (rank 5) — cluster front end: shard health
-   flags + dispatch counters; shard calls (which take the whole serve
-   stack's locks in in-process doubles) run with **no cluster lock
-   held**;
-2. ``InferenceServer._lock`` (rank 10) — server lifecycle flags, worker
+1. ``InferenceServer._lock`` (rank 10) — server lifecycle flags, worker
    bookkeeping, error ring;
-3. ``BatchingRouter._lock`` (rank 20) — buckets, seq counter, flush
+2. ``BatchingRouter._lock`` (rank 20) — buckets, seq counter, flush
    counters, and (through two conditions over it) the server's job
    queue and idle workers; the flush path calls into the service with
    **no router lock held**;
-4. ``InferenceService._lock`` (rank 30) — forward-sweep counter — never
+3. ``InferenceService._lock`` (rank 30) — forward-sweep counter — never
    held across a forward;
-5. leaf locks (nothing serve-layer is acquired while one is held):
+4. leaf locks (nothing serve-layer is acquired while one is held):
    ``ModelRegistry._lock`` (rank 50), ``BatchCacheRegistry._lock``
    (rank 51), ``DataLoader._cache_lock`` (rank 52), ``Batch._plan_lock``
    (rank 53), ``graph.datasets._dataset_cache_lock`` (rank 54),

@@ -169,10 +169,10 @@ class TransportConnectionError(RuntimeError):
     """The server did not answer at all (socket refused/dropped/timed out).
 
     Distinct from a served error status — a request that *reached* the
-    server raises a plain ``RuntimeError`` with the HTTP code.  The
-    cluster router keys failover on exactly this distinction: connection
-    failure means the shard is gone (retry, then re-dispatch); a 4xx/5xx
-    means the shard is alive and the request itself failed.
+    server raises a plain ``RuntimeError`` with the HTTP code.  A caller
+    that retries keys on exactly this distinction: connection failure
+    means the server is gone (reconnect or give up); a 4xx/5xx means the
+    server is alive and the request itself failed.
     """
 
 
@@ -525,9 +525,8 @@ class HTTPServingClient:
     TCP handshake.  A connection that fails is dropped and the call
     raises :class:`TransportConnectionError`; the next call on that
     thread connects afresh.  Nothing is retried here: ``/submit`` is not
-    idempotent, and :class:`~repro.serve.cluster.ClusterRouter` owns the
-    retry policy.  A served error status raises ``RuntimeError`` with the
-    code.
+    idempotent, so whether to retry is the caller's call.  A served
+    error status raises ``RuntimeError`` with the code.
 
     The socket ``timeout_s`` defaults comfortably *above* the server's
     default 60 s predict wait, so a slow micro-batch surfaces as the
@@ -555,8 +554,8 @@ class HTTPServingClient:
             body = response.read()
         except (OSError, http.client.HTTPException) as err:
             # Nothing answered (refused, reset, socket timeout): typed so
-            # callers — the cluster router above all — can tell "server
-            # gone" from "server served an error".
+            # callers can tell "server gone" from "server served an
+            # error".
             self.close()
             raise TransportConnectionError(
                 f"{op} failed: no response from {self.url} within "

@@ -68,8 +68,8 @@ class TestCLI:
         assert out.strip() == render_lock_table().strip()
         assert "_build_lock" in out
         rows = out.strip().splitlines()[2:]
-        assert len(rows) == len(LOCK_HIERARCHY) == 11
-        assert {int(row.split()[1]) for row in rows} == {1, 2, 3, 4, 5}
+        assert len(rows) == len(LOCK_HIERARCHY) == 10
+        assert {int(row.split()[1]) for row in rows} == {1, 2, 3, 4}
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -89,7 +89,7 @@ class TestLockTableDocstringSync:
         tiers = re.findall(r"^(\d+)\. ", doc, re.MULTILINE)
         assert tiers == [str(level) for level in
                          sorted({spec.level for spec in LOCK_HIERARCHY})]
-        assert tiers == ["1", "2", "3", "4", "5"]
+        assert tiers == ["1", "2", "3", "4"]
         for spec in LOCK_HIERARCHY:
             label = f"{spec.owner}.{spec.name}" if spec.owner else spec.name
             assert label in doc, f"{spec.qualified} missing from the prose"

@@ -1,305 +1,81 @@
-"""Sharded-cluster tests: affinity routing, retry/failover, real shards.
+"""Shard-process tests: the spawn handshake and cross-process parity.
 
-The routing logic is wall-clock-free and client-agnostic, so everything
-about dispatch — affinity determinism, backoff, failover walks, health
-probes, stats aggregation — is pinned against hand-rolled fake shard
-clients (deterministic, no processes, recorded sleeps).  Cross-process
-parity and real shard-kill failover run against genuine spawned shard
-processes and are marked ``cluster``.
+Every test spawns a real shard process and is marked ``cluster``.  The
+service factories are module-level functions, so the spawned child can
+unpickle them by name.
 """
 
-import json
-import threading
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import DEFAULT_SPACE
-from repro.core.space import FineTuneStrategySpec
 from repro.gnn import GNNEncoder
 from repro.graph import load_dataset
-from repro.serve import (
-    ClusterError,
-    ClusterRouter,
-    InferenceServer,
-    InferenceService,
-    InProcessTransport,
-    ShardProcess,
-    ShardServiceConfig,
-    TransportConnectionError,
-    launch_shards,
-    spec_affinity,
-)
+from repro.serve import InferenceService, ShardProcess
 
-SPEC_A = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
-                              fusion="last", readout="mean")
-SPEC_B = FineTuneStrategySpec(identity=("identity_aug", "zero_aug"),
-                              fusion="concat", readout="sum")
+pytestmark = pytest.mark.cluster
+
+DATASET_SIZE = 40
 
 
-def factory():
-    return GNNEncoder("gin", num_layers=2, emb_dim=12, dropout=0.0, seed=0)
+def tiny_service():
+    """The shard's service; the parent builds an identical reference."""
+    data = load_dataset("bbbp", size=DATASET_SIZE)
+
+    def encoder_factory():
+        return GNNEncoder("gin", num_layers=2, emb_dim=12, dropout=0.0, seed=0)
+
+    return InferenceService(encoder_factory, data.num_tasks, batch_size=8,
+                            seed=0)
 
 
-class FakeShard:
-    """In-process shard double speaking the serving-client API.
-
-    ``fail_connects`` makes the next N calls raise the typed connection
-    error (a flaky shard); ``dead=True`` makes every call fail (a killed
-    shard) until flipped back — which is exactly the knob the probe and
-    resurrection tests need.
-    """
-
-    def __init__(self, logits=(1.0, 2.0), fail_connects=0, dead=False):
-        self.logits = list(logits)
-        self.fail_connects = fail_connects
-        self.dead = dead
-        self.calls = []
-        self._seq = 0
-
-    def _gate(self, op):
-        self.calls.append(op)
-        if self.dead:
-            raise TransportConnectionError(f"{op}: shard down")
-        if self.fail_connects > 0:
-            self.fail_connects -= 1
-            raise TransportConnectionError(f"{op}: flaky connect")
-
-    def predict(self, graph, spec, timeout_s=None):
-        self._gate("predict")
-        return np.asarray(self.logits)
-
-    def submit(self, graph, spec):
-        self._gate("submit")
-        self._seq += 1
-        return self._seq
-
-    def result(self, seq, timeout_s=0.0):
-        self._gate("result")
-        return {"seq": seq, "logits": self.logits, "batch_size": 1}
-
-    def stats(self):
-        self._gate("stats")
-        return {"server": {"running": True}}
+def unknown_dataset_service():
+    """Raises in the child, which reports the error up the pipe."""
+    return load_dataset("no-such-dataset", size=8)
 
 
-def recording_sleep(log):
-    def sleep(seconds):
-        log.append(seconds)
-    return sleep
+def exits_before_handshake():
+    """Leaves the child without reporting, as a crash in C would."""
+    os._exit(3)
 
 
-class TestSpecAffinity:
-    def test_deterministic_and_in_range(self):
-        for shards in (1, 2, 3, 7):
-            home = spec_affinity(SPEC_A, shards)
-            assert 0 <= home < shards
-            assert spec_affinity(SPEC_A, shards) == home  # stable
-
-    def test_equal_specs_share_a_home(self):
-        clone = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
-                                     fusion="last", readout="mean")
-        assert spec_affinity(clone, 4) == spec_affinity(SPEC_A, 4)
-
-    def test_spreads_over_shards(self):
-        rng = np.random.default_rng(3)
-        specs = [DEFAULT_SPACE.random_spec(3, rng) for _ in range(40)]
-        homes = {spec_affinity(s, 4) for s in specs}
-        assert len(homes) > 1  # content hash actually distributes
-
-    def test_rejects_empty_cluster(self):
-        with pytest.raises(ValueError):
-            spec_affinity(SPEC_A, 0)
-
-
-class TestDispatch:
-    def test_predict_lands_on_home_shard(self):
-        shards = [FakeShard(logits=(float(i),)) for i in range(3)]
-        cluster = ClusterRouter(shards)
-        home = spec_affinity(SPEC_A, 3)
-        logits = cluster.predict("g", SPEC_A)
-        assert logits[0] == float(home)
-        assert cluster.dispatched[home] == 1
-        assert shards[home].calls == ["predict"]
-
-    def test_retry_with_exponential_backoff(self):
-        sleeps = []
-        shards = [FakeShard(fail_connects=2) for _ in range(2)]
-        cluster = ClusterRouter(shards, max_retries=2, backoff_s=0.05,
-                                sleep=recording_sleep(sleeps))
-        home = spec_affinity(SPEC_A, 2)
-        cluster.predict("g", SPEC_A)
-        assert sleeps == [0.05, 0.1]  # doubled per attempt, recorded not slept
-        assert cluster.retries == 2
-        assert cluster.failovers == 0
-        assert cluster.live_shards() == [0, 1]  # recovered, nobody died
-        assert shards[home].calls == ["predict"] * 3
-
-    def test_failover_to_next_live_shard(self):
-        sleeps = []
-        home = spec_affinity(SPEC_A, 2)
-        shards = [FakeShard(logits=(float(i),)) for i in range(2)]
-        shards[home].dead = True
-        cluster = ClusterRouter(shards, max_retries=1, backoff_s=0.01,
-                                sleep=recording_sleep(sleeps))
-        logits = cluster.predict("g", SPEC_A)
-        assert logits[0] == float(1 - home)  # re-dispatched deterministically
-        assert cluster.failovers == 1 and cluster.deaths == 1
-        assert cluster.live_shards() == [1 - home]
-        # affinity now routes straight to the survivor, no re-knocking
-        shards[home].calls.clear()
-        cluster.predict("g", SPEC_A)
-        assert shards[home].calls == []
-
-    def test_all_shards_dead_raises_cluster_error(self):
-        shards = [FakeShard(dead=True) for _ in range(3)]
-        cluster = ClusterRouter(shards, max_retries=0,
-                                sleep=recording_sleep([]))
-        with pytest.raises(ClusterError, match="no live shard left"):
-            cluster.predict("g", SPEC_A)
-        assert cluster.live_shards() == []
-
-    def test_submit_and_result_stay_on_one_shard(self):
-        shards = [FakeShard(logits=(float(i),)) for i in range(3)]
-        cluster = ClusterRouter(shards)
-        shard, seq = cluster.submit("g", SPEC_B)
-        assert shard == spec_affinity(SPEC_B, 3)
-        reply = cluster.result(shard, seq, timeout_s=5)
-        assert reply["seq"] == seq
-        assert reply["logits"] == [float(shard)]
-        assert shards[shard].calls == ["submit", "result"]
-
-    def test_shard_for_skips_excluded(self):
-        cluster = ClusterRouter([FakeShard() for _ in range(3)])
-        home = spec_affinity(SPEC_A, 3)
-        assert cluster.shard_for(SPEC_A) == home
-        assert cluster.shard_for(SPEC_A, exclude={home}) == (home + 1) % 3
-        assert cluster.shard_for(SPEC_A, exclude={0, 1, 2}) is None
-
-
-class TestHealth:
-    def test_probe_marks_dead_and_resurrects(self):
-        shards = [FakeShard(), FakeShard()]
-        cluster = ClusterRouter(shards)
-        shards[1].dead = True
-        assert cluster.probe() == {0: True, 1: False}
-        assert cluster.live_shards() == [0]
-        shards[1].dead = False
-        assert cluster.probe() == {0: True, 1: True}
-        assert cluster.live_shards() == [0, 1]
-        assert cluster.deaths == 1 and cluster.resurrections == 1
-
-    def test_probe_timer_runs_in_background(self):
-        shards = [FakeShard()]
-        cluster = ClusterRouter(shards)
-        done = threading.Event()
-        calls = 0
-
-        original = cluster.probe
-
-        def counting_probe():
-            nonlocal calls
-            calls += 1
-            if calls >= 2:
-                done.set()
-            return original()
-
-        cluster.probe = counting_probe
-        cluster.start_probes(interval_s=0.01)
-        try:
-            assert done.wait(10)  # probed repeatedly without help
-        finally:
-            cluster.stop_probes()
-        assert cluster.live_shards() == [0]
-        cluster.start_probes(interval_s=60)
-        with pytest.raises(RuntimeError, match="already started"):
-            cluster.start_probes()
-        cluster.stop_probes()
-
-    def test_stats_aggregate_is_json_safe_with_dead_shard(self):
-        shards = [FakeShard(), FakeShard(dead=True)]
-        cluster = ClusterRouter(shards, max_retries=0,
-                                sleep=recording_sleep([]))
-        cluster.predict("g", SPEC_A)
-        tree = json.loads(json.dumps(cluster.stats()))
-        assert tree["cluster"]["shards"] == 2
-        assert tree["shards"]["1"] == {"unreachable": True}
-        assert tree["shards"]["0"]["server"]["running"] is True
-        assert sum(tree["cluster"]["dispatched"].values()) == 1
-
-
-class TestInProcessDoubleParity:
-    def test_cluster_logits_bit_identical_to_serial_service(self, tiny_dataset):
-        """Two identically-seeded in-process stacks behind the cluster
-        router serve the exact bits the serial service path computes."""
-        reference = InferenceService(factory, tiny_dataset.num_tasks,
-                                     batch_size=8, seed=0)
-        services = [InferenceService(factory, tiny_dataset.num_tasks,
-                                     batch_size=8, seed=0) for _ in range(2)]
-        servers = [InferenceServer(s, num_workers=1, max_batch_size=1,
-                                   max_delay=10_000, tick_interval_s=0.001)
-                   for s in services]
-        for s in servers:
-            s.start()
-        try:
-            cluster = ClusterRouter([InProcessTransport(s) for s in servers])
-            for i, spec in enumerate([SPEC_A, SPEC_B, SPEC_A]):
-                graph = tiny_dataset.graphs[i]
-                logits = cluster.predict(graph, spec, timeout_s=30)
-                ref = reference.predict([graph], spec, batch_size=1)
-                assert np.array_equal(logits, ref[0])
-        finally:
-            for s in servers:
-                s.stop()
-
-
-@pytest.mark.cluster
 class TestRealShards:
-    """Spawned shard processes: handshake, cross-process parity, failover."""
+    """Spawned shard processes: the ready handshake and parity."""
 
     def test_startup_failure_surfaces_through_handshake(self):
-        bad = ShardServiceConfig(dataset="no-such-dataset", size=8)
-        shard = ShardProcess(bad, ready_timeout_s=120.0)
-        with pytest.raises(ClusterError, match="failed to start"):
+        shard = ShardProcess(unknown_dataset_service)
+        with pytest.raises(RuntimeError, match="failed to start"):
             shard.start()
         assert not shard.alive
 
-    def test_two_shards_parity_and_shard_kill_failover(self):
-        config = ShardServiceConfig(dataset="bbbp", size=40, num_layers=2,
-                                    emb_dim=12, batch_size=8, seed=0)
-        shards = launch_shards(config, 2, num_workers=1, max_batch_size=1,
-                               tick_interval_s=0.002)
-        try:
-            cluster = ClusterRouter([s.client(timeout_s=60) for s in shards],
-                                    max_retries=1, backoff_s=0.01)
-            reference = config()
-            data = load_dataset("bbbp", size=40)
-            rng = np.random.default_rng(7)
-            specs = [DEFAULT_SPACE.random_spec(2, rng) for _ in range(2)]
-            stream = [(data.graphs[i], specs[i % 2]) for i in range(8)]
+    def test_child_exit_before_handshake_is_a_startup_failure(self):
+        shard = ShardProcess(exits_before_handshake)
+        with pytest.raises(RuntimeError, match="failed to start.*code 3"):
+            shard.start()
+        assert not shard.alive
+        # The dead child was reaped, so the shard can be started again.
+        with pytest.raises(RuntimeError, match="failed to start"):
+            shard.start()
+        assert not shard.alive
 
-            def check(graph, spec):
-                logits = cluster.predict(graph, spec, timeout_s=60)
-                ref = reference.predict([graph], spec, batch_size=1)
-                assert np.array_equal(logits, ref[0])
-
-            for graph, spec in stream[:4]:
-                check(graph, spec)  # cross-process == serial, bit for bit
-            assert sum(cluster.dispatched) == 4
-
-            # Kill the home shard of a spec still in the stream, so the
-            # remaining requests genuinely exercise failover (not luck).
-            victim = spec_affinity(specs[0], 2)
-            shards[victim].kill()
-            for graph, spec in stream[4:]:
-                check(graph, spec)  # failover keeps serving, same bits
-
-            assert cluster.live_shards() == [1 - victim]
-            stats = cluster.stats()
-            assert stats["cluster"]["deaths"] == 1
-            assert stats["cluster"]["failovers"] >= 1
-            assert stats["shards"][str(victim)] == {"unreachable": True}
-            json.dumps(stats)  # HTTP stats trees aggregate JSON-safe
-        finally:
-            for shard in shards:
-                shard.stop()
+    def test_one_shard_logits_bit_identical_to_serial_service(self):
+        """Cross-process logits equal the serial path's, bit for bit."""
+        data = load_dataset("bbbp", size=DATASET_SIZE)
+        rng = np.random.default_rng(7)
+        specs = [DEFAULT_SPACE.random_spec(2, rng) for _ in range(2)]
+        reference = tiny_service()
+        with ShardProcess(tiny_service, num_workers=1, max_batch_size=1,
+                          tick_interval_s=0.002) as shard:
+            client = shard.client(timeout_s=60)
+            try:
+                for i in range(4):
+                    for spec in specs:
+                        graph = data.graphs[i]
+                        logits = client.predict(graph, spec, timeout_s=60)
+                        ref = reference.predict([graph], spec, batch_size=1)
+                        assert np.array_equal(logits, ref[0])
+            finally:
+                client.close()
+        assert not shard.alive

@@ -603,7 +603,7 @@ class TestHTTPTransport:
             client = HTTPServingClient(url, timeout_s=2.0)
             client.stats()  # alive
         # transport stopped: connection refused must surface as the typed
-        # error the cluster router keys failover on, not a bare RuntimeError
+        # "nothing answered" error, not a bare RuntimeError
         with pytest.raises(TransportConnectionError):
             client.stats()
 
