@@ -10,9 +10,10 @@ paying the real forward — and emits
 * **steady-state throughput** at float64 (the historical default policy)
   vs float32, same fitted weights (both services derive from one
   deterministic supernet);
-* **one-hot spec scoring** — ``InferenceService.score_specs`` over a few
-  specs through the attached supernet's one-hot path (the search's
-  candidate-ranking primitive), float64 vs float32, where the float32
+* **spec scoring** — ``InferenceService.score_specs`` over a few specs in
+  one sweep of the attached supernet (the search's candidate-ranking
+  primitive; the snapshot keeps its ``onehot_*`` key names), float64 vs
+  float32, where the float32
   service scores on its private float32 copy of the supernet;
 * **accuracy cost** — max |logit_f32 - logit_f64| and the metric-score
   delta of both legs on the same fixed-seed evaluation, against
@@ -92,7 +93,7 @@ def _best_of(fn, repeats):
 
 
 def _bench_score_specs(cfg, service, graphs, specs, metric):
-    """The one-hot leg: best-of-``repeats`` ``score_specs`` fan-outs."""
+    """The spec-sweep leg: best-of-``repeats`` ``score_specs`` calls."""
     scored = service.score_specs(specs, graphs, metric=metric,
                                  keep_logits=True)  # warmup pass
     elapsed = _best_of(lambda: service.score_specs(specs, graphs,
@@ -103,7 +104,7 @@ def _bench_score_specs(cfg, service, graphs, specs, metric):
 
 
 def bench_steady_state(cfg, seed=0):
-    """Repeated predict requests and one-hot ``score_specs`` fan-outs:
+    """Repeated predict requests and ``score_specs`` spec sweeps:
     float64 default vs float32."""
     from repro.metrics import multitask_score_or_fallback
 
@@ -167,8 +168,12 @@ def run_benchmark(cfg=None, seed=0):
     return {
         "benchmark": "memory_plane",
         "config": dict(cfg),
+        # Small-GEMM timings swing 2-3x with the BLAS thread mode, so the
+        # snapshot records it (None: the library default).
         "box": {"cpu_count": os.cpu_count(),
-                "compiled_kernels": compiled_status()["state"]},
+                "compiled_kernels": compiled_status()["state"],
+                "openblas_num_threads":
+                    os.environ.get("OPENBLAS_NUM_THREADS")},
         "steady_state": bench_steady_state(cfg, seed),
     }
 

@@ -9,8 +9,9 @@ PRs can track the trajectory:
    pays per request: build a fresh ``DerivedModel`` from the encoder
    factory, warm-start it from the supernet, collate an uncached loader,
    forward.  Logits must be bit-identical.
-2. **Many-spec scoring** — ``score_specs`` fan-outs over one shared batch
-   cache (one-hot supernet fast path, collate once) vs the per-call cold
+2. **Many-spec scoring** — ``score_specs`` calls over one shared batch
+   cache (one prefix-shared supernet sweep for all specs, collate once)
+   vs the per-call cold
    path (fresh warm-started model + fresh uncached loader per spec per
    round).  Logits must be bit-identical.
 
@@ -27,6 +28,7 @@ Run modes:
   (``REPRO_BENCH_WRITE=1`` writes it; ``REPRO_BENCH_SKIP=1`` skips).
 """
 
+import os
 import time
 
 import numpy as np
@@ -133,7 +135,7 @@ def bench_predict_requests(cfg, seed=0):
 
 
 def bench_spec_scoring(cfg, seed=0):
-    """Shared-cache one-hot fan-out vs per-call cold scoring."""
+    """Shared-cache spec sweep vs per-call cold scoring."""
     from repro.metrics import multitask_score_or_fallback
 
     dataset, graphs, supernet, service, specs, factory = _build(cfg, seed)
@@ -183,6 +185,11 @@ def run_benchmark(cfg=None, seed=0):
     return {
         "benchmark": "serving",
         "config": dict(cfg),
+        # Small-GEMM timings swing 2-3x with the BLAS thread mode, so the
+        # snapshot records it (None: the library default).
+        "box": {"cpu_count": os.cpu_count(),
+                "openblas_num_threads":
+                    os.environ.get("OPENBLAS_NUM_THREADS")},
         "predict_requests": bench_predict_requests(cfg, seed),
         "spec_scoring": bench_spec_scoring(cfg, seed),
     }

@@ -9,9 +9,10 @@ shows the layer that exploits both for many-request / many-spec workloads:
    ``BatchCacheRegistry``, so each split is collated exactly once;
 2. wrap the fitted tuner in an ``InferenceService`` and answer repeated
    prediction requests from the persistent fine-tuned model;
-3. fan a set of candidate specs out over the cached validation batches
-   with ``score_specs`` — one one-hot supernet forward per batch per spec,
-   no model construction, no re-collation;
+3. score a set of candidate specs over the cached validation batches
+   with ``score_specs`` — one supernet sweep for all of them, in which
+   each batch runs its shared layers once per distinct identity prefix
+   (not once per spec), no model construction, no re-collation;
 4. inspect the cache counters that make the serving economics visible.
 
 Run:  python examples/serving.py
@@ -61,7 +62,7 @@ def main():
         service.predict(test_graphs, tuner.best_spec_)
     print(f"after 4 requests: {service.stats()['batches']}")
 
-    # -- 3. many-spec scoring through the one-hot fast path ---------------
+    # -- 3. many-spec scoring in one prefix-shared supernet sweep ---------
     rng = np.random.default_rng(7)
     candidates = [tuner.best_spec_] + [
         tuner.space.random_spec(3, rng) for _ in range(5)

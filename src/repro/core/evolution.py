@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.datasets import MolecularDataset
-from ..graph.loader import DataLoader, eval_score
+from ..graph.loader import DataLoader
 from ..metrics import higher_is_better
 from ..nn import Adam, clip_grad_norm
 from ..finetune.base import supervised_loss
-from .search import _spec_to_onehots, spec_forward
+from .search import _spec_to_onehots, _sweep_scores
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import S2PGNNSupernet
 
@@ -112,9 +112,9 @@ class EvolutionarySearcher:
         registry, so the validation split is collated exactly once per
         search — and not at all when an outer run already cached it.
         """
-        return eval_score(self.batch_cache.loader(valid_graphs, 64),
-                          spec_forward(self.supernet, spec),
-                          self.dataset.info.metric)
+        return _sweep_scores(self.supernet, [spec],
+                             self.batch_cache.loader(valid_graphs, 64),
+                             self.dataset.info.metric)[0]
 
     def _mutate(self, spec: FineTuneStrategySpec, rng) -> FineTuneStrategySpec:
         """Mutate each dimension independently with ``mutation_rate``."""

@@ -14,6 +14,11 @@ early epochs explore (soft mixtures) and late epochs commit (near one-hot),
 ensuring the relaxation is asymptotically unbiased (paper's remark after
 Eq. 18).  :func:`random_search` provides the brute-force comparison point
 used in the search-algorithm ablation benchmarks.
+
+Discrete candidates are scored under the shared weights with
+:meth:`~repro.core.supernet.S2PGNNSupernet.forward_specs`: the derivation
+step scores all of them in one prefix-shared sweep of the validation
+split.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import DerivedModel, S2PGNNSupernet
 from ..finetune.base import finetune, supervised_loss
 
-__all__ = ["SearchConfig", "SearchResult", "S2PGNNSearcher", "random_search",
-           "spec_forward"]
+__all__ = ["SearchConfig", "SearchResult", "S2PGNNSearcher", "random_search"]
 
 
 @dataclass
@@ -218,6 +222,8 @@ class S2PGNNSearcher:
         no retraining — and the best validation performer wins.  This is the
         weight-sharing evaluation the paper's Sec. III-C2 enables: candidate
         strategies are compared without training each to convergence.
+        All candidates are scored in one prefix-shared sweep; ties keep the
+        first candidate in ``describe()`` order.
         """
         cfg = self.config
         candidates = {self.controller.derive()}
@@ -232,16 +238,22 @@ class S2PGNNSearcher:
         for _ in range(max(cfg.derive_candidates, 0)):
             sampled = self.controller.sample(cfg.tau_end, rng, hard=True)
             candidates.add(_onehots_to_spec(sampled, self.space))
-        better = higher_is_better(self.dataset.info.metric)
+        metric = self.dataset.info.metric
+        better = higher_is_better(metric)
         best_spec, best_score = None, -np.inf if better else np.inf
-        # One cached loader scores every candidate: the validation split is
-        # collated once, not once per spec.
+        # One cached loader and one prefix-shared sweep score every
+        # candidate: the validation split is collated once, and each batch
+        # runs the shared layers once, not once per spec.
         eval_loader = self._eval_loader(valid_graphs)
-        for spec in sorted(candidates, key=lambda s: s.describe()):
-            try:
-                score = self.evaluate_spec(spec, valid_graphs, loader=eval_loader)
-            except ValueError:  # degenerate split: keep controller argmax
-                continue
+        ranked = sorted(candidates, key=lambda s: s.describe())
+        try:
+            scores = _sweep_scores(self.supernet, ranked, eval_loader, metric)
+        except ValueError:
+            # Every ValueError the sweep can raise (empty split, unknown
+            # metric, shape mismatch) fails all candidates alike: a
+            # degenerate split keeps the controller argmax.
+            return self.controller.derive()
+        for spec, score in zip(ranked, scores):
             improved = score > best_score if better else score < best_score
             if improved:
                 best_spec, best_score = spec, score
@@ -286,13 +298,13 @@ class S2PGNNSearcher:
                       loader: DataLoader | None = None) -> float:
         """Score a discrete spec using shared supernet weights (no retraining).
 
-        One-hot mixing weights make every supernet dimension take the
-        branch-skipping fast path, so this costs one DerivedModel-shaped
-        forward per batch — not one forward per candidate operator.
+        Runs :meth:`S2PGNNSupernet.forward_specs` over ``[spec]``: one
+        DerivedModel-shaped forward per batch, with no mixing weights, so
+        the supernet's ``mix_threshold`` plays no part.
         """
         loader = loader if loader is not None else self._eval_loader(graphs)
-        return eval_score(loader, spec_forward(self.supernet, spec),
-                          self.dataset.info.metric)
+        return _sweep_scores(self.supernet, [spec], loader,
+                             self.dataset.info.metric)[0]
 
 
 @contextlib.contextmanager
@@ -310,11 +322,12 @@ def _off_tape(params):
             param.requires_grad = True
 
 
-def spec_forward(supernet: S2PGNNSupernet, spec: FineTuneStrategySpec):
-    """``batch -> logits`` for a discrete spec via the supernet's one-hot
-    path (the forward :func:`~repro.graph.loader.eval_logits` sweeps)."""
-    one_hots = _spec_to_onehots(spec, supernet.space, supernet.encoder.num_layers)
-    return lambda batch: supernet.forward_full(batch, one_hots)["logits"]
+def _sweep_scores(supernet: S2PGNNSupernet, specs, loader: DataLoader,
+                  metric: str) -> list[float]:
+    """Scores of discrete ``specs`` over ``loader`` from one
+    :meth:`S2PGNNSupernet.forward_specs` sweep (input order)."""
+    return eval_score(loader, lambda batch: supernet.forward_specs(batch, specs),
+                      metric, num_outputs=len(specs))
 
 
 def _onehots_to_spec(sampled, space: FineTuneSpace) -> FineTuneStrategySpec:
@@ -328,7 +341,8 @@ def _onehots_to_spec(sampled, space: FineTuneSpace) -> FineTuneStrategySpec:
 
 
 def _spec_to_onehots(spec: FineTuneStrategySpec, space: FineTuneSpace, num_layers: int):
-    """Discrete spec -> one-hot SampledStrategy for supernet evaluation."""
+    """Discrete spec -> one-hot SampledStrategy (evolution's warm-up trains
+    the supernet through its mixed forward on these)."""
     from ..nn import Tensor
     from .controller import SampledStrategy
 

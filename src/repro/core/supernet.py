@@ -9,6 +9,12 @@ so all strategies share one set of GNN weights ``theta`` — evaluating a new
 strategy never retrains from scratch (the paper's answer to the
 10,206-strategy search cost).
 
+Discrete specs are evaluated by :meth:`S2PGNNSupernet.forward_specs`, one
+sweep for many specs: the embedding and layer 0 are shared by every spec,
+and layer ``k`` by every spec with the same first ``k`` identity choices,
+so each runs once per batch.  The ``mix_threshold`` branch skipping
+governs relaxed (mixed) forwards only.
+
 :class:`DerivedModel` instantiates one discrete strategy (post-search) with
 the same candidate implementations, for final fine-tuning and inference.
 """
@@ -123,8 +129,8 @@ class S2PGNNSupernet(Module):
         ``outputs`` entries are either Tensors or zero-argument callables
         (lazy branches).  A branch whose mixing weight has magnitude at or
         below ``threshold`` is *never invoked* — in the low-temperature
-        regime (near one-hot sample) or under an exactly one-hot
-        ``evaluate_spec`` call, each dimension therefore does O(1) operator
+        regime (near one-hot sample) or under exactly one-hot weights
+        (evolution's warm-up), each dimension therefore does O(1) operator
         work instead of O(|candidates|).  Pass ``threshold=None`` to force
         the full mixture (every branch computed).
 
@@ -187,6 +193,78 @@ class S2PGNNSupernet(Module):
 
     def forward(self, batch: Batch, strategy: SampledStrategy) -> Tensor:
         return self.forward_full(batch, strategy)["logits"]
+
+    def _spec_choices(self, spec: FineTuneStrategySpec) -> tuple:
+        """``spec``'s bank indices ``(identity tuple, fusion, readout)``.
+
+        Raises ``ValueError`` when the spec does not fit this supernet: a
+        wrong number of identity choices, or a candidate name its space
+        does not hold.
+        """
+        k = self.encoder.num_layers
+        if len(spec.identity) != k:
+            raise ValueError(
+                f"spec has {len(spec.identity)} identity choices for {k} layers"
+            )
+
+        def index(dimension, options, name):
+            if name not in options:
+                raise ValueError(
+                    f"unknown {dimension} candidate {name!r} in spec "
+                    f"{spec.describe()}; allowed: {', '.join(options)}")
+            return options.index(name)
+
+        space = self.space
+        return (tuple(index("identity", space.identity, name)
+                      for name in spec.identity),
+                index("fusion", space.fusion, spec.fusion),
+                index("readout", space.readout, spec.readout))
+
+    def forward_specs(self, batch: Batch, specs) -> list[Tensor]:
+        """Logits of each discrete spec in ``specs`` on ``batch``, in order.
+
+        The many-spec sweep every discrete-spec evaluation runs.  Every
+        spec is validated (:meth:`_spec_choices`) before any compute.  The
+        nodes are embedded once; then the trie of identity prefixes is
+        walked depth-first, so layer ``k`` runs once per distinct choice
+        of the first ``k`` identity candidates, and each chosen identity
+        module once under it.  Only one root-to-leaf path of activations
+        is alive at a time.  Each spec's fusion, readout and head run at
+        its leaf.
+
+        This is :meth:`DerivedModel.forward_full` per spec, bit for bit:
+        no mixing weights are applied, so ``mix_threshold`` (which
+        governs relaxed forwards only) is never read.
+        """
+        picks = [self._spec_choices(spec) for spec in specs]
+        logits: list = [None] * len(specs)
+        self._sweep_prefix(batch, picks, logits, self.encoder.embed_nodes(batch),
+                           [], range(len(specs)))
+        return logits
+
+    def _sweep_prefix(self, batch: Batch, picks: list, logits: list, h: Tensor,
+                      layers: list, members) -> None:
+        """Depth-first step of :meth:`forward_specs`: run the specs
+        ``members`` (indices into ``picks``), which share the identity
+        prefix that produced ``layers``, from layer ``len(layers)`` with
+        input ``h``, and store their logits into ``logits``."""
+        k = len(layers)
+        if k == self.encoder.num_layers:
+            for i in members:
+                _, fusion, readout = picks[i]
+                fused = self.fusion_bank[fusion](layers)
+                graph_repr = self.readout_bank[readout](
+                    fused, batch.node_plan(), batch.num_graphs)
+                logits[i] = self.head(graph_repr)
+            return
+        z = self.encoder.layer_step(h, batch, k)
+        branches: dict = {}
+        for i in members:
+            branches.setdefault(picks[i][0][k], []).append(i)
+        for choice, branch in branches.items():
+            h_next = self.identity_banks[k][choice](h, z)
+            self._sweep_prefix(batch, picks, logits, h_next, layers + [h_next],
+                               branch)
 
     def theta_parameters(self) -> list:
         """Shared model weights theta (everything in the supernet; the

@@ -164,10 +164,15 @@ class DataLoader:
             yield self._collate(chunk)
 
 
-def eval_logits(loader, forward, num_tasks: int) -> np.ndarray:
+def eval_logits(loader, forward, num_tasks: int, num_outputs: int | None = None):
     """Eval-mode sweep: ``forward(batch)`` logits over ``loader`` under
     :class:`~repro.nn.inference`.  Zero batches (an empty graph list)
     yield a correctly shaped ``(0, num_tasks)`` array.
+
+    With ``num_outputs``, ``forward(batch)`` returns that many logits
+    tensors (one per spec of a many-spec sweep, see
+    :meth:`~repro.core.supernet.S2PGNNSupernet.forward_specs`) and the
+    result is a list of ``num_outputs`` arrays, in the same order.
 
     Every evaluator — fine-tune validation, spec scoring during search
     and evolution, ``S2PGNNFineTuner.predict`` and the serving layer —
@@ -175,15 +180,24 @@ def eval_logits(loader, forward, num_tasks: int) -> np.ndarray:
     execution policy the caller has active.
     """
     with inference():
-        preds = [forward(batch).data for batch in loader]
+        if num_outputs is None:
+            return _stack([forward(batch).data for batch in loader], num_tasks)
+        preds = [[out.data for out in forward(batch)] for batch in loader]
+    return [_stack([pred[i] for pred in preds], num_tasks)
+            for i in range(num_outputs)]
+
+
+def _stack(preds: list, num_tasks: int) -> np.ndarray:
     if not preds:
         return np.zeros((0, num_tasks), dtype=active_dtype())
     return np.concatenate(preds, axis=0)
 
 
-def eval_score(loader, forward, metric: str, allow_fallback: bool = True) -> float:
+def eval_score(loader, forward, metric: str, allow_fallback: bool = True,
+               num_outputs: int | None = None):
     """Score :func:`eval_logits` over an *unshuffled* ``loader`` against
-    its labels with ``metric`` (see :mod:`repro.metrics`).
+    its labels with ``metric`` (see :mod:`repro.metrics`); with
+    ``num_outputs``, a list of one score per output of ``forward``.
 
     With ``allow_fallback`` a metric that is undefined on the labels
     (single-class ROC-AUC) falls back to
@@ -195,4 +209,7 @@ def eval_score(loader, forward, metric: str, allow_fallback: bool = True) -> flo
         raise ValueError("cannot score an empty graph list")
     y_true = loader.labels()
     score = multitask_score_or_fallback if allow_fallback else multitask_score
-    return score(y_true, eval_logits(loader, forward, y_true.shape[1]), metric)
+    logits = eval_logits(loader, forward, y_true.shape[1], num_outputs)
+    if num_outputs is None:
+        return score(y_true, logits, metric)
+    return [score(y_true, spec_logits, metric) for spec_logits in logits]

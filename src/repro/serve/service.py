@@ -8,12 +8,14 @@ cache (PR 2) were built for: a long-lived process that answers
   :class:`~repro.core.supernet.DerivedModel` (no per-request model
   construction) over pre-collated, plan-cached batches (no per-request
   collation); and
-* **many-spec scoring** — ``score_specs`` fans a list of candidate specs
-  out over one cached batch set, running each through the searched
-  supernet's one-hot fast path (``evaluate_spec``-style: one
-  derived-model-shaped forward per batch, not one per candidate
-  operator).  This is the primitive behind candidate ranking, ensembles
-  over searched strategies, and A/B scoring of specs on live traffic.
+* **many-spec scoring** — ``score_specs`` scores a list of candidate
+  specs over one cached batch set in one prefix-shared sweep of the
+  searched supernet
+  (:meth:`~repro.core.supernet.S2PGNNSupernet.forward_specs`): each batch
+  embeds its nodes once and runs layer ``k`` once per distinct prefix of
+  the first ``k`` identity choices, not once per spec.  This is the
+  primitive behind candidate ranking, ensembles over searched
+  strategies, and A/B scoring of specs on live traffic.
 
 Single-graph requests go through a
 :class:`~repro.serve.router.BatchingRouter` built over the service
@@ -115,8 +117,8 @@ class InferenceService:
     supernet:
         Optional searched :class:`~repro.core.supernet.S2PGNNSupernet`.
         When attached, newly built models warm-start from its shared
-        weights and :meth:`score_specs` scores candidates through its
-        one-hot fast path without building a model per spec.
+        weights and :meth:`score_specs` scores candidates in one sweep of
+        it without building a model per spec.
     models / batch_cache:
         Existing registries to share (e.g. the
         :class:`~repro.serve.cache.BatchCacheRegistry` a
@@ -181,7 +183,7 @@ class InferenceService:
     # ------------------------------------------------------------------
     def attach_supernet(self, supernet) -> "InferenceService":
         """Attach (or replace) the searched supernet used for warm starts
-        and one-hot spec scoring; under a float32 policy, as a private cast
+        and spec-sweep scoring; under a float32 policy, as a private cast
         copy (the caller's supernet, e.g. a searcher's, is never touched)."""
         if supernet is not None and self._cast_dtype is not None:
             supernet = cast_module(copy.deepcopy(supernet), self._cast_dtype)
@@ -211,13 +213,25 @@ class InferenceService:
             self.batch_cache.warm(graphs, batch_size or self.batch_size)
 
     # ------------------------------------------------------------------
-    def _sweep(self, graphs, batch_size, forward, num_tasks: int) -> np.ndarray:
-        """One counted forward sweep over ``graphs`` under the policy."""
+    def _sweep(self, graphs, batch_size, forward, num_tasks: int,
+               num_outputs: int | None = None):
+        """One forward sweep over ``graphs`` under the policy, counted once
+        per output (see :func:`~repro.graph.loader.eval_logits`)."""
         with self._lock:
-            self._sweeps += 1
+            self._sweeps += 1 if num_outputs is None else num_outputs
         with self._policy_scope():
             return eval_logits(self.batch_cache.loader(graphs, batch_size),
-                               forward, num_tasks)
+                               forward, num_tasks, num_outputs)
+
+    def _spec_sweep(self, graphs, specs, batch_size) -> list[np.ndarray]:
+        """Logits of each spec in ``specs`` from one
+        :meth:`~repro.core.supernet.S2PGNNSupernet.forward_specs` sweep."""
+        supernet = self.supernet
+        if supernet is None:
+            raise RuntimeError("one-hot scoring needs an attached supernet")
+        return self._sweep(graphs, batch_size or self.batch_size,
+                           lambda batch: supernet.forward_specs(batch, specs),
+                           supernet.num_tasks, len(specs))
 
     def predict(self, graphs, spec, batch_size: int | None = None) -> np.ndarray:
         """Logits for ``graphs`` under ``spec`` from the persistent model,
@@ -227,54 +241,61 @@ class InferenceService:
 
     def predict_spec_onehot(self, graphs, spec,
                             batch_size: int | None = None) -> np.ndarray:
-        """Logits for ``graphs`` via the supernet's one-hot fast path.
+        """Logits for ``graphs`` from the attached supernet's sweep over
+        ``[spec]`` (see :meth:`score_specs`).
 
-        Requires an attached supernet.  With one-hot mixing weights every
-        supernet dimension takes the branch-skipping path, so this costs
-        one derived-model-shaped forward per batch and is bit-identical to
-        a :class:`DerivedModel` warm-started from the same supernet (under
-        a float32 policy too: both run on weights cast once).
+        Requires an attached supernet.  This costs one derived-model-shaped
+        forward per batch and is bit-identical to a :class:`DerivedModel`
+        warm-started from the same supernet (under a float32 policy too:
+        both run on weights cast once).
         """
-        from ..core.search import spec_forward
-
-        supernet = self.supernet
-        if supernet is None:
-            raise RuntimeError("one-hot scoring needs an attached supernet")
-        with self._policy_scope():
-            forward = spec_forward(supernet, spec)
-        return self._sweep(graphs, batch_size or self.batch_size, forward,
-                           supernet.num_tasks)
+        return self._spec_sweep(graphs, [spec], batch_size)[0]
 
     def score_specs(self, specs, graphs, metric: str = "roc_auc",
                     batch_size: int | None = None,
                     keep_logits: bool = False) -> list[SpecScore]:
         """Score many candidate specs against one cached batch set.
 
-        Each spec runs through the one-hot supernet fast path (attached
-        supernet) or its persistent derived model (no supernet); the
-        graphs are collated and plan-built exactly once for the whole
-        fan-out *and* for every later call on the same graph set.  Labels
+        With an attached supernet every spec is validated first (a spec
+        that does not fit it raises ``ValueError``), then all of them are
+        scored in one prefix-shared sweep
+        (:meth:`~repro.core.supernet.S2PGNNSupernet.forward_specs`): each
+        batch embeds its nodes once, runs layer ``k`` once per distinct
+        prefix of the first ``k`` identity choices, and runs each spec's
+        fusion, readout and head.  The logits are bit-identical to each
+        spec's warm-started :class:`DerivedModel`, and the supernet's
+        ``mix_threshold`` (which governs relaxed forwards only) is not
+        read.  Without a supernet each spec runs its persistent derived
+        model.  Nothing is kept between calls; ``stats()["logits"]``
+        counts one sweep per spec scored.
+
+        The graphs are collated and plan-built exactly once for the whole
+        call *and* for every later call on the same graph set.  Labels
         come from the graphs themselves; ``metric`` follows
         :mod:`repro.metrics` (falls back on degenerate label sets).
+        Results follow ``specs``' order, duplicates included.
         """
         if not graphs:
             # Unlike predictions (an empty logits array is well-defined),
             # a metric over zero graphs is not.
             raise ValueError("cannot score specs over an empty graph list")
+        specs = list(specs)
+        if not specs:
+            return []
         batch_size = batch_size or self.batch_size
         with self._policy_scope():
             # Fetch the loader inside the policy scope: the batch-cache key
             # includes the active dtype, so this resolves to the same
-            # cached loader the predict computes will use.
+            # cached loader the forwards will use.
             trues = self.batch_cache.loader(graphs, batch_size).labels()
-        run = self.predict_spec_onehot if self.supernet is not None else self.predict
-        results = []
-        for spec in specs:
-            logits = run(graphs, spec, batch_size)
-            score = multitask_score_or_fallback(trues, logits, metric)
-            results.append(SpecScore(spec=spec, score=score,
-                                     logits=logits if keep_logits else None))
-        return results
+        if self.supernet is not None:
+            all_logits = self._spec_sweep(graphs, specs, batch_size)
+        else:
+            all_logits = [self.predict(graphs, spec, batch_size) for spec in specs]
+        return [SpecScore(spec=spec,
+                          score=multitask_score_or_fallback(trues, logits, metric),
+                          logits=logits if keep_logits else None)
+                for spec, logits in zip(specs, all_logits)]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

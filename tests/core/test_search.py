@@ -126,6 +126,39 @@ class TestEvalLoaderReuse:
         # Scoring two candidates collated the split exactly once.
         assert loader.num_collations == len(loader)
 
+    def test_derive_scores_every_candidate_in_one_sweep(self, tiny_dataset,
+                                                        monkeypatch):
+        searcher = S2PGNNSearcher(
+            make_encoder(), tiny_dataset,
+            config=SearchConfig(epochs=1, eval_batch_size=16, seed=0),
+        )
+        _, valid, _ = tiny_dataset.split()
+        sweeps = []
+        forward_specs = searcher.supernet.forward_specs
+
+        def spy(batch, specs):
+            sweeps.append(list(specs))
+            return forward_specs(batch, specs)
+
+        monkeypatch.setattr(searcher.supernet, "forward_specs", spy)
+        best = searcher._derive_by_validation(valid, np.random.default_rng(0))
+        ranked = sweeps[0]
+        assert len(ranked) > 1
+        assert ranked == sorted(ranked, key=lambda s: s.describe())
+        assert sweeps == [ranked] * len(searcher._eval_loader(valid))
+        # The pick is the first best of the candidates scored one by one.
+        scores = [searcher.evaluate_spec(spec, valid) for spec in ranked]
+        assert best == ranked[int(np.argmax(scores))]
+
+    def test_derive_on_degenerate_split_keeps_controller_argmax(self,
+                                                                tiny_dataset):
+        searcher = S2PGNNSearcher(
+            make_encoder(), tiny_dataset,
+            config=SearchConfig(epochs=1, seed=0),
+        )
+        best = searcher._derive_by_validation([], np.random.default_rng(0))
+        assert best == searcher.controller.derive()
+
     def test_eval_loader_cache_bounded(self, tiny_dataset):
         searcher = S2PGNNSearcher(
             make_encoder(), tiny_dataset,

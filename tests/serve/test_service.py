@@ -373,3 +373,163 @@ class TestModelRegistry:
         registry.add(SPECS[0], registry._build(SPECS[0]))  # re-registered
         assert registry.stats()["pinned"] == 1
         assert registry._pinned <= set(registry._models)
+
+
+class TestSpecSweep:
+    """``score_specs`` runs one prefix-shared sweep of the supernet
+    (``S2PGNNSupernet.forward_specs``) for all its specs."""
+
+    SWEEP_SPECS = [
+        FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
+                             fusion="last", readout="mean"),
+        FineTuneStrategySpec(identity=("zero_aug", "identity_aug"),
+                             fusion="mean", readout="sum"),
+        FineTuneStrategySpec(identity=("trans_aug", "identity_aug"),
+                             fusion="concat", readout="max"),
+        FineTuneStrategySpec(identity=("zero_aug", "trans_aug"),
+                             fusion="lstm", readout="set2set"),
+        FineTuneStrategySpec(identity=("identity_aug", "zero_aug"),
+                             fusion="max", readout="sort"),
+        FineTuneStrategySpec(identity=("trans_aug", "trans_aug"),
+                             fusion="ppr", readout="neural"),
+        FineTuneStrategySpec(identity=("zero_aug", "identity_aug"),
+                             fusion="mean", readout="sum"),  # duplicate of [1]
+        FineTuneStrategySpec(identity=("identity_aug", "identity_aug"),
+                             fusion="gpr", readout="mean"),
+    ]
+
+    @staticmethod
+    def spy(monkeypatch, obj, name):
+        """Count calls of ``obj.name`` (a bound method)."""
+        calls = []
+        original = getattr(obj, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, counted)
+        return calls
+
+    def test_shared_prefix_runs_once_per_batch(self, tiny_dataset, monkeypatch):
+        supernet = S2PGNNSupernet(factory(), DEFAULT_SPACE,
+                                  num_tasks=tiny_dataset.num_tasks, seed=0)
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   supernet=supernet, batch_size=8, seed=0)
+        graphs = tiny_dataset.graphs[:20]  # 3 batches of at most 8
+        specs = [FineTuneStrategySpec(identity=("trans_aug", last),
+                                      fusion="mean", readout="sum")
+                 for last in DEFAULT_SPACE.identity]
+        layer_steps = self.spy(monkeypatch, supernet.encoder, "layer_step")
+        embeds = self.spy(monkeypatch, supernet.encoder, "embed_nodes")
+        service.score_specs(specs, graphs, metric=tiny_dataset.info.metric)
+        num_batches, num_layers = 3, supernet.encoder.num_layers
+        assert len(embeds) == num_batches
+        assert len(layer_steps) == num_layers * num_batches
+        # Each batch: layer 0 and layer 1 once, under the one shared prefix.
+        assert [args[2] for args in layer_steps] == [0, 1] * num_batches
+        assert service.stats()["logits"]["misses"] == len(specs)
+
+    @pytest.mark.parametrize("policy", [None, "float32"])
+    def test_logits_bit_identical_to_derived_models(self, tiny_dataset, policy):
+        supernet = S2PGNNSupernet(factory(), DEFAULT_SPACE,
+                                  num_tasks=tiny_dataset.num_tasks, seed=0)
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   supernet=supernet, batch_size=8, seed=0,
+                                   policy=policy)
+        graphs = tiny_dataset.graphs[:20]
+        results = service.score_specs(self.SWEEP_SPECS, graphs,
+                                      metric=tiny_dataset.info.metric,
+                                      keep_logits=True)
+        assert [r.spec for r in results] == self.SWEEP_SPECS
+        for entry in results:
+            # ``predict`` serves the registry's DerivedModel, warm-started
+            # from the service's (cast) supernet.
+            ref = service.predict(graphs, entry.spec)
+            assert entry.logits.dtype == ref.dtype
+            assert np.array_equal(entry.logits, ref)
+            if policy is None:
+                assert np.array_equal(entry.logits, cold_logits(
+                    supernet, entry.spec, graphs, tiny_dataset.num_tasks, 8))
+        duplicate, original = results[6], results[1]
+        assert duplicate.logits is not original.logits
+        assert np.array_equal(duplicate.logits, original.logits)
+        assert duplicate.score == original.score
+
+    def test_repeated_call_recomputes(self, served, tiny_dataset):
+        graphs, _, service = served
+        before = service.stats()["logits"]["misses"]
+        first = service.score_specs(SPECS, graphs, keep_logits=True)
+        second = service.score_specs(SPECS, graphs, keep_logits=True)
+        assert service.stats()["logits"]["misses"] == before + 2 * len(SPECS)
+        for a, b in zip(first, second):
+            assert a.logits is not b.logits
+            assert np.array_equal(a.logits, b.logits)
+
+    def test_no_specs_and_no_graphs(self, served):
+        graphs, _, service = served
+        assert service.score_specs([], graphs) == []
+        for specs in ([], SPECS):
+            with pytest.raises(ValueError, match="empty graph list"):
+                service.score_specs(specs, [])
+
+
+class TestSpecValidation:
+    """A spec that does not fit the supernet is rejected before any
+    forward, with the same message on every discrete-spec path."""
+
+    DEEP = FineTuneStrategySpec(identity=("zero_aug",) * 3,
+                                fusion="last", readout="mean")
+    UNKNOWN = FineTuneStrategySpec(identity=("zero_aug", "nope"),
+                                   fusion="last", readout="mean")
+    BAD_FUSION = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
+                                      fusion="nope", readout="mean")
+
+    @staticmethod
+    def callers(tiny_dataset):
+        from repro.core.search import S2PGNNSearcher, SearchConfig
+
+        supernet = S2PGNNSupernet(factory(), DEFAULT_SPACE,
+                                  num_tasks=tiny_dataset.num_tasks, seed=0)
+        service = InferenceService(factory, tiny_dataset.num_tasks,
+                                   supernet=supernet, batch_size=8, seed=0)
+        searcher = S2PGNNSearcher(factory(), tiny_dataset,
+                                  config=SearchConfig(epochs=1, seed=0))
+        graphs = tiny_dataset.graphs[:12]
+        return {
+            "score_specs": lambda spec: service.score_specs(
+                [SPECS[0], spec], graphs),
+            "predict_spec_onehot": lambda spec: service.predict_spec_onehot(
+                graphs, spec),
+            "evaluate_spec": lambda spec: searcher.evaluate_spec(spec, graphs),
+            "predict": lambda spec: service.predict(graphs, spec),
+        }
+
+    @pytest.mark.parametrize("caller", ["score_specs", "predict_spec_onehot",
+                                        "evaluate_spec", "predict"])
+    def test_wrong_depth_is_rejected(self, tiny_dataset, caller):
+        with pytest.raises(ValueError,
+                           match="spec has 3 identity choices for 2 layers"):
+            self.callers(tiny_dataset)[caller](self.DEEP)
+
+    @pytest.mark.parametrize("caller", ["score_specs", "predict_spec_onehot",
+                                        "evaluate_spec"])
+    def test_unknown_candidate_names_dimension_and_choices(self, tiny_dataset,
+                                                           caller):
+        run = self.callers(tiny_dataset)[caller]
+        with pytest.raises(ValueError, match=(
+                r"unknown identity candidate 'nope' in spec .*id=\[zero_aug,nope\]"
+                r".*; allowed: zero_aug, identity_aug, trans_aug")):
+            run(self.UNKNOWN)
+        with pytest.raises(ValueError,
+                           match="unknown fusion candidate 'nope'.*allowed: last"):
+            run(self.BAD_FUSION)
+
+    def test_rejected_before_any_forward(self, tiny_dataset, monkeypatch):
+        supernet = S2PGNNSupernet(factory(), DEFAULT_SPACE,
+                                  num_tasks=tiny_dataset.num_tasks, seed=0)
+        embeds = TestSpecSweep.spy(monkeypatch, supernet.encoder, "embed_nodes")
+        batch = next(iter(DataLoader(tiny_dataset.graphs[:8], batch_size=8)))
+        with pytest.raises(ValueError):
+            supernet.forward_specs(batch, [SPECS[0], self.DEEP])
+        assert embeds == []

@@ -42,7 +42,7 @@ def evaluate_model_case(dataset, monkeypatch):
 def evaluate_spec_case(dataset, monkeypatch):
     searcher = S2PGNNSearcher(factory(), dataset,
                               config=SearchConfig(epochs=1, batch_size=16, seed=0))
-    monkeypatch.setattr(searcher.supernet, "forward_full", boom)
+    monkeypatch.setattr(searcher.supernet, "forward_specs", boom)
     return searcher.supernet, lambda: searcher.evaluate_spec(SPEC, dataset.graphs[:8])
 
 
@@ -55,14 +55,14 @@ def service_predict_case(dataset, monkeypatch):
 
 def evolution_fitness_case(dataset, monkeypatch):
     searcher = EvolutionarySearcher(factory(), dataset)
-    monkeypatch.setattr(searcher.supernet, "forward_full", boom)
+    monkeypatch.setattr(searcher.supernet, "forward_specs", boom)
     return searcher.supernet, lambda: searcher._fitness(SPEC, dataset.graphs[:8])
 
 
 def predict_spec_onehot_case(dataset, monkeypatch):
     supernet = S2PGNNSupernet(factory(), DEFAULT_SPACE, dataset.num_tasks)
     service = InferenceService(factory, dataset.num_tasks, supernet=supernet)
-    monkeypatch.setattr(supernet, "forward_full", boom)
+    monkeypatch.setattr(supernet, "forward_specs", boom)
     return supernet, lambda: service.predict_spec_onehot(dataset.graphs[:8], SPEC)
 
 
