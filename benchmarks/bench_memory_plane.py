@@ -32,6 +32,13 @@ Run modes (same protocol as the other benches):
 """
 
 import os
+
+# One BLAS thread, as perfbench pins it: with BLAS threads left on, one
+# process can time small GEMMs 2-3x slower than the next.  Set before numpy
+# first loads (``conftest`` imports it too).
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import time
 
 import numpy as np
@@ -40,6 +47,12 @@ from conftest import (
     result_path, run_contract, smoke_mode, snapshot_main, write_if_requested)
 
 RESULT_PATH = result_path("memory_plane")
+
+#: The question perfbench cannot answer: score-batch serves float32 only,
+#: so it reads neither the accuracy cost nor the float32/float64 ratio.
+MEASURES = ("the float32 accuracy budget (score delta <= 1e-3 against "
+            "float64 on the same weights) and the float32/float64 ratios of "
+            "predict and score_specs")
 
 SMOKE = {"num_layers": 5, "emb_dim": 32, "dataset_size": 160,
          "batch_size": 32, "requests": 6, "specs": 4, "repeats": 2}
@@ -167,9 +180,10 @@ def run_benchmark(cfg=None, seed=0):
     cfg = cfg or (SMOKE if smoke_mode() else FULL)
     return {
         "benchmark": "memory_plane",
+        "measures": MEASURES,
         "config": dict(cfg),
         # Small-GEMM timings swing 2-3x with the BLAS thread mode, so the
-        # snapshot records it (None: the library default).
+        # snapshot records it (the script pins 1 unless the caller set it).
         "box": {"cpu_count": os.cpu_count(),
                 "compiled_kernels": compiled_status()["state"],
                 "openblas_num_threads":

@@ -11,8 +11,8 @@ Times a stream of *single-graph* prediction requests two ways and emits
 2. **Batch-of-one** — what a naive endpoint pays per request: a fresh
    one-graph ``DataLoader`` (collation + segment plans rebuilt from
    scratch every time) and a one-graph forward through the *same*
-   persistent model.  Model construction is deliberately excluded — that
-   win already belongs to ``bench_serving.py``.
+   persistent model.  Model construction is excluded: both sides serve
+   from the same persistent models.
 
 The acceptance contract is routed throughput >= 5x batch-of-one in the
 full config, and per-request parity within float noise (batching changes
@@ -32,6 +32,14 @@ Run modes:
   (``REPRO_BENCH_WRITE=1`` writes it; ``REPRO_BENCH_SKIP=1`` skips).
 """
 
+import os
+
+# One BLAS thread, as perfbench pins it: with BLAS threads left on, one
+# process can time small GEMMs 2-3x slower than the next.  Set before numpy
+# first loads (``conftest`` imports it too).
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import time
 
 import numpy as np
@@ -40,6 +48,12 @@ from conftest import (
     result_path, run_contract, smoke_mode, snapshot_main, write_if_requested)
 
 RESULT_PATH = result_path("router")
+
+#: The question perfbench cannot answer: serve-wire times the whole HTTP
+#: stack, so it cannot separate what micro-batching alone buys.
+MEASURES = ("in-process routed vs batch-of-one requests/s with no transport, "
+            "queue or worker pool; single_requests_per_s is the "
+            "batch-of-one floor")
 
 SMOKE = {"num_layers": 3, "emb_dim": 16, "dataset_size": 60, "requests": 48,
          "max_batch_size": 16, "num_specs": 2, "repeats": 2}
@@ -136,6 +150,7 @@ def run_benchmark(cfg=None, seed=0):
     cfg = cfg or (SMOKE if smoke_mode() else FULL)
     return {
         "benchmark": "router",
+        "measures": MEASURES,
         "config": dict(cfg),
         "routed_requests": bench_routed_requests(cfg, seed),
     }

@@ -58,8 +58,15 @@ Run modes:
   entirely).
 """
 
-import contextlib
 import os
+
+# One BLAS thread, as perfbench pins it: with BLAS threads left on, one
+# process can time small GEMMs 2-3x slower than the next.  Set before numpy
+# first loads (``conftest`` imports it too).
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import contextlib
 import sys
 import time
 
@@ -69,6 +76,13 @@ from conftest import (
     result_path, run_contract, snapshot_main, write_if_requested)
 
 RESULT_PATH = result_path("segment_kernels")
+
+#: The question perfbench cannot answer: it times whole workloads on the
+#: leg the box builds, so it sees neither one op's kernel nor the other leg.
+MEASURES = ("per-op kernel timings against their tests/oracles.py references "
+            "and with the C library forced off (paired median-of-ratios for "
+            "the grad-mode layers), the no-compiler leg, and each dtype's "
+            "first-build seconds")
 
 #: The repository root, so ``tests.oracles`` (the references the ops are
 #: timed against) imports when run as a script.
@@ -507,6 +521,7 @@ def run_benchmark(num_graphs=1800, emb_dim=32, num_heads=2, repeats=5, seed=0):
         }
     return {
         "benchmark": "segment_kernels",
+        "measures": MEASURES,
         "config": config,
         "compiled_state": compiled_status()["state"],
         "backends": bench_backends(num_graphs, emb_dim, num_heads, repeats, seed),

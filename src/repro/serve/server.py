@@ -41,8 +41,7 @@ workers genuinely overlap distinct micro-batches (forwards take no model
 lock, so even two micro-batches of one spec run in parallel).  In a
 deployment whose forward is offloaded (an accelerator, a remote shard),
 the worker thread blocks on the device instead and the pool hides that
-latency the same way — ``pre_execute`` exists so benchmarks can emulate
-exactly that interval on hosts without one.
+latency the same way.
 
 Lock order (see :mod:`repro.serve.service` for the full table): server
 internals sit *above* the router — the executor hook only enqueues, and
@@ -109,8 +108,9 @@ class InferenceServer:
         workers only ever *take* from the queue, so this cannot deadlock.
     pre_execute:
         Optional zero-argument callable run by a worker immediately
-        before each micro-batch — telemetry, rate limiting, or (in
-        benchmarks) emulating a blocked-on-device interval.
+        before each micro-batch.  The tests' ``gate`` fixture
+        (``tests/serve/conftest.py``) uses it to hold every worker busy,
+        so requests stay queued long enough to see a flush or an error.
 
     :attr:`worker_errors` keeps the last :data:`MAX_WORKER_ERRORS`
     failures of a worker (a micro-batch, or taking the next job);
