@@ -57,18 +57,6 @@ class StrategyController(Module):
         readout = gumbel_softmax(self.alpha_readout, tau, rng, hard=hard)
         return SampledStrategy(identity, fusion, readout)
 
-    def expectation(self) -> SampledStrategy:
-        """Noise-free softmax weights (for deterministic evaluation)."""
-        ident = [
-            Tensor(softmax_np(self.alpha_identity.data[k]))
-            for k in range(self.num_layers)
-        ]
-        return SampledStrategy(
-            ident,
-            Tensor(softmax_np(self.alpha_fusion.data)),
-            Tensor(softmax_np(self.alpha_readout.data)),
-        )
-
     def derive(self) -> FineTuneStrategySpec:
         """Most likely strategy ``phi* = argmax p_alpha`` per dimension."""
         ids = tuple(

@@ -23,7 +23,7 @@ from ..graph.loader import DataLoader
 from ..metrics import higher_is_better
 from ..nn import Adam, clip_grad_norm
 from ..finetune.base import supervised_loss
-from .search import _spec_to_onehots, _sweep_scores
+from .search import _sweep_scores
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from .supernet import S2PGNNSupernet
 
@@ -43,6 +43,13 @@ class EvolutionConfig:
     theta_lr: float = 1e-3
     grad_clip: float = 5.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not 1 <= self.tournament_size <= self.population_size:
+            raise ValueError(
+                "tournament_size must satisfy 1 <= tournament_size <= "
+                f"population_size, got tournament_size={self.tournament_size}, "
+                f"population_size={self.population_size}")
 
 
 @dataclass
@@ -86,7 +93,8 @@ class EvolutionarySearcher:
 
     # ------------------------------------------------------------------
     def _train_shared_weights(self, train_graphs, rng) -> None:
-        """Warm up theta with uniformly sampled strategies (one-shot NAS)."""
+        """Warm up theta with uniformly sampled strategies (one-shot NAS),
+        each batch trained through its spec's discrete forward."""
         cfg = self.config
         optimizer = Adam(self.supernet.theta_parameters(), lr=cfg.theta_lr)
         loader = DataLoader(train_graphs, batch_size=cfg.batch_size, shuffle=True,
@@ -95,10 +103,8 @@ class EvolutionarySearcher:
         for _ in range(cfg.warmup_epochs):
             for batch in loader:
                 spec = self.space.random_spec(k, rng)
-                weights = _spec_to_onehots(spec, self.space, k)
-                outputs = self.supernet.forward_full(batch, weights)
-                loss = supervised_loss(outputs["logits"], batch,
-                                       self.dataset.info.task_type)
+                logits = self.supernet.forward_specs(batch, [spec])[0]
+                loss = supervised_loss(logits, batch, self.dataset.info.task_type)
                 optimizer.zero_grad()
                 loss.backward()
                 clip_grad_norm(self.supernet.theta_parameters(), cfg.grad_clip)

@@ -36,7 +36,7 @@ from ..metrics import higher_is_better
 from ..nn import Adam, clip_grad_norm, no_grad
 from .controller import StrategyController
 from .space import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
-from .supernet import DerivedModel, S2PGNNSupernet
+from .supernet import DerivedModel, S2PGNNSupernet, skip_threshold
 from ..finetune.base import finetune, supervised_loss
 
 __all__ = ["SearchConfig", "SearchResult", "S2PGNNSearcher", "random_search"]
@@ -48,26 +48,14 @@ class SearchConfig:
 
     epochs: int = 10
     batch_size: int = 32
+    #: Batch size of the evaluation loaders (the derivation step and
+    #: :meth:`S2PGNNSearcher.evaluate_spec`), drawn from the shared batch
+    #: cache (after mutating graphs, call ``batch_cache.invalidate(graphs)``).
     eval_batch_size: int = 64
-    #: Collate each split's batches once and reshuffle only the batch order
-    #: per epoch (vs re-partitioning graphs every epoch).  Membership is
-    #: drawn from one random permutation; empirically search quality is at
-    #: parity with per-epoch re-partitioning at a fraction of the collation
-    #: cost.  Set False for strictly paper-faithful per-epoch reshuffling.
-    #: Governs the theta/alpha training loaders only: evaluation batches
-    #: always come from the shared batch cache (after mutating graphs, call
-    #: ``batch_cache.invalidate(graphs)``).
-    cache_batches: bool = True
-    #: Raise the supernet's branch-skip threshold as tau anneals (see
-    #: :meth:`S2PGNNSupernet.update_mix_threshold`).  Epoch 0 of a
-    #: multi-epoch search runs at the fixed base threshold, so early
-    #: exploration is unaffected; a single-epoch search starts (and ends)
-    #: at ``tau_end`` and therefore uses ``mix_threshold_final`` throughout.
-    adaptive_mix_threshold: bool = True
-    #: Skip threshold reached once tau hits ``tau_end``.
-    mix_threshold_final: float = 1e-5
     theta_lr: float = 1e-3
     alpha_lr: float = 3e-3
+    #: Annealed geometrically (:meth:`temperature`); the supernet's
+    #: branch-skip threshold follows tau (``supernet.skip_threshold``).
     tau_start: float = 1.0
     tau_end: float = 0.1
     mc_samples: int = 1
@@ -76,6 +64,14 @@ class SearchConfig:
     alpha_batches_per_epoch: int = 4
     derive_candidates: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if not self.tau_start > 0:
+            raise ValueError(f"tau_start must be > 0, got {self.tau_start}")
+        if not self.tau_end > 0:
+            raise ValueError(f"tau_end must be > 0, got {self.tau_end}")
 
     def temperature(self, epoch: int) -> float:
         """Geometric annealing schedule tau(epoch)."""
@@ -131,25 +127,23 @@ class S2PGNNSearcher:
 
         theta_opt = Adam(self.supernet.theta_parameters(), lr=cfg.theta_lr)
         alpha_opt = Adam(self.controller.parameters(), lr=cfg.alpha_lr)
-        # cache_batches collates each split once and reshuffles the batch
-        # *order* per epoch — the search sweeps the same splits every epoch,
-        # so re-collating identical data was pure overhead.
+        # The search sweeps the same splits every epoch: collate each once
+        # and reshuffle only the batch *order* per epoch.
         train_loader = DataLoader(
             train_graphs, batch_size=cfg.batch_size, shuffle=True,
-            rng=np.random.default_rng((cfg.seed, 10)), cache=cfg.cache_batches,
+            rng=np.random.default_rng((cfg.seed, 10)), cache=True,
         )
         valid_loader = DataLoader(
             valid_graphs, batch_size=cfg.batch_size, shuffle=True,
-            rng=np.random.default_rng((cfg.seed, 11)), cache=cfg.cache_batches,
+            rng=np.random.default_rng((cfg.seed, 11)), cache=True,
         )
 
         history: list[dict] = []
         start = time.perf_counter()  # repro: disable=REP002 (result timing metadata)
         for epoch in range(cfg.epochs):
             tau = cfg.temperature(epoch)
-            if cfg.adaptive_mix_threshold:
-                self.supernet.update_mix_threshold(
-                    tau, cfg.tau_start, cfg.tau_end, cfg.mix_threshold_final)
+            self.supernet.mix_threshold = skip_threshold(
+                tau, cfg.tau_start, cfg.tau_end)
 
             # --- theta step over the training split (Eq. 16) -------------
             train_loss, train_batches = 0.0, 0
@@ -338,24 +332,6 @@ def _onehots_to_spec(sampled, space: FineTuneSpace) -> FineTuneStrategySpec:
     fuse = space.fusion[int(np.argmax(sampled.fusion.data))]
     read = space.readout[int(np.argmax(sampled.readout.data))]
     return FineTuneStrategySpec(identity=ids, fusion=fuse, readout=read)
-
-
-def _spec_to_onehots(spec: FineTuneStrategySpec, space: FineTuneSpace, num_layers: int):
-    """Discrete spec -> one-hot SampledStrategy (evolution's warm-up trains
-    the supernet through its mixed forward on these)."""
-    from ..nn import Tensor
-    from .controller import SampledStrategy
-
-    def onehot(options, choice):
-        vec = np.zeros(len(options))
-        vec[list(options).index(choice)] = 1.0
-        return Tensor(vec)
-
-    return SampledStrategy(
-        identity=[onehot(space.identity, spec.identity[k]) for k in range(num_layers)],
-        fusion=onehot(space.fusion, spec.fusion),
-        readout=onehot(space.readout, spec.readout),
-    )
 
 
 def random_search(

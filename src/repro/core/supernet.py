@@ -33,7 +33,7 @@ from .controller import SampledStrategy
 from .space import FineTuneSpace, FineTuneStrategySpec
 
 __all__ = ["S2PGNNSupernet", "DerivedModel", "MIX_SKIP_THRESHOLD",
-           "MIX_SKIP_THRESHOLD_FINAL"]
+           "MIX_SKIP_THRESHOLD_FINAL", "skip_threshold"]
 
 #: Mixing weights at or below this magnitude are treated as zero: their
 #: candidate operator is never invoked.  At 1e-8 the dropped term is far
@@ -42,12 +42,35 @@ __all__ = ["S2PGNNSupernet", "DerivedModel", "MIX_SKIP_THRESHOLD",
 MIX_SKIP_THRESHOLD = 1e-8
 
 #: End point of the temperature-aware threshold schedule
-#: (:meth:`S2PGNNSupernet.update_mix_threshold`).  Near the annealed
-#: temperature the Gumbel-softmax samples are close to one-hot, so losing
-#: branches carry weights far below this and skipping them changes mixed
-#: outputs only at the 1e-5-relative level while saving their full forward
-#: cost.
+#: (:func:`skip_threshold`).  Near the annealed temperature the
+#: Gumbel-softmax samples are close to one-hot, so losing branches carry
+#: weights far below this and skipping them changes mixed outputs only at
+#: the 1e-5-relative level while saving their full forward cost.
 MIX_SKIP_THRESHOLD_FINAL = 1e-5
+
+
+def skip_threshold(tau: float, tau_start: float, tau_end: float) -> float:
+    """Temperature-aware branch-skip threshold at temperature ``tau``.
+
+    Interpolates geometrically from :data:`MIX_SKIP_THRESHOLD` (at
+    ``tau >= tau_start``, or for a degenerate schedule with
+    ``tau_start <= tau_end``) to :data:`MIX_SKIP_THRESHOLD_FINAL` (at
+    ``tau <= tau_end``), tracking the annealing in log-temperature.  Early
+    epochs therefore mix exactly as with the fixed base threshold
+    (exploration is unbiased), while late near-one-hot epochs skip losing
+    branches more aggressively — their weights decay like
+    ``exp(-Delta/tau)``, far below the final threshold by the time it is
+    reached.  The search assigns the result to
+    :attr:`S2PGNNSupernet.mix_threshold` each epoch.
+    """
+    base, final = MIX_SKIP_THRESHOLD, MIX_SKIP_THRESHOLD_FINAL
+    if tau >= tau_start or tau_start <= tau_end:
+        progress = 0.0
+    elif tau <= tau_end:
+        progress = 1.0
+    else:
+        progress = np.log(tau_start / tau) / np.log(tau_start / tau_end)
+    return float(base * (final / base) ** progress)
 
 
 class S2PGNNSupernet(Module):
@@ -65,19 +88,17 @@ class S2PGNNSupernet(Module):
     """
 
     def __init__(self, encoder: GNNEncoder, space: FineTuneSpace, num_tasks: int,
-                 seed: int = 0, mix_threshold: float | None = MIX_SKIP_THRESHOLD):
+                 seed: int = 0):
         super().__init__()
         rng = np.random.default_rng((seed, 3))
         self.encoder = encoder
         self.space = space
         self.num_tasks = num_tasks
-        # ``None`` disables branch skipping (every candidate always runs);
-        # benchmarks use that to time the pre-fast-path mixed forward.
-        self.mix_threshold = mix_threshold
-        # Base of the temperature-aware schedule; ``update_mix_threshold``
-        # interpolates from here, so direct assignments to ``mix_threshold``
-        # (benchmarks, tests) never leak into the schedule.
-        self._mix_threshold_base = mix_threshold
+        # Branch-skip threshold of relaxed forwards (see ``_mix``); the
+        # search sets it from :func:`skip_threshold` each epoch.  ``None``
+        # runs every candidate — the full-mixture reference tests compare
+        # the fast path against.
+        self.mix_threshold = MIX_SKIP_THRESHOLD
         k, d = encoder.num_layers, encoder.emb_dim
 
         self.identity_banks = ModuleList([
@@ -93,35 +114,6 @@ class S2PGNNSupernet(Module):
         self.head = Linear(d, num_tasks, rng)
 
     # ------------------------------------------------------------------
-    def update_mix_threshold(self, tau: float, tau_start: float = 1.0,
-                             tau_end: float = 0.1,
-                             final: float | None = MIX_SKIP_THRESHOLD_FINAL) -> float | None:
-        """Temperature-aware skip-threshold schedule (set-and-return).
-
-        Interpolates geometrically from the construction-time base
-        threshold (at ``tau >= tau_start``) to ``final`` (at
-        ``tau <= tau_end``), tracking the annealing in log-temperature.
-        Early epochs therefore mix exactly as with the fixed base threshold
-        (exploration is unbiased), while late near-one-hot epochs skip
-        losing branches more aggressively — their weights decay like
-        ``exp(-Delta/tau)``, far below ``final`` by the time it is reached.
-
-        No-ops (returns the current threshold) when skipping is disabled —
-        ``mix_threshold=None`` at construction *or* assigned at runtime
-        (the documented full-mixture escape hatch) — or ``final`` is None.
-        """
-        base = self._mix_threshold_base
-        if base is None or final is None or self.mix_threshold is None:
-            return self.mix_threshold
-        if tau >= tau_start or tau_start <= tau_end:
-            progress = 0.0
-        elif tau <= tau_end:
-            progress = 1.0
-        else:
-            progress = np.log(tau_start / tau) / np.log(tau_start / tau_end)
-        self.mix_threshold = float(base * (final / base) ** progress)
-        return self.mix_threshold
-
     @staticmethod
     def _mix(weights: Tensor, outputs: list, threshold: float | None = MIX_SKIP_THRESHOLD) -> Tensor:
         """``sum_i w[i] * O_i`` with real branch skipping.
@@ -129,10 +121,10 @@ class S2PGNNSupernet(Module):
         ``outputs`` entries are either Tensors or zero-argument callables
         (lazy branches).  A branch whose mixing weight has magnitude at or
         below ``threshold`` is *never invoked* — in the low-temperature
-        regime (near one-hot sample) or under exactly one-hot weights
-        (evolution's warm-up), each dimension therefore does O(1) operator
-        work instead of O(|candidates|).  Pass ``threshold=None`` to force
-        the full mixture (every branch computed).
+        regime (near one-hot sample) or under exactly one-hot weights, each
+        dimension therefore does O(1) operator work instead of
+        O(|candidates|).  Pass ``threshold=None`` to force the full mixture
+        (every branch computed).
 
         Skipping a sub-threshold branch also drops its (negligible)
         contribution to the controller gradient; at the default threshold

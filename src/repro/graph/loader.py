@@ -57,12 +57,6 @@ class DataLoader:
         graph order is shuffled (batch membership changes per epoch); in
         cached mode the batch order is shuffled (membership is fixed at
         the first epoch's dataset-order partition).
-    drop_last:
-        Drop a trailing incomplete batch (useful for BatchNorm stability).
-        Combined with ``cache``, the dropped tail is the *same* graphs
-        every epoch (fresh mode re-draws which graphs land in the dropped
-        tail each epoch) — avoid ``cache + drop_last`` for training loops
-        that must eventually visit every graph.
     cache:
         Collate each batch once and reuse it every epoch (see module
         docstring).  :attr:`num_collations` counts Batch constructions so
@@ -75,7 +69,6 @@ class DataLoader:
         batch_size: int = 32,
         shuffle: bool = False,
         rng: np.random.Generator | None = None,
-        drop_last: bool = False,
         cache: bool = False,
     ):
         if batch_size < 1:
@@ -84,7 +77,6 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng or np.random.default_rng(0)
-        self.drop_last = drop_last
         self.cache = cache
         self.num_collations = 0
         self._cached_batches: list[Batch] | None = None
@@ -94,10 +86,7 @@ class DataLoader:
         self._cache_lock = threading.Lock()
 
     def __len__(self) -> int:
-        n = len(self.graphs)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.graphs) + self.batch_size - 1) // self.batch_size
 
     def _collate(self, indices: np.ndarray) -> Batch:
         self.num_collations += 1
@@ -121,10 +110,8 @@ class DataLoader:
                         self.rng.shuffle(order)
                     batches = []
                     for start in range(0, n, self.batch_size):
-                        idx = order[start:start + self.batch_size]
-                        if self.drop_last and idx.size < self.batch_size:
-                            break
-                        batches.append(self._collate(idx))
+                        batches.append(
+                            self._collate(order[start:start + self.batch_size]))
                     self._cached_batches = batches
         return self._cached_batches
 
@@ -158,10 +145,7 @@ class DataLoader:
         if self.shuffle:
             self.rng.shuffle(order)
         for start in range(0, len(order), self.batch_size):
-            chunk = order[start:start + self.batch_size]
-            if self.drop_last and len(chunk) < self.batch_size:
-                return
-            yield self._collate(chunk)
+            yield self._collate(order[start:start + self.batch_size])
 
 
 def eval_logits(loader, forward, num_tasks: int, num_outputs: int | None = None):

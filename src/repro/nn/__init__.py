@@ -12,7 +12,7 @@ from .layers import (
     StochNorm1d,
 )
 from .module import Module, ModuleDict, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from .policy import ExecutionPolicy, active_dtype, active_policy, cast_module, use_dtype
 from .ops import (
     OP_REGISTRY,
@@ -85,8 +85,6 @@ __all__ = [
     "Identity",
     "LSTM",
     "LSTMCell",
-    "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "save_state_dict",

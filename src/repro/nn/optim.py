@@ -1,4 +1,4 @@
-"""Optimizers: SGD and Adam with decoupled weight decay and grad clipping.
+"""The Adam optimizer and global gradient-norm clipping.
 
 The paper fine-tunes with Adam at learning rate 1e-3 (Sec. IV-A4); the
 bi-level search additionally keeps a second Adam instance for the controller
@@ -11,62 +11,32 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Optimizer:
-    """Base optimizer over an explicit parameter list."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction over an explicit parameter list.
 
-    def __init__(self, params: list[Parameter], lr: float):
-        self.params = [p for p in params]
+    :meth:`step` skips a parameter whose ``grad`` is ``None`` or whose
+    ``requires_grad`` is off: its ``data`` and moment estimates stay as
+    they are.
+    """
+
+    def __init__(self, params: list[Parameter], lr: float = 1e-3,
+                 betas: tuple = (0.9, 0.999), eps: float = 1e-8):
+        self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._t = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None or not p.requires_grad:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction and decoupled weight decay."""
-
-    def __init__(self, params, lr: float = 1e-3, betas: tuple = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
 
     def step(self) -> None:
         self._t += 1
@@ -81,10 +51,7 @@ class Adam(Optimizer):
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+            p.data -= self.lr * ((m / bias1) / (np.sqrt(v / bias2) + self.eps))
 
 
 def clip_grad_norm(params, max_norm: float) -> float:

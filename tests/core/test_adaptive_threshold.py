@@ -7,7 +7,6 @@ bit-for-bit unaffected; only as tau anneals may the threshold rise.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import DEFAULT_SPACE
 from repro.core.search import S2PGNNSearcher, SearchConfig
@@ -15,57 +14,35 @@ from repro.core.supernet import (
     MIX_SKIP_THRESHOLD,
     MIX_SKIP_THRESHOLD_FINAL,
     S2PGNNSupernet,
+    skip_threshold,
 )
 from repro.gnn import GNNEncoder
 from repro.graph import Batch
 
 
-def make_supernet(**kwargs):
+def make_supernet():
     enc = GNNEncoder("gin", num_layers=2, emb_dim=12, dropout=0.0, seed=0)
-    return S2PGNNSupernet(enc, DEFAULT_SPACE, num_tasks=2, seed=0, **kwargs)
+    return S2PGNNSupernet(enc, DEFAULT_SPACE, num_tasks=2, seed=0)
 
 
 class TestSchedule:
     def test_early_epochs_keep_base_threshold(self):
-        net = make_supernet()
-        assert net.update_mix_threshold(1.0, 1.0, 0.1) == MIX_SKIP_THRESHOLD
-        assert net.update_mix_threshold(1.5, 1.0, 0.1) == MIX_SKIP_THRESHOLD
+        assert skip_threshold(1.0, 1.0, 0.1) == MIX_SKIP_THRESHOLD
+        assert skip_threshold(1.5, 1.0, 0.1) == MIX_SKIP_THRESHOLD
 
     def test_final_threshold_at_tau_end(self):
-        net = make_supernet()
-        assert net.update_mix_threshold(0.1, 1.0, 0.1) == MIX_SKIP_THRESHOLD_FINAL
-        assert net.update_mix_threshold(0.01, 1.0, 0.1) == MIX_SKIP_THRESHOLD_FINAL
+        assert skip_threshold(0.1, 1.0, 0.1) == MIX_SKIP_THRESHOLD_FINAL
+        assert skip_threshold(0.01, 1.0, 0.1) == MIX_SKIP_THRESHOLD_FINAL
 
     def test_monotone_in_annealing(self):
-        net = make_supernet()
         taus = np.geomspace(1.0, 0.1, 7)
-        thresholds = [net.update_mix_threshold(t, 1.0, 0.1) for t in taus]
+        thresholds = [skip_threshold(t, 1.0, 0.1) for t in taus]
         assert all(a <= b for a, b in zip(thresholds, thresholds[1:]))
         assert thresholds[0] == MIX_SKIP_THRESHOLD
         assert thresholds[-1] == MIX_SKIP_THRESHOLD_FINAL
 
-    def test_disabled_skipping_stays_disabled(self):
-        net = make_supernet(mix_threshold=None)
-        assert net.update_mix_threshold(0.1, 1.0, 0.1) is None
-        assert net.mix_threshold is None
-
-    def test_runtime_disable_is_not_clobbered(self):
-        """``mix_threshold = None`` is the documented full-mixture escape
-        hatch; the schedule must leave it alone at every temperature."""
-        net = make_supernet()
-        net.mix_threshold = None
-        assert net.update_mix_threshold(1.0, 1.0, 0.1) is None
-        assert net.update_mix_threshold(0.1, 1.0, 0.1) is None
-        assert net.mix_threshold is None
-
-    def test_direct_numeric_assignment_does_not_leak_into_schedule(self):
-        net = make_supernet()
-        net.mix_threshold = 0.5  # transient override, not the schedule base
-        assert net.update_mix_threshold(1.0, 1.0, 0.1) == MIX_SKIP_THRESHOLD
-
     def test_degenerate_schedule_keeps_base(self):
-        net = make_supernet()
-        assert net.update_mix_threshold(0.5, 0.1, 0.1) == MIX_SKIP_THRESHOLD
+        assert skip_threshold(0.5, 0.1, 0.1) == MIX_SKIP_THRESHOLD
 
 
 class TestEarlyEpochMixingUnaffected:
@@ -78,7 +55,7 @@ class TestEarlyEpochMixingUnaffected:
         net_a, net_b = make_supernet(), make_supernet()
         controller = StrategyController(DEFAULT_SPACE, 2)
         strategy = controller.sample(1.0, np.random.default_rng(5))
-        net_b.update_mix_threshold(1.0, 1.0, 0.1)  # epoch-0 call
+        net_b.mix_threshold = skip_threshold(1.0, 1.0, 0.1)  # epoch 0
         assert net_b.mix_threshold == net_a.mix_threshold
         with no_grad():
             out_a = net_a.forward_full(batch, strategy)["logits"].data
@@ -95,14 +72,6 @@ class TestSearcherIntegration:
         result = searcher.search()
         recorded = [h["mix_threshold"] for h in result.history]
         assert recorded[0] == MIX_SKIP_THRESHOLD  # epoch 0: base threshold
-        assert recorded[-1] == cfg.mix_threshold_final  # tau_end reached
+        assert recorded[-1] == MIX_SKIP_THRESHOLD_FINAL  # tau_end reached
+        assert searcher.supernet.mix_threshold == MIX_SKIP_THRESHOLD_FINAL
         assert result.spec is not None
-
-    def test_schedule_can_be_disabled(self, tiny_dataset):
-        encoder = GNNEncoder("gin", num_layers=2, emb_dim=8, dropout=0.0, seed=0)
-        cfg = SearchConfig(epochs=2, batch_size=16, alpha_batches_per_epoch=1,
-                           derive_candidates=0, adaptive_mix_threshold=False, seed=0)
-        searcher = S2PGNNSearcher(encoder, tiny_dataset, config=cfg)
-        result = searcher.search()
-        assert all(h["mix_threshold"] == MIX_SKIP_THRESHOLD
-                   for h in result.history)

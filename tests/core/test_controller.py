@@ -42,11 +42,6 @@ class TestSampling:
         assert np.allclose(probs["identity"], 1.0 / 3)
         assert np.allclose(probs["readout"], 1.0 / 6)
 
-    def test_expectation_no_noise(self, controller):
-        e1 = controller.expectation()
-        e2 = controller.expectation()
-        assert np.allclose(e1.fusion.data, e2.fusion.data)
-
 
 class TestDerivation:
     def test_derive_returns_argmax(self, controller):

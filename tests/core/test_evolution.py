@@ -18,6 +18,24 @@ def make_searcher(dataset, **overrides):
     return EvolutionarySearcher(encoder, dataset, config=config)
 
 
+class TestEvolutionConfig:
+    @pytest.mark.parametrize("tournament_size, population_size",
+                             [(5, 4), (0, 4), (3, 0)])
+    def test_rejects_tournament_outside_population(self, tournament_size,
+                                                   population_size):
+        with pytest.raises(ValueError, match="tournament_size"):
+            EvolutionConfig(tournament_size=tournament_size,
+                            population_size=population_size)
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(ValueError, match="population_size=0"):
+            EvolutionConfig(population_size=0)
+
+    def test_tournament_of_whole_population_is_legal(self):
+        config = EvolutionConfig(tournament_size=4, population_size=4)
+        assert config.tournament_size == config.population_size == 4
+
+
 class TestEvolution:
     def test_search_returns_valid_spec(self, tiny_dataset):
         result = make_searcher(tiny_dataset).search()

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from repro.core import DEFAULT_SPACE, FineTuneStrategySpec
-from repro.core.search import _spec_to_onehots
 from repro.core.supernet import MIX_SKIP_THRESHOLD, DerivedModel, S2PGNNSupernet
 from repro.gnn import GNNEncoder
 from repro.nn import Tensor
+from tests.oracles import spec_onehots
 
 
-def make_supernet(layers=2, dim=12, tasks=2, **kwargs):
-    enc = GNNEncoder("gin", num_layers=layers, emb_dim=dim, dropout=0.0, seed=0)
-    return S2PGNNSupernet(enc, DEFAULT_SPACE, num_tasks=tasks, seed=0, **kwargs)
+def make_supernet(layers=2, dim=12, tasks=2, dropout=0.0):
+    enc = GNNEncoder("gin", num_layers=layers, emb_dim=dim, dropout=dropout, seed=0)
+    return S2PGNNSupernet(enc, DEFAULT_SPACE, num_tasks=tasks, seed=0)
 
 
 SPECS = [
@@ -36,7 +36,7 @@ class TestFastPathEquivalence:
         """Fast path == full mixture for exactly-one-hot weights (atol 1e-9)."""
         net = make_supernet()
         net.eval()
-        one_hots = _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+        one_hots = spec_onehots(spec, DEFAULT_SPACE, 2)
         fast = net.forward_full(batch, one_hots)["logits"].data
         net.mix_threshold = None
         full = net.forward_full(batch, one_hots)["logits"].data
@@ -47,7 +47,7 @@ class TestFastPathEquivalence:
         """Fast path == warm-started DerivedModel.forward_full (atol 1e-9)."""
         net = make_supernet()
         net.eval()
-        one_hots = _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+        one_hots = spec_onehots(spec, DEFAULT_SPACE, 2)
         fast = net.forward_full(batch, one_hots)
 
         derived = DerivedModel(GNNEncoder("gin", 2, 12, dropout=0.0, seed=5),
@@ -64,13 +64,45 @@ class TestFastPathEquivalence:
         net = make_supernet()
         net.eval()
         spec = SPECS[0]
-        weights = _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+        weights = spec_onehots(spec, DEFAULT_SPACE, 2)
         soft = rng.random(len(DEFAULT_SPACE.readout)) + 0.1
         weights.readout = Tensor(soft / soft.sum())
         fast = net.forward_full(batch, weights)["logits"].data
         net.mix_threshold = None
         full = net.forward_full(batch, weights)["logits"].data
         assert np.array_equal(fast, full)
+
+
+class TestForwardSpecsTraining:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
+    def test_backward_matches_onehot_relaxed_forward(self, batch, spec):
+        """A training step through ``forward_specs(batch, [spec])[0]`` is
+        the one-hot relaxed forward's step, bit for bit: same logits, same
+        ``.grad`` on every theta parameter, same running statistics.  Two
+        identically seeded supernets (dropout on) keep the RNG streams
+        aligned."""
+        swept, relaxed = make_supernet(dropout=0.1), make_supernet(dropout=0.1)
+        logits_a = swept.forward_specs(batch, [spec])[0]
+        logits_b = relaxed.forward_full(
+            batch, spec_onehots(spec, DEFAULT_SPACE, 2))["logits"]
+        assert logits_a.data.tobytes() == logits_b.data.tobytes()
+        (logits_a * logits_a).sum().backward()
+        (logits_b * logits_b).sum().backward()
+
+        params_a = dict(swept.named_parameters())
+        params_b = dict(relaxed.named_parameters())
+        assert params_a.keys() == params_b.keys()
+        stepped = 0
+        for name, param in params_a.items():
+            grad_a, grad_b = param.grad, params_b[name].grad
+            assert (grad_a is None) == (grad_b is None), name
+            if grad_a is not None:
+                stepped += 1
+                assert grad_a.tobytes() == grad_b.tobytes(), name
+        assert stepped > 0
+        buffers_b = dict(relaxed.named_buffers())
+        for name, buf in swept.named_buffers():
+            assert buf.tobytes() == buffers_b[name].tobytes(), name
 
 
 class TestBranchSkipping:
@@ -98,7 +130,7 @@ class TestBranchSkipping:
                 if id(module) not in selected:
                     boobytrap(module)
 
-        one_hots = _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+        one_hots = spec_onehots(spec, DEFAULT_SPACE, 2)
         out = net.forward_full(batch, one_hots)  # must not raise
         assert np.all(np.isfinite(out["logits"].data))
 

@@ -27,6 +27,25 @@ class TestSearchConfig:
     def test_single_epoch_uses_end_temperature(self):
         assert SearchConfig(epochs=1).temperature(0) == SearchConfig().tau_end
 
+    @pytest.mark.parametrize("mc_samples", [0, -1])
+    def test_rejects_mc_samples_below_one(self, mc_samples):
+        with pytest.raises(ValueError, match="mc_samples"):
+            SearchConfig(mc_samples=mc_samples)
+
+    @pytest.mark.parametrize("tau_start", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_tau_start(self, tau_start):
+        with pytest.raises(ValueError, match="tau_start"):
+            SearchConfig(tau_start=tau_start)
+
+    @pytest.mark.parametrize("tau_end", [0.0, -0.1, float("nan")])
+    def test_rejects_non_positive_tau_end(self, tau_end):
+        with pytest.raises(ValueError, match="tau_end"):
+            SearchConfig(tau_end=tau_end)
+
+    def test_degenerate_schedule_stays_legal(self):
+        cfg = SearchConfig(epochs=3, tau_start=0.1, tau_end=0.5)
+        assert cfg.temperature(2) == pytest.approx(0.5)
+
 
 class TestSearcher:
     @pytest.fixture(scope="class")

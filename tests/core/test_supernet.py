@@ -5,10 +5,10 @@ import pytest
 
 from repro.core import DEFAULT_SPACE, FineTuneSpace, FineTuneStrategySpec
 from repro.core.controller import SampledStrategy, StrategyController
-from repro.core.search import _spec_to_onehots
 from repro.core.supernet import DerivedModel, S2PGNNSupernet
 from repro.gnn import GNNEncoder
 from repro.nn import Tensor
+from tests.oracles import spec_onehots
 
 
 def make_supernet(space=DEFAULT_SPACE, layers=2, dim=12, tasks=2):
@@ -42,7 +42,7 @@ class TestSupernet:
         spec = FineTuneStrategySpec(
             identity=("zero_aug", "zero_aug"), fusion="mean", readout="sum"
         )
-        one_hot = _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+        one_hot = spec_onehots(spec, DEFAULT_SPACE, 2)
         out = net.forward_full(batch, one_hot)
 
         # Manually compute the same discrete path using the shared modules.
@@ -64,9 +64,9 @@ class TestSupernet:
                                       fusion="last", readout="sum")
         spec_b = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
                                       fusion="last", readout="mean")
-        out_a = net.forward_full(batch, _spec_to_onehots(spec_a, DEFAULT_SPACE, 2))
-        out_b = net.forward_full(batch, _spec_to_onehots(spec_b, DEFAULT_SPACE, 2))
-        mixed_weights = _spec_to_onehots(spec_a, DEFAULT_SPACE, 2)
+        out_a = net.forward_full(batch, spec_onehots(spec_a, DEFAULT_SPACE, 2))
+        out_b = net.forward_full(batch, spec_onehots(spec_b, DEFAULT_SPACE, 2))
+        mixed_weights = spec_onehots(spec_a, DEFAULT_SPACE, 2)
         mixed_weights.readout = Tensor(np.array([0.5, 0.5, 0, 0, 0, 0.0]))
         out_m = net.forward_full(batch, mixed_weights)
         assert np.allclose(
@@ -78,7 +78,7 @@ class TestSupernet:
         net = make_supernet()
         spec = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
                                     fusion="concat", readout="neural")
-        out = net.forward_full(batch, _spec_to_onehots(spec, DEFAULT_SPACE, 2))
+        out = net.forward_full(batch, spec_onehots(spec, DEFAULT_SPACE, 2))
         out["logits"].sum().backward()
         concat_grads = [p.grad for p in net.fusion_bank[1].parameters()]
         lstm_grads = [p.grad for p in net.fusion_bank[5].parameters()]
@@ -163,7 +163,6 @@ class TestWarmStart:
     def test_warm_start_matches_supernet_onehot_forward(self, batch):
         """Derived(spec) warm-started from the supernet must reproduce the
         supernet's one-hot forward for that spec exactly."""
-        from repro.core.search import _spec_to_onehots
         from repro.core.supernet import S2PGNNSupernet
 
         enc = GNNEncoder("gin", 2, 12, dropout=0.0, seed=0)
@@ -172,7 +171,7 @@ class TestWarmStart:
         spec = FineTuneStrategySpec(identity=("identity_aug", "zero_aug"),
                                     fusion="mean", readout="sum")
         expected = supernet.forward_full(
-            batch, _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+            batch, spec_onehots(spec, DEFAULT_SPACE, 2)
         )["logits"].data
 
         derived = DerivedModel(GNNEncoder("gin", 2, 12, dropout=0.0, seed=7),

@@ -104,20 +104,20 @@ class TestSupernetMixtureGradients:
         """d loss / d (mixing weight) equals the candidate-output difference."""
         from repro.core import DEFAULT_SPACE
         from repro.core.supernet import S2PGNNSupernet
-        from repro.core.search import _spec_to_onehots
         from repro.core.space import FineTuneStrategySpec
         from repro.gnn import GNNEncoder
+        from tests.oracles import spec_onehots
 
         enc = GNNEncoder("gin", 2, DIM, dropout=0.0, seed=0)
         # Disable branch skipping: the full mixture must have exact
         # gradients in *every* weight, including exactly-zero ones (the
         # fast path intentionally truncates those to zero instead).
-        net = S2PGNNSupernet(enc, DEFAULT_SPACE, num_tasks=1, seed=0,
-                             mix_threshold=None)
+        net = S2PGNNSupernet(enc, DEFAULT_SPACE, num_tasks=1, seed=0)
+        net.mix_threshold = None
         net.eval()
         spec = FineTuneStrategySpec(identity=("zero_aug", "zero_aug"),
                                     fusion="last", readout="mean")
-        weights = _spec_to_onehots(spec, DEFAULT_SPACE, 2)
+        weights = spec_onehots(spec, DEFAULT_SPACE, 2)
         w0 = np.array([0.6, 0.4, 0.0, 0.0, 0.0, 0.0])
 
         def loss_for(w):

@@ -17,12 +17,6 @@ class TestDataLoader:
         batches = list(loader)
         assert batches[-1].num_graphs == 2
 
-    def test_drop_last(self, molecules):
-        loader = DataLoader(molecules[:10], batch_size=4, drop_last=True)
-        batches = list(loader)
-        assert len(batches) == 2
-        assert all(b.num_graphs == 4 for b in batches)
-
     def test_no_shuffle_preserves_order(self, molecules):
         loader = DataLoader(molecules, batch_size=len(molecules))
         batch = next(iter(loader))
@@ -101,12 +95,6 @@ class TestCachedDataLoader:
         fresh = DataLoader(molecules, batch_size=8)
         for a, b in zip(cached, fresh, strict=True):
             assert_batches_equal(a, b)
-
-    def test_drop_last(self, molecules):
-        loader = DataLoader(molecules[:10], batch_size=4, drop_last=True, cache=True)
-        batches = list(loader)
-        assert len(batches) == 2
-        assert all(b.num_graphs == 4 for b in batches)
 
     def test_all_graphs_covered_each_epoch(self, molecules):
         loader = DataLoader(molecules, batch_size=7, shuffle=True, cache=True)

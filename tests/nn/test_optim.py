@@ -1,9 +1,9 @@
-"""Tests for optimizers: convergence, weight decay, clipping, skip rules."""
+"""Tests for the Adam optimizer (convergence, skip rules) and grad clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Parameter, SGD, Tensor, clip_grad_norm
+from repro.nn import Adam, Parameter, Tensor, clip_grad_norm
 
 
 def quadratic_step(opt, p, target):
@@ -12,50 +12,6 @@ def quadratic_step(opt, p, target):
     loss.backward()
     opt.step()
     return loss.item()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0, -3.0]))
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            last = quadratic_step(opt, p, np.zeros(2))
-        assert last < 1e-6
-
-    def test_momentum_accelerates(self):
-        losses = {}
-        for momentum in (0.0, 0.9):
-            p = Parameter(np.array([10.0]))
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(30):
-                losses[momentum] = quadratic_step(opt, p, np.zeros(1))
-        assert losses[0.9] < losses[0.0]
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        loss = Tensor(0.0) * p  # zero gradient path
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_skips_frozen_params(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        (p * 2.0).backward()
-        p.requires_grad = False
-        opt.step()
-        assert p.data[0] == 1.0
-
-    def test_skips_gradless_params(self):
-        p = Parameter(np.array([1.0]))
-        SGD([p], lr=0.1).step()  # no grad -> no change, no crash
-        assert p.data[0] == 1.0
-
-    def test_empty_params_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -74,13 +30,6 @@ class TestAdam:
         quadratic_step(opt, p, np.zeros(1))
         assert abs((100.0 - p.data[0]) - 0.5) < 1e-6
 
-    def test_decoupled_weight_decay(self):
-        p = Parameter(np.array([2.0]))
-        opt = Adam([p], lr=0.1, weight_decay=0.1)
-        (p * Tensor(0.0)).backward()
-        opt.step()
-        assert p.data[0] < 2.0
-
     def test_state_tracks_multiple_params(self):
         a, b = Parameter(np.array([1.0])), Parameter(np.array([2.0]))
         opt = Adam([a, b], lr=0.1)
@@ -89,6 +38,37 @@ class TestAdam:
         loss.backward()
         opt.step()
         assert a.data[0] < 1.0 and b.data[0] < 2.0
+
+    def test_skips_frozen_params(self):
+        p = Parameter(np.array([1.0]))
+        opt = Adam([p], lr=0.1)
+        (p * 2.0).backward()
+        p.requires_grad = False
+        opt.step()
+        assert p.data[0] == 1.0
+        assert not opt._m[0].any() and not opt._v[0].any()
+
+    def test_skips_gradless_params(self):
+        """A parameter with no grad keeps its data and moments byte for
+        byte through a step that moves another parameter."""
+        a, b = Parameter(np.array([1.0, -2.0])), Parameter(np.array([3.0]))
+        opt = Adam([a, b], lr=0.1)
+        for _ in range(2):  # non-zero moments for ``b`` first
+            quadratic_step(opt, a, np.zeros(2))
+            quadratic_step(opt, b, np.zeros(1))
+        b.zero_grad()
+        assert b.grad is None
+        data, m, v = b.data.tobytes(), opt._m[1].tobytes(), opt._v[1].tobytes()
+        assert opt._m[1].any() and opt._v[1].any()
+        a_before = a.data.copy()
+        quadratic_step(opt, a, np.zeros(2))
+        assert not np.array_equal(a.data, a_before)
+        assert b.data.tobytes() == data
+        assert opt._m[1].tobytes() == m and opt._v[1].tobytes() == v
+
+    def test_empty_params_raises(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
 
 class TestClipGradNorm:

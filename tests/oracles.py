@@ -1,6 +1,6 @@
 """Reference implementations the fast ops are tested against.
 
-Two kinds live here:
+Three kinds live here:
 
 * the ``np.add.at`` / ``np.maximum.at`` references of the registered
   kernel ops, collected in :data:`ORACLES` — ``kernel_leg("legacy")``
@@ -9,7 +9,10 @@ Two kinds live here:
   layer the way it ran before it became a single tape node — one tape
   node per matmul, add, slice, sigmoid and tanh — so the bit-identity
   tests can compare the fused op's forward and every gradient against
-  it at tolerance 0.0.
+  it at tolerance 0.0;
+* :func:`spec_onehots`, a discrete spec as exactly one-hot relaxed
+  weights, so the supernet's mixed forward can be run as the reference
+  for its discrete-spec sweep.
 """
 
 import numpy as np
@@ -275,3 +278,23 @@ def lstm_fusion_reference(fusion, layers):
                           for s in states], axis=-1)
     weights = softmax(scores, axis=-1).transpose((1, 0)).expand_dims(2)
     return (stack(layers, axis=0) * weights).sum(axis=0)
+
+
+# ----------------------------------------------------------------------
+# One-hot relaxed weights of a discrete spec
+# ----------------------------------------------------------------------
+def spec_onehots(spec, space, num_layers: int):
+    """Discrete spec -> one-hot ``SampledStrategy`` for
+    ``S2PGNNSupernet.forward_full`` (one 1.0 per dimension, 0.0 elsewhere)."""
+    from repro.core.controller import SampledStrategy
+
+    def onehot(options, choice):
+        vec = np.zeros(len(options))
+        vec[list(options).index(choice)] = 1.0
+        return Tensor(vec)
+
+    return SampledStrategy(
+        identity=[onehot(space.identity, spec.identity[k]) for k in range(num_layers)],
+        fusion=onehot(space.fusion, spec.fusion),
+        readout=onehot(space.readout, spec.readout),
+    )
